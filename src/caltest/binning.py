@@ -146,7 +146,7 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     return _make_fit(sums, lengths)
 
 
-def _shifted_boundary(preds_sorted: np.ndarray, i: int, strict_gaps: np.ndarray) -> float | None:
+def _shifted_boundary(preds_sorted: np.ndarray, i: int) -> float | None:
     """Boundary between records i-1 and i, moved off tied prediction values.
 
     The natural boundary is the midpoint of the straddling predictions. When
@@ -154,16 +154,16 @@ def _shifted_boundary(preds_sorted: np.ndarray, i: int, strict_gaps: np.ndarray)
     moves to the nearest strictly increasing adjacent pair, rightward first
     and then leftward. Returns None when every prediction is identical.
     """
-    if preds_sorted[i - 1] < preds_sorted[i]:
-        return float((preds_sorted[i - 1] + preds_sorted[i]) / 2.0)
-    pos = np.searchsorted(strict_gaps, i - 1)
-    if pos < strict_gaps.size:
-        g = int(strict_gaps[pos])  # nearest strict pair at or right of (i-1, i)
-    elif pos > 0:
-        g = int(strict_gaps[pos - 1])  # nearest strict pair to the left
-    else:
-        return None
-    return float((preds_sorted[g] + preds_sorted[g + 1]) / 2.0)
+    value = preds_sorted[i]
+    if preds_sorted[i - 1] < value:
+        return float((preds_sorted[i - 1] + value) / 2.0)
+    right = int(np.searchsorted(preds_sorted, value, side="right"))
+    if right < preds_sorted.size:  # first value above the tie group
+        return float((value + preds_sorted[right]) / 2.0)
+    left = int(np.searchsorted(preds_sorted, value, side="left"))
+    if left > 0:  # last value below the tie group
+        return float((preds_sorted[left - 1] + value) / 2.0)
+    return None
 
 
 def _bins_from_boundaries(boundaries: list[float]) -> BinSet:
@@ -192,12 +192,11 @@ def quantile_bins(dataset: Dataset, num_bins: int) -> BinSet:
         raise ValueError("need at least one bin")
     _, preds = sorted_view(dataset)
     n = preds.size
-    strict_gaps = np.flatnonzero(preds[1:] > preds[:-1])
     boundaries = []
     for j in range(1, num_bins):
         cut = (j * n) // num_bins
         if 0 < cut < n:
-            b = _shifted_boundary(preds, cut, strict_gaps)
+            b = _shifted_boundary(preds, cut)
             if b is not None:
                 boundaries.append(b)
     return _bins_from_boundaries(boundaries)
@@ -215,14 +214,25 @@ def bins_from_fit(fit: IsotonicFit, preds_sorted) -> BinSet:
         raise ValueError("fit and predictions must have equal length")
     if np.any(preds[1:] < preds[:-1]):
         raise ValueError("predictions must be sorted ascending")
-    strict_gaps = np.flatnonzero(preds[1:] > preds[:-1])
     changes = np.flatnonzero(fit.fitted[1:] != fit.fitted[:-1]) + 1
     boundaries = []
     for i in changes.tolist():
-        b = _shifted_boundary(preds, i, strict_gaps)
+        b = _shifted_boundary(preds, i)
         if b is not None:
             boundaries.append(b)
     return _bins_from_boundaries(boundaries)
+
+
+def _within_bin_sq_errors(dataset: Dataset, bins: BinSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per non-empty bin: the sum of (y - bin label mean)^2, and the bin size.
+
+    For binary labels with k positives among n records that sum is k - k^2/n.
+    """
+    binned = partition(dataset, bins)
+    filled = binned.counts > 0
+    k = binned.label_sums[filled]
+    n = binned.counts[filled]
+    return k - k * k / n, n
 
 
 def total_error(dataset: Dataset, bins: BinSet) -> float:
@@ -231,26 +241,14 @@ def total_error(dataset: Dataset, bins: BinSet) -> float:
     Equals (1/N) * sum over bins of sum over members of (y - bin label mean)^2;
     empty bins contribute nothing.
     """
-    binned = partition(dataset, bins)
-    acc = 0.0
-    for b in range(len(bins)):
-        if binned.counts[b] == 0:
-            continue
-        y = binned.labels_in(b)
-        acc += float(np.sum((y - binned.empirical_prob[b]) ** 2))
-    return acc / dataset.n
+    sq, _ = _within_bin_sq_errors(dataset, bins)
+    return float(np.sum(sq)) / dataset.n
 
 
 def within_bin_error_avg(dataset: Dataset, bins: BinSet) -> float:
     """Unweighted mean over non-empty bins of the within-bin label variance."""
-    binned = partition(dataset, bins)
-    errs = []
-    for b in range(len(bins)):
-        if binned.counts[b] == 0:
-            continue
-        y = binned.labels_in(b)
-        errs.append(float(np.mean((y - binned.empirical_prob[b]) ** 2)))
-    return float(np.mean(errs))
+    sq, n = _within_bin_sq_errors(dataset, bins)
+    return float(np.mean(sq / n))
 
 
 def brute_force_optimal(labels_sorted) -> tuple[tuple[tuple[int, int], ...], float]:

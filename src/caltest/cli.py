@@ -16,7 +16,7 @@ import numpy as np
 
 from .binning import BinStrategy, build_bins
 from .core import Dataset
-from .diagram import build_diagram, render_svg
+from .diagram import build_diagram, json_safe, render_svg
 from .experiments import (
     METRIC_COLUMNS,
     SWEEP_PARAMETERS,
@@ -88,7 +88,7 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 def ingest(path: str | Path) -> Dataset:
     """Load and validate a prediction/label file, naming the offending row on error."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not data
     if not text.strip():
         raise EmptyInputError(f"{path}: file is empty")
     preds: list[float] = []
@@ -103,6 +103,11 @@ def ingest(path: str | Path) -> Dataset:
         for row, record in enumerate(records, start=1):
             if not isinstance(record, dict) or "prediction" not in record or "label" not in record:
                 raise MalformedRowError(f"row {row}: expected an object with prediction and label")
+            for field in ("prediction", "label"):
+                value = record[field]
+                # bool is an int subclass; true/false would pass as 1/0
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise MalformedRowError(f"row {row}: {field} {value!r} is not a number")
             pred, label = _parse_record(record["prediction"], record["label"], row)
             preds.append(pred)
             labels.append(label)
@@ -133,19 +138,9 @@ def write_dataset_csv(dataset: Dataset, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _json_safe(obj):
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 def _write_report(out_dir: Path, stem: str, payload: dict, table: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(_json_safe(payload), indent=2, sort_keys=True)
+    body = json.dumps(json_safe(payload), indent=2, sort_keys=True)
     (out_dir / f"{stem}.json").write_text(body + "\n", encoding="utf-8")
     (out_dir / f"{stem}.txt").write_text(table, encoding="utf-8")
     print(table, end="")

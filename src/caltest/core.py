@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,11 @@ class Dataset:
     Arrays are validated and made read-only on construction, so instances can
     be shared freely across threads. Out-of-range predictions are rejected
     rather than clamped; silent clamping would hide upstream bugs.
+
+    The view sorted ascending by prediction (``order``, ``sorted_predictions``,
+    ``sorted_labels``, ``label_prefix``) is built on first use and kept, so each
+    dataset is sorted at most once. It is not built in the constructor, where
+    the sort would overlap the caller's peak memory (ingest's parsed lists).
     """
 
     predictions: np.ndarray
@@ -53,11 +59,28 @@ class Dataset:
     def prevalence(self) -> float:
         return float(self.labels.mean())
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Record indices ascending by prediction, stable on ties."""
+        return _frozen(np.argsort(self.predictions, kind="stable"))
+
+    @cached_property
+    def sorted_predictions(self) -> np.ndarray:
+        return _frozen(self.predictions[self.order])
+
+    @cached_property
+    def sorted_labels(self) -> np.ndarray:
+        return _frozen(self.labels[self.order])
+
+    @cached_property
+    def label_prefix(self) -> np.ndarray:
+        """Exact integer label sums of the sorted prefixes: entry i covers the first i records."""
+        return _frozen(np.concatenate(([0], np.cumsum(self.sorted_labels))))
+
 
 def sorted_view(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Labels and predictions co-sorted ascending by prediction, stable on ties."""
-    order = np.argsort(dataset.predictions, kind="stable")
-    return dataset.labels[order], dataset.predictions[order]
+    return dataset.sorted_labels, dataset.sorted_predictions
 
 
 @dataclass(frozen=True)
@@ -134,57 +157,65 @@ class BinSet:
 
 @dataclass(frozen=True)
 class BinnedData:
-    """Per-bin membership and summary statistics for one (dataset, bins) pair.
+    """Per-bin segments and summary statistics for one (dataset, bins) pair.
 
-    Empty bins are retained with count 0 and NaN statistics; ``is_empty``
-    flags them so callers can define their own handling.
+    Bin b holds the records at positions ``cuts[b]:cuts[b + 1]`` of the
+    dataset's sorted view. Empty bins are retained with count 0 and NaN
+    statistics; ``is_empty`` flags them so callers can define their own
+    handling.
     """
 
     dataset: Dataset
     bins: BinSet
-    bin_index: np.ndarray
+    cuts: np.ndarray
     counts: np.ndarray
+    label_sums: np.ndarray
     empirical_prob: np.ndarray
     mean_prediction: np.ndarray
     weights: np.ndarray
-    members: tuple[np.ndarray, ...]
 
     @property
     def is_empty(self) -> np.ndarray:
         return self.counts == 0
 
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """Original record indices of each bin, in ascending-prediction order."""
+        return tuple(np.split(self.dataset.order, self.cuts[1:-1]))
+
     def labels_in(self, b: int) -> np.ndarray:
-        return self.dataset.labels[self.members[b]]
+        return self.dataset.sorted_labels[self.cuts[b] : self.cuts[b + 1]]
 
     def predictions_in(self, b: int) -> np.ndarray:
-        return self.dataset.predictions[self.members[b]]
+        return self.dataset.sorted_predictions[self.cuts[b] : self.cuts[b + 1]]
 
 
 def partition(dataset: Dataset, bins: BinSet) -> BinnedData:
-    """Split a dataset into per-bin subsets with counts, label means, and prediction means.
+    """Split a dataset into per-bin segments with counts, label means, and prediction means.
 
-    Every record lands in exactly one bin. The per-bin label mean is the
+    Every record lands in exactly one bin, with boundary values going to the
+    right bin as in :meth:`BinSet.assign`. The per-bin label mean is the
     estimated probability of the positive class for predictions in that bin.
     """
-    idx = bins.assign(dataset.predictions)
-    b = len(bins)
-    counts = np.bincount(idx, minlength=b)
-    label_sums = np.bincount(idx, weights=dataset.labels, minlength=b)
-    pred_sums = np.bincount(idx, weights=dataset.predictions, minlength=b)
+    preds = dataset.sorted_predictions
+    interior = np.searchsorted(preds, bins.edges[1:-1], side="left")
+    cuts = np.concatenate(([0], interior, [dataset.n]))
+    counts = np.diff(cuts)
+    label_sums = np.diff(dataset.label_prefix[cuts])
+    filled = counts > 0
+    pred_sums = np.zeros(len(bins))
+    # Starts of consecutive non-empty bins delimit exactly their segments.
+    pred_sums[filled] = np.add.reduceat(preds, cuts[:-1][filled])
     with np.errstate(invalid="ignore", divide="ignore"):
-        empirical = np.where(counts > 0, label_sums / np.maximum(counts, 1), np.nan)
-        mean_pred = np.where(counts > 0, pred_sums / np.maximum(counts, 1), np.nan)
-    weights = counts / dataset.n
-    order = np.argsort(idx, kind="stable")
-    splits = np.searchsorted(idx[order], np.arange(1, b))
-    members = tuple(_frozen(m) for m in np.split(order, splits))
+        empirical = np.where(filled, label_sums / np.maximum(counts, 1), np.nan)
+        mean_pred = np.where(filled, pred_sums / np.maximum(counts, 1), np.nan)
     return BinnedData(
         dataset=dataset,
         bins=bins,
-        bin_index=_frozen(idx),
+        cuts=_frozen(cuts),
         counts=_frozen(counts),
+        label_sums=_frozen(label_sums),
         empirical_prob=_frozen(empirical),
         mean_prediction=_frozen(mean_pred),
-        weights=_frozen(weights),
-        members=members,
+        weights=_frozen(counts / dataset.n),
     )

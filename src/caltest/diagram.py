@@ -23,6 +23,17 @@ GLOBAL_HIST_BUCKETS = 50
 VIOLIN_BUCKETS = 20
 
 
+def json_safe(obj):
+    """Copy of a JSON payload with non-finite floats as null and tuples as lists."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    return obj
+
+
 @dataclass(frozen=True)
 class DiagramBin:
     bin: Bin
@@ -44,11 +55,6 @@ class DiagramSpec:
     config: dict
 
     def to_json(self) -> str:
-        def none_if_nan(v):
-            if v is None or (isinstance(v, float) and np.isnan(v)):
-                return None
-            return v
-
         payload = {
             "schema_version": 1,
             "kind": self.kind,
@@ -59,19 +65,19 @@ class DiagramSpec:
                     "upper": b.bin.upper,
                     "closed_upper": b.bin.closed_upper,
                     "count": b.count,
-                    "empirical_prob": none_if_nan(b.empirical_prob),
-                    "mean_prediction": none_if_nan(b.mean_prediction),
-                    "rejection_pct": none_if_nan(b.rejection_pct),
-                    "quartiles": None if b.quartiles is None else list(b.quartiles),
-                    "density": None if b.density is None else list(b.density),
+                    "empirical_prob": b.empirical_prob,
+                    "mean_prediction": b.mean_prediction,
+                    "rejection_pct": b.rejection_pct,
+                    "quartiles": b.quartiles,
+                    "density": b.density,
                 }
                 for b in self.bins
             ],
-            "histogram_edges": list(self.histogram_edges),
-            "histogram_counts": list(self.histogram_counts),
+            "histogram_edges": self.histogram_edges,
+            "histogram_counts": self.histogram_counts,
             "config": self.config,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(json_safe(payload), indent=2, sort_keys=True)
 
 
 def build_diagram(

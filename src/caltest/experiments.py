@@ -8,7 +8,7 @@ mean/stddev per metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,37 +164,18 @@ def _battery_for_point(parameter: str, value, base: BatteryConfig, n_test: int) 
     if parameter == "n_min":
         n_min = int(value)
         n_max = base.n_max if base.n_max is not None else int(n_test * base.nmax_frac)
-        return BatteryConfig(
-            test=base.test, num_bins=base.num_bins, norm=base.norm,
-            n_min=n_min, n_max=max(n_max, n_min),
-        )
+        return replace(base, n_min=n_min, n_max=max(n_max, n_min))
     if parameter == "n_max":
         n_max = int(value)
         n_min = base.n_min if base.n_min is not None else int(n_test * base.nmin_frac)
-        return BatteryConfig(
-            test=base.test, num_bins=base.num_bins, norm=base.norm,
-            n_min=min(n_min, n_max), n_max=n_max,
-        )
+        return replace(base, n_min=min(n_min, n_max), n_max=n_max)
     if parameter == "binsize_range":
         n_min, n_max = (int(v) for v in value)
-        return BatteryConfig(
-            test=base.test, num_bins=base.num_bins, norm=base.norm,
-            n_min=n_min, n_max=n_max,
-        )
+        return replace(base, n_min=n_min, n_max=n_max)
     if parameter == "alpha":
-        return BatteryConfig(
-            test=TestConfig(base.test.kind, float(value)),
-            num_bins=base.num_bins, norm=base.norm,
-            nmin_frac=base.nmin_frac, nmax_frac=base.nmax_frac,
-            n_min=base.n_min, n_max=base.n_max,
-        )
+        return replace(base, test=TestConfig(base.test.kind, float(value)))
     if parameter == "test_kind":
-        return BatteryConfig(
-            test=TestConfig(str(value), base.test.alpha),
-            num_bins=base.num_bins, norm=base.norm,
-            nmin_frac=base.nmin_frac, nmax_frac=base.nmax_frac,
-            n_min=base.n_min, n_max=base.n_max,
-        )
+        return replace(base, test=TestConfig(str(value), base.test.alpha))
     return base
 
 

@@ -87,8 +87,9 @@ def gce(
 ) -> MetricReport:
     """Generic per-bin-loss metric: ``norm`` applied to ``loss(labels_b, preds_b)``.
 
-    The loss receives each non-empty bin's labels and predictions; empty bins
-    are skipped with zero weight.
+    The loss receives each non-empty bin's labels and predictions as
+    read-only arrays in ascending-prediction order; empty bins are skipped
+    with zero weight.
     """
     binned = partition(dataset, bins)
     losses = np.full(len(bins), np.nan)
@@ -150,7 +151,7 @@ def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -
     (n, k), so p-values are computed once per distinct prediction value.
     """
     n = int(labels.size)
-    uniq, inverse = np.unique(preds, return_inverse=True)
+    uniq, counts = np.unique(preds, return_counts=True)
     if cfg.kind == "binomial":
         pvals = binom_pvalues_sweep(n, int(labels.sum()), uniq)
     elif n >= 2:
@@ -159,8 +160,8 @@ def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -
         # Degenerate single-record bin under the t-test: apply the same
         # limiting rule as a zero-variance sample.
         pvals = np.where(uniq == float(labels[0]), 1.0, 0.0)
-    rejected = pvals[inverse] < cfg.alpha
-    return 100.0 * float(np.mean(rejected))
+    rejected = int(counts[pvals < cfg.alpha].sum())
+    return 100.0 * (rejected / n)
 
 
 def tce(
@@ -176,14 +177,9 @@ def tce(
     Under the weighted 1-norm the value equals 100 times the overall fraction
     of predictions rejected, so it always lies in [0, 100].
     """
-    binned = partition(dataset, bins)
-    losses = np.full(len(bins), np.nan)
-    for b in range(len(bins)):
-        if binned.counts[b] > 0:
-            losses[b] = _rejection_percent(binned.labels_in(b), binned.predictions_in(b), cfg)
-    value = _aggregate(losses, binned.weights, binned.counts, norm)
+    report = gce(dataset, bins, lambda y, p: _rejection_percent(y, p, cfg), norm, name)
     config = {"test": cfg.kind, "alpha": cfg.alpha, "norm": norm, "num_bins": len(bins)}
-    return _report(name, binned, losses, value, config)
+    return replace(report, config=config)
 
 
 def tce_variants(

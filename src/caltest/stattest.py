@@ -56,20 +56,10 @@ class TestOutcome:
     rejected: bool
 
 
-_COEFF_CACHE: dict[int, np.ndarray] = {}
-
-
 def _log_binom_coeffs(n: int) -> np.ndarray:
-    """log C(n, j) for j = 0..n, cached per n."""
-    coeffs = _COEFF_CACHE.get(n)
-    if coeffs is None:
-        j = np.arange(n + 1)
-        coeffs = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-        coeffs.setflags(write=False)
-        if len(_COEFF_CACHE) >= 32:
-            _COEFF_CACHE.pop(next(iter(_COEFF_CACHE)))
-        _COEFF_CACHE[n] = coeffs
-    return coeffs
+    """log C(n, j) for j = 0..n, from one gammaln evaluation per index."""
+    log_fact = gammaln(np.arange(n + 1) + 1.0)  # log j!
+    return log_fact[n] - log_fact - log_fact[::-1]
 
 
 def _validate_nk(n: int, k: int) -> None:

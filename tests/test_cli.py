@@ -58,6 +58,29 @@ def test_ingest_errors_name_the_row(tmp_path):
         ingest(write(tmp_path, "bad.json", '[{"prediction": 0.5}]'))
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"prediction": true, "label": 1}',
+        '{"prediction": 0.5, "label": false}',
+        '{"prediction": "0.5", "label": 1}',
+        '{"prediction": null, "label": 1}',
+        '{"prediction": 0.5, "label": [1]}',
+    ],
+)
+def test_ingest_json_rejects_non_numbers(tmp_path, record):
+    path = write(tmp_path, "typed.json", f'[{{"prediction": 0.2, "label": 0}}, {record}]')
+    with pytest.raises(MalformedRowError, match="row 2"):
+        ingest(path)
+
+
+def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
+    csv_path = write(tmp_path, "bom.csv", "\ufeffprediction,label\n0.2,0\n0.9,1\n")
+    assert ingest(csv_path).predictions.tolist() == [0.2, 0.9]
+    json_path = write(tmp_path, "bom.json", '\ufeff[{"prediction": 0.2, "label": 0}]')
+    assert ingest(json_path).labels.tolist() == [0]
+
+
 def test_csv_round_trip_preserves_metrics(tmp_path):
     rng = np.random.default_rng(77)
     ds = Dataset(rng.random(300), rng.integers(0, 2, 300))

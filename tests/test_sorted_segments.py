@@ -1,0 +1,117 @@
+"""Properties of the sorted-segment data path.
+
+Each dataset is sorted once; a bin set becomes cut offsets into that sorted
+view. These tests hold the segment path to per-record references built from
+``BinSet.assign``, which places every record independently of any sort.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from caltest.binning import BinStrategy, build_bins, total_error, within_bin_error_avg
+from caltest.core import BinSet, Dataset, partition
+from caltest.experiments import metric_battery
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def tied_dataset_and_bins(draw):
+    """Few distinct predictions (heavy ties, 0 and 1 included) and bin edges
+    that often sit exactly on a prediction value."""
+    pool = draw(st.lists(unit, min_size=1, max_size=5)) + [0.0, 1.0]
+    n = draw(st.integers(1, 60))
+    preds = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    edges = draw(st.lists(st.one_of(st.sampled_from(pool), unit), max_size=6))
+    interior = sorted({e for e in edges if 0.0 < e < 1.0})
+    return Dataset(np.array(preds), np.array(labels)), BinSet.from_edges([0.0, *interior, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_dataset_and_bins())
+def test_partition_matches_assign_reference(case):
+    ds, bins = case
+    idx = bins.assign(ds.predictions)
+    b = len(bins)
+    binned = partition(ds, bins)
+    assert binned.counts.tolist() == np.bincount(idx, minlength=b).tolist()
+    ref_sums = np.bincount(idx, weights=ds.labels, minlength=b)
+    assert binned.label_sums.tolist() == ref_sums.astype(np.int64).tolist()
+    ref_pred_sums = np.bincount(idx, weights=ds.predictions, minlength=b)
+    filled = binned.counts > 0
+    assert np.allclose(
+        binned.mean_prediction[filled],
+        ref_pred_sums[filled] / binned.counts[filled],
+        rtol=1e-12,
+        atol=0.0,
+    )
+    for k in range(b):
+        assert sorted(binned.labels_in(k).tolist()) == sorted(ds.labels[idx == k].tolist())
+        assert sorted(binned.predictions_in(k).tolist()) == sorted(
+            ds.predictions[idx == k].tolist()
+        )
+    members = binned.members
+    assert np.sort(np.concatenate(members)).tolist() == list(range(ds.n))
+    for k, m in enumerate(members):
+        assert np.all(idx[m] == k)
+
+
+def loop_errors(ds: Dataset, bins: BinSet) -> tuple[float, float]:
+    """Per-record reference: (size-weighted, unweighted) mean within-bin variance."""
+    idx = bins.assign(ds.predictions)
+    sq, sizes = [], []
+    for b in range(len(bins)):
+        y = ds.labels[idx == b]
+        if y.size:
+            sq.append(float(np.sum((y - y.sum() / y.size) ** 2)))
+            sizes.append(y.size)
+    return sum(sq) / ds.n, float(np.mean([s / n for s, n in zip(sq, sizes)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_dataset_and_bins())
+def test_binning_errors_match_per_record_loop(case):
+    ds, bins = case
+    total_ref, avg_ref = loop_errors(ds, bins)
+    assert abs(total_error(ds, bins) - total_ref) <= 1e-12
+    assert abs(within_bin_error_avg(ds, bins) - avg_ref) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(unit, min_size=1, max_size=80, unique=True).flatmap(
+    lambda preds: st.tuples(
+        st.just(preds),
+        st.lists(st.integers(0, 1), min_size=len(preds), max_size=len(preds)),
+        st.permutations(range(len(preds))),
+    )
+))
+def test_battery_invariant_under_row_permutation(case):
+    preds, labels, perm = case
+    ds = Dataset(np.array(preds), np.array(labels))
+    shuffled = Dataset(ds.predictions[list(perm)], ds.labels[list(perm)])
+    for kind in ("quantile", "pava", "pava_bc"):
+        edges = build_bins(ds, BinStrategy(kind)).edges
+        assert edges.tolist() == build_bins(shuffled, BinStrategy(kind)).edges.tolist()
+    a, b = metric_battery(ds), metric_battery(shuffled)
+    for column in ("TCE", "TCE(Q)", "TCE(V)"):
+        assert a[column] == b[column]
+    for column in ("ECE", "ACE", "MCE", "MCE(Q)"):
+        assert abs(a[column] - b[column]) <= 1e-12
+
+
+def test_dataset_is_sorted_once_and_lazily(monkeypatch):
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.random(500), rng.integers(0, 2, 500))
+    assert "order" not in vars(ds)
+    calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    metric_battery(ds)
+    metric_battery(ds)
+    assert len(calls) == 1
