@@ -72,13 +72,13 @@ class LabelValueError(IngestError):
 def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
     try:
         pred = float(raw_pred)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows float
         raise MalformedRowError(f"row {row}: prediction {raw_pred!r} is not a number") from None
     if not np.isfinite(pred) or not (0.0 <= pred <= 1.0):
         raise PredictionRangeError(f"row {row}: prediction {pred!r} outside [0, 1]")
     try:
         label_f = float(raw_label)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedRowError(f"row {row}: label {raw_label!r} is not a number") from None
     if label_f not in (0.0, 1.0):
         raise LabelValueError(f"row {row}: label {raw_label!r} must be 0 or 1")

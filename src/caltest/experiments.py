@@ -203,9 +203,13 @@ def run_sweep(
     elif scenarios is None:
         scenarios = [(0.5, 0.5), (0.5, 0.4)]
 
+    # Only noise, data_size and prevalence change the data; any other
+    # parameter reuses each seed's dataset across the points of a block.
+    battery_only = parameter not in ("noise", "data_size", "prevalence")
     results = []
     for train_prev, test_prev in scenarios:
         block = {"train_prevalence": train_prev, "test_prevalence": test_prev, "points": []}
+        datasets: dict[int, Dataset] = {}
         for value in grid:
             point: dict = {"value": value}
             try:
@@ -225,13 +229,14 @@ def run_sweep(
                     pair = (float(value[0]), float(value[1]))
                 else:
                     point_cfg = _battery_for_point(parameter, value, cfg, n_test)
-                rows = [
-                    run_scenario(
-                        pair[0], pair[1], n_train, size,
-                        base_seed + s, point_cfg, noise_sigma=noise,
-                    )
-                    for s in range(n_seeds)
-                ]
+                rows = []
+                for seed in range(base_seed, base_seed + n_seeds):
+                    dataset = datasets.get(seed)
+                    if dataset is None:
+                        dataset = scenario_dataset(pair[0], pair[1], n_train, size, seed, noise)
+                        if battery_only:
+                            datasets[seed] = dataset
+                    rows.append(metric_battery(dataset, point_cfg))
                 point["summary"] = _aggregate_seeds(rows)
             except (ValueError, TypeError) as exc:
                 point["error"] = str(exc)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .binning import BinStrategy, build_bins, quantile_bins, equispaced_bins
 from .core import Bin, BinSet, Dataset, partition
-from .stattest import TestConfig, binom_pvalues_sweep, t_pvalues_sweep
+from .stattest import TestConfig, binom_rejections, t_pvalues_sweep
 
 __all__ = [
     "BinMetric",
@@ -148,20 +148,22 @@ def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -
 
     Each prediction is tested as the hypothesized probability for the full
     label set of its bin, own outcome included. Tests within a bin share
-    (n, k), so p-values are computed once per distinct prediction value.
+    (n, k), so each distinct prediction value is tested once; ``preds`` is in
+    ascending order (as ``gce`` passes it), so equal values are adjacent runs.
     """
     n = int(labels.size)
-    uniq, counts = np.unique(preds, return_counts=True)
+    starts = np.flatnonzero(np.r_[True, preds[1:] != preds[:-1]])
+    uniq = preds[starts]
+    counts = np.diff(np.r_[starts, preds.size])
     if cfg.kind == "binomial":
-        pvals = binom_pvalues_sweep(n, int(labels.sum()), uniq)
+        rejected = binom_rejections(n, int(labels.sum()), uniq, cfg.alpha)
     elif n >= 2:
-        pvals = t_pvalues_sweep(labels, uniq)
+        rejected = t_pvalues_sweep(labels, uniq) < cfg.alpha
     else:
         # Degenerate single-record bin under the t-test: apply the same
         # limiting rule as a zero-variance sample.
-        pvals = np.where(uniq == float(labels[0]), 1.0, 0.0)
-    rejected = int(counts[pvals < cfg.alpha].sum())
-    return 100.0 * (rejected / n)
+        rejected = uniq != float(labels[0])
+    return 100.0 * (int(counts[rejected].sum()) / n)
 
 
 def tce(

@@ -3,7 +3,7 @@
 The default test is the exact binomial test: the p-value is the total mass of
 all outcomes no more probable than the observed count, with a small relative
 slack so float-equal masses are treated as ties. All binomial mass arithmetic
-happens in log space, which stays stable up to n around 1e5.
+happens in log space.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ __all__ = [
     "binom_pvalue",
     "binom_pvalues_for_counts",
     "binom_pvalues_sweep",
+    "binom_rejections",
     "t_pvalue",
     "t_pvalues_sweep",
     "reject",
@@ -184,6 +185,29 @@ def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
     p = np.where(flat, 1.0, left + right)
     out[interior] = np.clip(p, 0.0, 1.0)
     return out
+
+
+def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether the exact two-sided binomial test rejects each q at level alpha.
+
+    Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The p-value sums at
+    most n + 1 outcome masses, each no larger than pmf(k) * (1 + slack), so
+    p <= (n + 1) * pmf(k) * (1 + slack). A q in (0, 1) whose bound lies below
+    alpha / 2 is rejected on that bound alone; the factor 2 is a margin far
+    above the float error of the bound and of the exact kernel. Only the
+    remaining q (0, 1 and those near k / n) go to the exact kernel.
+    """
+    _validate_nk(n, k)
+    qs = np.asarray(qs, dtype=np.float64)
+    interior = (qs > 0.0) & (qs < 1.0)
+    q = qs[interior]
+    log_coeff = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    log_bound = log_coeff + k * np.log(q) + (n - k) * np.log1p(-q) + _LOG_SLACK + math.log(n + 1)
+    exact = ~interior
+    exact[interior] = log_bound >= math.log(alpha / 2)
+    rejected = np.ones(qs.shape, dtype=bool)
+    rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
+    return rejected
 
 
 def t_pvalue(labels: np.ndarray, q: float) -> float:

@@ -74,6 +74,16 @@ def test_ingest_json_rejects_non_numbers(tmp_path, record):
         ingest(path)
 
 
+@pytest.mark.parametrize("field", ["prediction", "label"])
+def test_ingest_json_rejects_overflowing_integers(tmp_path, capsys, field):
+    record = {"prediction": 0.5, "label": 1, field: 10**400}  # too large for a float
+    path = write(tmp_path, "big.json", json.dumps([{"prediction": 0.2, "label": 0}, record]))
+    with pytest.raises(MalformedRowError, match=f"row 2: {field}"):
+        ingest(path)
+    assert main(["compute", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"row 2: {field}" in capsys.readouterr().err
+
+
 def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
     csv_path = write(tmp_path, "bom.csv", "\ufeffprediction,label\n0.2,0\n0.9,1\n")
     assert ingest(csv_path).predictions.tolist() == [0.2, 0.9]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from caltest import experiments
 from caltest.experiments import (
     METRIC_COLUMNS,
     BatteryConfig,
@@ -95,3 +96,26 @@ def test_battery_respects_explicit_block_sizes():
     loose = metric_battery(ds, BatteryConfig(test=TestConfig(alpha=0.01)))
     tight = metric_battery(ds, BatteryConfig(test=TestConfig(alpha=0.5)))
     assert loose["TCE"] <= tight["TCE"] + 1e-12
+
+
+def test_battery_sweep_builds_each_dataset_once_per_scenario(monkeypatch):
+    built = []
+    real = experiments.scenario_dataset
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "scenario_dataset", counting)
+    grid = [0.01, 0.05, 0.2]
+    scenarios = [(0.5, 0.5), (0.5, 0.4)]
+    rows = run_sweep("alpha", grid, scenarios=scenarios, n_seeds=2, n_train=1200, n_test=400)
+    assert len(built) == 2 * len(scenarios)
+    for block, (train_prev, test_prev) in zip(rows, scenarios):
+        for point, alpha in zip(block["points"], grid):
+            cfg = BatteryConfig(test=TestConfig(alpha=alpha))
+            per_seed = [run_scenario(train_prev, test_prev, 1200, 400, s, cfg) for s in range(2)]
+            assert point["summary"] == experiments._aggregate_seeds(per_seed)
+    # a dataset that cannot be built is an error entry of every point, not a crash
+    rows = run_sweep("alpha", grid, scenarios=[(1.5, 0.5)], n_seeds=2, n_train=1200, n_test=400)
+    assert [set(point) for point in rows[0]["points"]] == [{"value", "error"}] * len(grid)

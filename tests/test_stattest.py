@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from caltest.stattest import (
     MASS_SLACK,
@@ -11,6 +14,7 @@ from caltest.stattest import (
     binom_pvalue,
     binom_pvalues_for_counts,
     binom_pvalues_sweep,
+    binom_rejections,
     reject,
     t_pvalue,
     t_pvalues_sweep,
@@ -173,3 +177,49 @@ def test_t_sweep_matches_scalar():
 def test_t_validation():
     with pytest.raises(ValueError):
         t_pvalue(np.array([1]), 0.5)
+
+
+def test_binom_sweep_matches_binomtest_up_to_a_million():
+    rng = np.random.default_rng(17)
+    sizes = [1, 2, 10**6 - 1, 10**6] + [int(10.0 ** rng.uniform(0, 6)) for _ in range(40)]
+    for n in sizes:
+        k = int(rng.choice([0, n, rng.integers(0, n + 1)]))
+        spread = math.sqrt(max(k * (n - k), 1) / n**3)
+        qs = np.clip(np.r_[0.0, 1.0, k / n, k / n + spread * rng.normal(0, 3, 6), rng.random(2)], 0, 1)
+        want = [stats.binomtest(k, n, float(q)).pvalue for q in qs]
+        np.testing.assert_allclose(binom_pvalues_sweep(n, k, qs), want, rtol=1e-12, atol=0)
+
+
+def _screen_edges(n, k, alpha):
+    """Probabilities at which (n + 1) * pmf(k; q) * (1 + slack) equals alpha / 2."""
+
+    def margin(q):
+        return stats.binom.logpmf(k, n, q) + math.log1p(MASS_SLACK) + math.log(n + 1) - math.log(alpha / 2)
+
+    ends = [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+    return [brentq(margin, end, k / n, xtol=1e-300, rtol=1e-15) for end in ends if margin(end) < 0]
+
+
+@st.composite
+def screen_cases(draw):
+    n = draw(st.floats(0.0, 6.0).map(lambda e: max(1, round(10.0**e))))
+    k = draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(0, n))
+    alpha = draw(st.sampled_from([0.001, 0.05, 0.2, 0.5]))
+    fractions = draw(st.lists(st.floats(0.0, 1.5), max_size=12))
+    return n, k, alpha, fractions
+
+
+@settings(max_examples=150, deadline=None)
+@given(screen_cases())
+def test_binom_rejections_match_exact_kernel(case):
+    n, k, alpha, fractions = case
+    near_one = [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3]
+    center = k / n
+    qs = [0.0, 1.0, center] + [
+        center + (edge - center) * f for edge in _screen_edges(n, k, alpha) for f in fractions + near_one
+    ]
+    qs = np.clip(qs, 0.0, 1.0)
+    got = binom_rejections(n, k, qs, alpha)
+    assert np.array_equal(got, binom_pvalues_sweep(n, k, qs) < alpha)
+    for q, rejected in list(zip(qs, got))[::4]:
+        assert rejected == (stats.binomtest(k, n, float(q)).pvalue < alpha)
