@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -119,14 +121,42 @@ def ingest(path: str | Path) -> Dataset:
         data_lines = [ln for ln in lines[1:] if ln.strip()]
         if not data_lines:
             raise EmptyInputError(f"{path}: no data rows")
-        for row, line in enumerate(data_lines, start=1):
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
-            pred, label = _parse_record(parts[0].strip(), parts[1].strip(), row)
-            preds.append(pred)
-            labels.append(label)
+        columns = _csv_columns(data_lines)
+        if columns is None:
+            _raise_first_bad_row(data_lines)
+        return Dataset(*columns)
     return Dataset(np.array(preds), np.array(labels))
+
+
+def _csv_columns(data_lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Predictions and labels of ``prediction,label`` rows, or None if any row is bad.
+
+    Every token goes through Python's ``float()`` (numpy converts a list of
+    str that way), so the accepted spellings are those of ``_parse_record``.
+    Each row must hold exactly one comma: a total of two fields per row is
+    not enough, since rows ``a,b,c`` and ``d`` balance out.
+    """
+    if set(map(str.count, data_lines, repeat(","))) != {1}:
+        return None
+    try:
+        values = np.array(",".join(data_lines).split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    preds, labels = values[0::2], values[1::2]
+    # NaN fails both comparisons, so it is caught along with out-of-range values.
+    if not (np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0))):
+        return None
+    return preds, labels.astype(np.int64)
+
+
+def _raise_first_bad_row(data_lines: list[str]) -> NoReturn:
+    """Raise the error of the first row that ``_csv_columns`` cannot accept."""
+    for row, line in enumerate(data_lines, start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
+        _parse_record(parts[0].strip(), parts[1].strip(), row)
+    raise RuntimeError("the vectorized CSV checks rejected rows that the per-row checks accept")
 
 
 def write_dataset_csv(dataset: Dataset, path: Path) -> None:
@@ -300,9 +330,15 @@ def _parse_grid(parameter: str, text: str) -> list:
 def cmd_sweep(args) -> int:
     cfg = _battery_config(args)
     grid = _parse_grid(args.parameter, args.grid)
+    scenarios = None
+    if args.pairs is not None:
+        if args.parameter == "prevalence":
+            raise ValueError("--pairs does not apply to a prevalence sweep: its grid holds the pairs")
+        scenarios = _parse_pairs(args.pairs)
     results = run_sweep(
         args.parameter,
         grid,
+        scenarios=scenarios,
         n_seeds=args.n_seeds,
         n_train=args.n_train,
         n_test=args.n_test,
@@ -405,6 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated values; use a:b for pairs")
+    p_sweep.add_argument("--pairs",
+                         help="comma-separated train:test prevalence pairs (default 0.5:0.5,0.5:0.4)")
     p_sweep.add_argument("--n-train", type=int, default=14000, dest="n_train")
     p_sweep.add_argument("--n-test", type=int, default=6000, dest="n_test")
     p_sweep.add_argument("--n-seeds", type=int, default=5, dest="n_seeds")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from caltest.cli import (
     EmptyInputError,
@@ -89,6 +91,83 @@ def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
     assert ingest(csv_path).predictions.tolist() == [0.2, 0.9]
     json_path = write(tmp_path, "bom.json", '\ufeff[{"prediction": 0.2, "label": 0}]')
     assert ingest(json_path).labels.tolist() == [0]
+
+
+def reference_ingest_csv(path):
+    """The per-row CSV parser that the numpy pass replaced, kept as the reference."""
+    text = path.read_text(encoding="utf-8-sig")
+    if not text.strip():
+        raise EmptyInputError(f"{path}: file is empty")
+    lines = text.splitlines()
+    header = lines[0].strip().lower()
+    if header.replace(" ", "") != "prediction,label":
+        raise MalformedRowError(f"{path}: expected header 'prediction,label', got {lines[0]!r}")
+    data_lines = [ln for ln in lines[1:] if ln.strip()]
+    if not data_lines:
+        raise EmptyInputError(f"{path}: no data rows")
+    preds, labels = [], []
+    for row, line in enumerate(data_lines, start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
+        raw_pred, raw_label = parts[0].strip(), parts[1].strip()
+        try:
+            pred = float(raw_pred)
+        except ValueError:
+            raise MalformedRowError(f"row {row}: prediction {raw_pred!r} is not a number") from None
+        if not np.isfinite(pred) or not (0.0 <= pred <= 1.0):
+            raise PredictionRangeError(f"row {row}: prediction {pred!r} outside [0, 1]")
+        try:
+            label_f = float(raw_label)
+        except ValueError:
+            raise MalformedRowError(f"row {row}: label {raw_label!r} is not a number") from None
+        if label_f not in (0.0, 1.0):
+            raise LabelValueError(f"row {row}: label {raw_label!r} must be 0 or 1")
+        preds.append(pred)
+        labels.append(int(label_f))
+    return Dataset(np.array(preds), np.array(labels))
+
+
+PREDICTION_TOKENS = ["0", "1", "0.25", "1e-3", "0.2_5", "\u0661", " 0.5 ", "+.5", "-0", "\u20030.5"]
+LABEL_TOKENS = ["0", "1", "1.0", "1e0", " 1 ", "-0", "\u0661"]
+BAD_TOKENS = ["1_0", "nan", "inf", "-inf", "1e400", "", " ", "abc", "1.5", "-0.1", "2"]
+
+
+@st.composite
+def csv_texts(draw):
+    pred = st.sampled_from(PREDICTION_TOKENS) | st.floats(0.0, 1.0).map(repr)
+    label = st.sampled_from(LABEL_TOKENS)
+    bad = st.sampled_from(BAD_TOKENS)
+    rows = draw(st.lists(st.tuples(pred, label).map(",".join) | st.sampled_from(["", "  "]), max_size=8))
+    bad_row = (
+        st.tuples(bad, label).map(",".join)
+        | st.tuples(pred, bad).map(",".join)
+        | st.lists(pred | label, min_size=1, max_size=3).filter(lambda f: len(f) != 2).map(",".join)
+    )
+    # Valid files, and files with one or two bad rows among valid ones.
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(bad_row))
+    header = draw(st.sampled_from(["prediction,label", " Prediction, Label ", "pred,y"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def ingest_outcome(parse, path):
+    try:
+        ds = parse(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ds.predictions.dtype, ds.predictions.tobytes(), ds.labels.dtype, ds.labels.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+@example("prediction,label\n0.5,1,1\n0\n")  # 3 + 1 fields: two per row on average
+def test_ingest_csv_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "equivalence.csv"
+    path.write_text(text, encoding="utf-8")
+    assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
 
 
 def test_csv_round_trip_preserves_metrics(tmp_path):
@@ -212,6 +291,23 @@ def test_sweep_command_with_invalid_point_continues(tmp_path):
     assert "summary" in points[0]
     assert "error" in points[1]
     assert "summary" in points[2]
+
+
+def test_sweep_command_takes_scenario_pairs(tmp_path):
+    def blocks(*extra):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--parameter", "alpha", "--grid", "0.05", "--n-train", "1000",
+                "--n-test", "400", "--n-seeds", "1", "--out", str(out), *extra]
+        assert main(argv) == 0
+        results = json.loads((out / "sweep.json").read_text())["results"]
+        return [(b["train_prevalence"], b["test_prevalence"]) for b in results]
+
+    assert blocks("--pairs", "0.3:0.3,0.3:0.2,0.2:0.4") == [(0.3, 0.3), (0.3, 0.2), (0.2, 0.4)]
+    assert blocks() == [(0.5, 0.5), (0.5, 0.4)]
+    argv = ["sweep", "--parameter", "prevalence", "--grid", "0.5:0.5", "--pairs", "0.3:0.3",
+            "--out", str(tmp_path / "refused")]
+    assert main(argv) == 1
+    assert not (tmp_path / "refused").exists()
 
 
 def test_sweep_alpha_is_monotone(tmp_path):

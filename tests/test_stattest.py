@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from caltest import stattest
 from caltest.stattest import (
     MASS_SLACK,
+    _binom_tails,
     TestConfig,
     binom_pvalue,
     binom_pvalues_for_counts,
@@ -223,3 +226,48 @@ def test_binom_rejections_match_exact_kernel(case):
     assert np.array_equal(got, binom_pvalues_sweep(n, k, qs) < alpha)
     for q, rejected in list(zip(qs, got))[::4]:
         assert rejected == (stats.binomtest(k, n, float(q)).pvalue < alpha)
+
+
+def scipy_stats_tails(n, below, above, q):
+    """Reference for the kernel's tails: P(X < below) + P(X > above) from scipy.stats.binom."""
+    lower = np.where(below > 0, stats.binom.cdf(below - 1, n, q), 0.0)
+    return lower + stats.binom.sf(above, n, q)
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.floats(0.0, 6.0).map(lambda e: max(1, round(10.0**e))))
+    k = draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(0, n))
+    uniform = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6))
+    spread = math.sqrt(max(k * (n - k), 1) / n**3)
+    near = [k / n + spread * z for z in draw(st.lists(st.floats(-4.0, 4.0), max_size=10))]
+    qs = np.array(uniform + near, dtype=np.float64)
+    return n, k, qs[(qs > 0.0) & (qs < 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail_cases())
+def test_kernel_tails_match_scipy_stats(case):
+    n, k, qs = case
+    at_k = np.full(qs.shape, k)
+    # Upper tail alone (below = 0): bit-identical to binom.sf.
+    upper = _binom_tails(n, np.zeros_like(at_k), at_k, qs)
+    assert np.array_equal(upper, stats.binom.sf(k, n, qs))
+    # Lower tail alone (above = n). For q >= 1/2, 1 - q is exact and so is the
+    # tail. Below that, the tail's sensitivity to its argument grows like n, and
+    # the two codes differ by at most 0.89 (n + 1) eps over 180k probes.
+    lower = _binom_tails(n, at_k, np.full(qs.shape, n), qs)
+    cdf = stats.binom.cdf(k - 1, n, qs)
+    assert np.array_equal(lower[qs >= 0.5], cdf[qs >= 0.5])
+    rtol = (2 * (n + 1) + 64) * np.finfo(np.float64).eps
+    np.testing.assert_allclose(lower, cdf, rtol=rtol, atol=0)
+    if 0 < k < n:
+        labels = np.zeros(n)
+        labels[:k] = 1.0
+        t = (labels.mean() - qs) / (labels.std(ddof=1) / math.sqrt(n))
+        assert np.array_equal(t_pvalues_sweep(labels, qs), 2.0 * stats.t.sf(np.abs(t), n - 1))
+    for alpha in (0.001, 0.05, 0.2, 0.5):
+        got = binom_rejections(n, k, qs, alpha)
+        with mock.patch.object(stattest, "_binom_tails", scipy_stats_tails):
+            want = binom_rejections(n, k, qs, alpha)
+        assert np.array_equal(got, want)
