@@ -67,7 +67,7 @@ def _as_binary(labels_sorted) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def _make_fit(sums: list[int], lengths: list[int]) -> IsotonicFit:
+def _make_fit(sums, lengths) -> IsotonicFit:
     lengths_arr = np.asarray(lengths, dtype=np.int64)
     sums_arr = np.asarray(sums, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths_arr)[:-1]))
@@ -80,24 +80,129 @@ def _make_fit(sums: list[int], lengths: list[int]) -> IsotonicFit:
     )
 
 
+# Vectorized pruning passes before `pava` finishes the hull with a stack.
+_HULL_PASSES = 64
+
+
+def _lower_hull(xs: list[int], ys: list[int]) -> list[int]:
+    """x of the strict lower-hull vertices of the points (xs, ys), xs ascending."""
+    hx: list[int] = []
+    hy: list[int] = []
+    for x, v in zip(xs, ys):
+        while len(hx) > 1 and (hy[-1] - hy[-2]) * (x - hx[-1]) >= (v - hy[-1]) * (hx[-1] - hx[-2]):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(v)
+    return hx
+
+
 def pava(labels_sorted) -> IsotonicFit:
     """Least-squares monotone non-decreasing fit by pooling adjacent violators.
 
-    Adjacent blocks merge while the earlier mean is >= the later one; block
-    mean comparisons use integer cross-multiplication, so there is no float
-    tie ambiguity. The result has strictly increasing block means.
+    Adjacent blocks merge while the earlier mean is >= the later one, so the
+    result has strictly increasing block means. For binary labels the blocks
+    are the segments of the greatest convex minorant of the label prefix sums
+    S (Barlow et al. 1972), computed here as a lower hull. Its strict vertices
+    are 0 and N and some of the "0-to-1 corners" i with y[i-1] = 0 and
+    y[i] = 1. Each numpy pass drops every candidate that lies on or above the
+    chord of its two neighbours; such a point is no strict vertex, so one
+    pass may drop many. After ``_HULL_PASSES`` passes a stack finishes the
+    hull over the survivors. Chord tests use the same integer
+    cross-multiplication as a pooling loop, so the blocks equal the loop's.
     """
     y = _as_binary(labels_sorted)
-    sums: list[int] = []
-    lengths: list[int] = []
-    for v in y.tolist():
+    s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
+    pts = np.concatenate(([0], np.flatnonzero((y[:-1] == 0) & (y[1:] == 1)) + 1, [y.size]))
+    for _ in range(_HULL_PASSES):
+        dx, ds = np.diff(pts), np.diff(s[pts])
+        above = ds[:-1] * dx[1:] >= ds[1:] * dx[:-1]
+        if not above.any():
+            break
+        pts = pts[np.concatenate(([True], ~above, [True]))]
+    else:
+        pts = np.asarray(_lower_hull(pts.tolist(), s[pts].tolist()))
+    return _make_fit(np.diff(s[pts]), np.diff(pts))
+
+
+# `pava_bc` sweep tuning: the first window of a jump, in records; a jump
+# costs about as much as pushing _JUMP_COST records one at a time; scalar
+# runs double up to _SCALAR_RUN_MAX records while jumps keep stalling.
+# Float block means order exactly while block lengths stay within
+# _EXACT_SPAN (distinct fractions with denominators <= 2**26 differ by more
+# than their rounding), so jumps never extend a block past it.
+_WINDOW = 256
+_JUMP_COST = 32
+_SCALAR_RUN_MAX = 4096
+_EXACT_SPAN = 2**26
+
+
+def _settle(sums: list[int], lengths: list[int], n_min: int, n_max: int) -> None:
+    """Merge the top block into the one below while the constraints allow."""
+    while len(sums) > 1:
+        combined = lengths[-2] + lengths[-1]
+        if combined > n_min:
+            if combined > n_max:
+                break
+            if sums[-2] * lengths[-1] < sums[-1] * lengths[-2]:
+                break
+        s, w = sums.pop(), lengths.pop()
+        sums[-1] += s
+        lengths[-1] += w
+
+
+def _push(sums: list[int], lengths: list[int], labels: list[int], n_min: int, n_max: int) -> None:
+    """Scalar steps of the sweep: push each label as a block, then settle."""
+    for v in labels:
         sums.append(v)
         lengths.append(1)
-        while len(sums) > 1 and sums[-2] * lengths[-1] >= sums[-1] * lengths[-2]:
-            s, w = sums.pop(), lengths.pop()
-            sums[-1] += s
-            lengths[-1] += w
-    return _make_fit(sums, lengths)
+        _settle(sums, lengths, n_min, n_max)
+
+
+def _jump(s: np.ndarray, sums: list[int], lengths: list[int], e: int, limit: int,
+          n_min: int, n_max: int, window: int) -> int:
+    """Advance the sweep from position e over at most `window` records.
+
+    With top block T = [t, e) and block B = [b, t) below it, the records
+    after e either pool into T or form short blocks above it, which pool back
+    into T when T's mean, extended to some j, reaches a new non-strict low
+    (the mediant property). Likewise [t, j) pools into B at the first j where
+    mean(y[b:j]) <= mean(B), while j - b <= n_max. The first such j is an
+    event: B absorbs [t, j) and settles. Otherwise T extends to its last
+    record low in the window, or fills unconditionally while shorter than
+    n_min. Returns the new position, e itself when T cannot grow.
+    """
+    t = e - lengths[-1]
+    filling = lengths[-1] < n_min
+    hi = min(e + window, limit, t + (n_min if filling else min(n_max, _EXACT_SPAN)))
+    if hi <= e:
+        return e
+    span = np.arange(e + 1 - t, hi + 1 - t)  # length of [t, j) for j in (e, hi]
+    top = s[e + 1 : hi + 1] - s[t]  # label sum of [t, j)
+    if len(sums) > 1:
+        below = lengths[-2]
+        reach = min(hi, t - below + n_max) - e
+        if reach > 0:
+            pools = sums[-2] * span[:reach] >= top[:reach] * below
+            k = int(pools.argmax())
+            if pools[k]:
+                j = e + 1 + k
+                lengths.pop()
+                sums.pop()
+                lengths[-1] += j - t
+                sums[-1] += int(s[j] - s[t])
+                _settle(sums, lengths, n_min, n_max)
+                return j
+    if filling:
+        k = span.size - 1
+    else:
+        means = top / span
+        k = span.size - 1 - int(means[::-1].argmin())
+        if int(top[k]) * lengths[-1] > sums[-1] * int(span[k]):
+            return e
+    lengths[-1] = int(span[k])
+    sums[-1] = int(top[k])
+    return e + 1 + k
 
 
 def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
@@ -112,6 +217,13 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     own block. Interior blocks may end up below n_min and block means may
     mildly violate monotonicity; both are inherent to the constrained sweep
     and surfaced by :func:`monotonicity_report` rather than treated as errors.
+
+    The sweep is event-driven over the label prefix sums: each numpy jump
+    (see :func:`_jump`) moves the top block to the next event, a pooling into
+    the block below or the last prefix-mean record low in a window that
+    doubles between events. Where jumps keep advancing only a few records,
+    scalar pushes take over for doubling runs. The blocks equal those of
+    pushing every record one at a time.
     """
     y = _as_binary(labels_sorted)
     n = y.size
@@ -119,21 +231,30 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     if not (0 <= n_min <= n_max <= n):
         raise ValueError(f"need 0 <= n_min <= n_max <= {n}, got ({n_min}, {n_max})")
 
-    sums: list[int] = []
-    lengths: list[int] = []
-    for v in y[: n - n_min].tolist():
-        sums.append(v)
-        lengths.append(1)
-        while len(sums) > 1:
-            combined = lengths[-2] + lengths[-1]
-            if combined > n_min:
-                if combined > n_max:
-                    break
-                if sums[-2] * lengths[-1] < sums[-1] * lengths[-2]:
-                    break
-            s, w = sums.pop(), lengths.pop()
-            sums[-1] += s
-            lengths[-1] += w
+    s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
+    limit = n - n_min
+    sums: list[int] = [int(y[0])] if limit else []
+    lengths: list[int] = [1] if limit else []
+    e, window, debt, run = len(sums), _WINDOW, 0, 2 * _JUMP_COST
+    while e < limit:
+        if debt > 4 * _JUMP_COST:
+            # Jumps kept stalling: push the next run of records one at a time.
+            k = min(run, limit - e)
+            _push(sums, lengths, y[e : e + k].tolist(), n_min, n_max)
+            e += k
+            run, debt = min(2 * run, _SCALAR_RUN_MAX), 0
+            continue
+        j = _jump(s, sums, lengths, e, limit, n_min, n_max, window)
+        advance = j - e
+        if not advance:  # y[e] opens a block of its own
+            _push(sums, lengths, [int(y[e])], n_min, n_max)
+            j += 1
+        # debt: how far the recent jumps fell short of paying for themselves
+        debt = max(0, debt + _JUMP_COST - advance)
+        if not debt:
+            run = 2 * _JUMP_COST
+        window = max(_WINDOW, 2 * advance)
+        e = j
 
     tail_sum = int(y[n - n_min :].sum())
     if sums and lengths[-1] + n_min <= n_max:

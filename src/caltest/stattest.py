@@ -85,78 +85,23 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
     return lower + upper
 
 
-def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:
-    """Exact two-sided binomial p-values for every count k = 0..n at once.
+def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Two-sided binomial p-values for counts k against probabilities q, elementwise.
 
-    For each k the p-value sums the masses of all outcomes j with
+    For each (k, q) the p-value sums the masses of all outcomes j with
     pmf(j) <= pmf(k) * (1 + slack). The pmf is unimodal, so the excluded
-    outcomes form a contiguous block around the mode; the two tails are then
-    evaluated with the regularized incomplete beta function instead of direct
-    summation.
+    outcomes form a contiguous block around the mode. Its edges are located by
+    a vectorized binary search on each half of the pmf, so the cost per pair
+    is logarithmic in n, and the two tails outside it are each one regularized
+    incomplete beta value. q = 0 and q = 1 put all mass on one outcome.
     """
-    _validate_nk(n, 0)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    if q == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if q == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-
-    j = np.arange(n + 1)
-    logpmf = _log_binom_coeffs(n) + j * math.log(q) + (n - j) * math.log1p(-q)
-    mode = min(int(math.floor((n + 1) * q)), n)
-    thresh = logpmf + _LOG_SLACK
-
-    # Accumulated maxima make each half exactly monotone toward the mode,
-    # which keeps the contiguity argument valid under float rounding.
-    rising = np.maximum.accumulate(logpmf[: mode + 1])
-    falling_rev = np.maximum.accumulate(logpmf[mode:][::-1])
-
-    # a = first index on [0, mode] with mass above threshold; left tail is [0, a-1].
-    a = np.searchsorted(rising, thresh, side="right")
-    # s = number of indices counted down from n with mass <= threshold;
-    # right tail is [n - s + 1, n].
-    s = np.searchsorted(falling_rev, thresh, side="right")
-
-    p = _binom_tails(n, a, n - s, q)
-    p[logpmf[mode] <= thresh] = 1.0
-    return np.clip(p, 0.0, 1.0)
-
-
-def binom_pvalue(n: int, k: int, q: float) -> float:
-    """Exact two-sided binomial p-value of H0: P(Y=1) = q given k successes in n trials."""
-    _validate_nk(n, k)
-    return float(binom_pvalues_for_counts(n, q)[k])
-
-
-def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
-    """Two-sided binomial p-values for fixed (n, k) over an array of probabilities.
-
-    Semantics match :func:`binom_pvalue` exactly; the tail cutoffs are located
-    by a vectorized binary search on each unimodal half of the pmf, so the cost
-    per probability is logarithmic in n.
-    """
-    _validate_nk(n, k)
-    qs = np.asarray(qs, dtype=np.float64)
-    if qs.size == 0:
-        return np.zeros(0)
-    if np.any(qs < 0.0) or np.any(qs > 1.0):
-        raise ValueError("q must lie in [0, 1]")
-
-    out = np.empty(qs.shape)
-    zero = qs == 0.0
-    one = qs == 1.0
-    out[zero] = 1.0 if k == 0 else 0.0
-    out[one] = 1.0 if k == n else 0.0
-    interior = ~(zero | one)
+    k, q = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(q, dtype=np.float64))
+    out = np.where(q == 0.0, k == 0, k == n).astype(np.float64)
+    interior = (q > 0.0) & (q < 1.0)
     if not np.any(interior):
         return out
 
-    q = qs[interior]
+    k, q = k[interior], q[interior]
     coeffs = _log_binom_coeffs(n)
     logq = np.log(q)
     log1mq = np.log1p(-q)
@@ -196,6 +141,28 @@ def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
     p = np.where(flat, 1.0, _binom_tails(n, first_above, last_above, q))
     out[interior] = np.clip(p, 0.0, 1.0)
     return out
+
+
+def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:
+    """Exact two-sided binomial p-values for every count k = 0..n at once."""
+    _validate_nk(n, 0)
+    if not (0.0 <= q <= 1.0):
+        raise ValueError("q must lie in [0, 1]")
+    return _binom_pvalues(n, np.arange(n + 1), q)
+
+
+def binom_pvalue(n: int, k: int, q: float) -> float:
+    """Exact two-sided binomial p-value of H0: P(Y=1) = q given k successes in n trials."""
+    return float(binom_pvalues_sweep(n, k, np.array([q]))[0])
+
+
+def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
+    """Two-sided binomial p-values for fixed (n, k) over an array of probabilities."""
+    _validate_nk(n, k)
+    qs = np.asarray(qs, dtype=np.float64)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise ValueError("q must lie in [0, 1]")
+    return _binom_pvalues(n, k, qs)
 
 
 def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:

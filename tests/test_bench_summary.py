@@ -1,0 +1,50 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
+spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
+bench_summary = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_summary)
+
+
+def write_result(directory, name, commit, seed, wall_rel, rows=500_000, trace=0):
+    result = {
+        "workload": "compute-500k",
+        "rows": rows,
+        "seconds": 30,
+        "trace": trace,
+        "attempted": 3,
+        "failed": 0,
+        "provenance": {"git_commit": commit, "src_sha256": "f" * 64, "seed": seed,
+                       "cpu_model": "test cpu", "nproc": 2},
+        "end_to_end": {"wall_rel": wall_rel, "cpu_rel": wall_rel, "peak_rss_mb": 100.0,
+                       "setup_s": 1.0},
+    }
+    (directory / f"{name}.json").write_text(json.dumps(result), encoding="utf-8")
+
+
+def test_summary_pairs_seeds_and_counts_wins(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    for seed, (old, new) in enumerate([(1.0, 0.8), (1.2, 0.9), (0.9, 1.0)]):
+        write_result(results, f"a{seed}", "aaaa111", seed, old)
+        write_result(results, f"b{seed}", "bbbb222", seed, new)
+    write_result(results, "b9-smoke", "bbbb222", 9, 5.0, rows=2000)  # fewer rows: ignored
+    write_result(results, "b9-traced", "bbbb222", 9, 5.0, trace=1)  # traced: ignored
+    write_result(results, "c0", "cccc333", 0, 7.0)  # neither side
+    assert bench_summary.main(["--label", "t", "--parent", "aaaa", "--change", "bbbb",
+                               "--results", str(results), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert summary["host"]["cpu_model"] == "test cpu"
+    compute = summary["workloads"]["compute-500k"]
+    assert compute["seeds"] == [0, 1, 2]
+    wall = compute["metrics"]["wall_rel"]
+    assert wall["parent"]["median"] == 1.0 and wall["change"]["median"] == 0.9
+    assert wall["pairs_won_by_change"] == 2
+    assert wall["median_change_minus_parent"] == pytest.approx(-0.2)
+    assert compute["metrics"]["peak_rss_mb"]["pairs_won_by_change"] == 0
+    assert compute["change"]["commits"] == ["bbbb222"] and compute["change"]["runs"] == 3
+    assert summary["workloads"]["diagram-ties-500k"]["pairs"] == 0

@@ -1,6 +1,14 @@
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_pava import pava as loop_pava
+from reference_pava import pava_bc as loop_pava_bc
 
+from caltest import binning
 from caltest.binning import (
     BinStrategy,
     IsotonicFit,
@@ -273,3 +281,130 @@ def test_build_bins_matches_fit_blocks_on_distinct_predictions():
     # adjacent equal-mean blocks merge into one bin
     assert int(counts.sum()) == 120
     assert len(counts) <= len(merged)
+
+
+# --- the vectorized fits against the per-record loops they replaced ---
+
+FIT_FIELDS = ("fitted", "block_starts", "block_lengths", "block_label_sums")
+
+# Private tuning of the fits. "tiny" ends every jump window early, so jumps
+# advance a record or two and alternate with short scalar runs, and leaves
+# the hull to the stack after one pass; "scalar" pushes almost every record
+# one at a time and builds the hull with the stack alone.
+TUNINGS = {
+    "default": {},
+    "tiny": {"_WINDOW": 1, "_JUMP_COST": 4, "_SCALAR_RUN_MAX": 16, "_HULL_PASSES": 1},
+    "scalar": {"_WINDOW": 2, "_JUMP_COST": 64, "_HULL_PASSES": 0},
+}
+
+
+def assert_same_fit(got, want):
+    for field in FIT_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+@st.composite
+def label_sequences(draw):
+    n = draw(st.integers(1, 120))
+    shape = draw(
+        st.sampled_from(["zeros", "ones", "alternating", "sorted", "convex_then_flat", "random"])
+    )
+    if shape == "zeros":
+        return np.zeros(n, dtype=int)
+    if shape == "ones":
+        return np.ones(n, dtype=int)
+    if shape == "alternating":
+        return (np.arange(n) + draw(st.integers(0, 1))) % 2
+    if shape == "convex_then_flat":
+        # gaps between ones shrink, so the prefix sum is convex; then zeros
+        gap = draw(st.integers(1, 12))
+        labels = [v for g in range(gap, 0, -1) for v in [0] * g + [1]]
+        labels += [0] * draw(st.integers(0, 60))
+        return np.array(labels[:n] if len(labels) >= n else labels)
+    rate = draw(st.floats(0.0, 1.0))
+    bits = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    labels = (np.array(bits) < rate).astype(int)
+    return np.sort(labels) if shape == "sorted" else labels
+
+
+@st.composite
+def sized_sequences(draw):
+    labels = draw(label_sequences())
+    n = labels.size
+    n_min = draw(st.sampled_from([0, 1, n]) | st.integers(0, n))
+    n_max = draw(st.sampled_from([max(n_min, 1), n]) | st.integers(max(n_min, 1), n))
+    return labels, n_min, n_max
+
+
+@pytest.mark.parametrize("tuning", sorted(TUNINGS))
+@settings(max_examples=300, deadline=None)
+@given(case=sized_sequences())
+def test_fits_match_per_record_loops(tuning, case):
+    labels, n_min, n_max = case
+    patch = mock.patch.multiple(binning, **TUNINGS[tuning]) if TUNINGS[tuning] else nullcontext()
+    with patch:
+        assert_same_fit(pava(labels), loop_pava(labels))
+        assert_same_fit(pava_bc(labels, n_min, n_max), loop_pava_bc(labels, n_min, n_max))
+
+
+def test_fit_tunings_reach_every_path():
+    rng = np.random.default_rng(22)
+    labels = rng.integers(0, 2, 400)
+    with mock.patch.multiple(binning, **TUNINGS["tiny"]), mock.patch.object(
+        binning, "_jump", wraps=binning._jump
+    ) as jump, mock.patch.object(binning, "_push", wraps=binning._push) as push:
+        assert_same_fit(pava_bc(labels, 3, 40), loop_pava_bc(labels, 3, 40))
+    assert jump.call_count > 0
+    assert max(len(call.args[2]) for call in push.call_args_list) > 1
+    # a convex run then zeros: one pruning pass leaves the hull to the stack
+    convex = np.array([v for gap in range(8, 0, -1) for v in [0] * gap + [1]] + [0] * 30)
+    with mock.patch.object(binning, "_HULL_PASSES", 1), mock.patch.object(
+        binning, "_lower_hull", wraps=binning._lower_hull
+    ) as finish:
+        assert_same_fit(pava(convex), loop_pava(convex))
+    assert finish.call_count == 1
+
+
+def test_fits_match_per_record_loops_at_scale():
+    rng = np.random.default_rng(24)
+    n = 20_000
+    for labels in (
+        (rng.random(n) < np.linspace(0.05, 0.95, n)).astype(int),
+        (rng.random(n) < 0.01).astype(int),
+    ):
+        assert_same_fit(pava(labels), loop_pava(labels))
+        for n_min, n_max in ((0, n), (0, 300), (10, 300), (100, 1000), (n // 20, n // 5)):
+            assert_same_fit(pava_bc(labels, n_min, n_max), loop_pava_bc(labels, n_min, n_max))
+
+
+# --- bins of every strategy on tie-heavy data ---
+
+
+@st.composite
+def tied_datasets(draw):
+    n = draw(st.integers(1, 150))
+    levels = draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    preds = (np.array(values) + 0.5) / levels
+    return Dataset(preds, np.array(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ds=tied_datasets(),
+    kind=st.sampled_from(["equispaced", "quantile", "pava", "pava_bc"]),
+    num_bins=st.integers(1, 12),
+)
+def test_bins_cover_unit_interval_and_keep_ties_together(ds, kind, num_bins):
+    bins = build_bins(ds, BinStrategy(kind, num_bins=num_bins))
+    edges = bins.edges
+    assert edges[0] == 0.0 and edges[-1] == 1.0
+    assert np.all(np.diff(edges) > 0)
+    idx = bins.assign(ds.predictions)
+    assert np.all((idx >= 0) & (idx < len(bins)))
+    assert int(partition(ds, bins).counts.sum()) == ds.n
+    for value in np.unique(ds.predictions):
+        assert np.unique(idx[ds.predictions == value]).size == 1

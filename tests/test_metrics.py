@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caltest.binning import BinStrategy, equispaced_bins, quantile_bins
 from caltest.core import BinSet, Dataset
@@ -214,3 +216,29 @@ def test_classwise_validation():
     good = np.array([[0.7, 0.3], [0.5, 0.5]])
     with pytest.raises(ValueError):
         tce_classwise(good, np.array([0, 2]))  # label outside [0, K)
+
+
+@st.composite
+def small_datasets(draw):
+    n = draw(st.integers(2, 200))
+    levels = draw(st.sampled_from([2, 5, 20, 0]))  # 0: continuous predictions
+    if levels:
+        values = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        preds = (np.array(values) + 0.5) / levels
+    else:
+        preds = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    shift = draw(st.floats(-0.5, 0.5))
+    bits = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    labels = (np.array(bits) < np.clip(preds + shift, 0.0, 1.0)).astype(int)
+    return Dataset(preds, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=small_datasets(), kind=st.sampled_from(["binomial", "t"]))
+def test_tce_variants_in_range_and_monotone_in_alpha(ds, kind):
+    alphas = [0.001, 0.01, 0.05, 0.2, 0.5]
+    runs = [tce_variants(ds, TestConfig(kind=kind, alpha=a)) for a in alphas]
+    for label in runs[0]:
+        values = [run[label].value for run in runs]
+        assert all(0.0 <= v <= 100.0 for v in values), label
+        assert all(lo <= hi for lo, hi in zip(values, values[1:])), label

@@ -271,3 +271,13 @@ def test_kernel_tails_match_scipy_stats(case):
         with mock.patch.object(stattest, "_binom_tails", scipy_stats_tails):
             want = binom_rejections(n, k, qs, alpha)
         assert np.array_equal(got, want)
+
+
+def test_binom_entry_points_reject_nan_probability():
+    for call in (
+        lambda: binom_pvalue(5, 2, math.nan),
+        lambda: binom_pvalues_sweep(5, 2, np.array([math.nan, 0.5])),
+        lambda: binom_pvalues_for_counts(5, math.nan),
+    ):
+        with pytest.raises(ValueError, match="q must lie"):
+            call()

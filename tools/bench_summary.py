@@ -1,0 +1,119 @@
+"""Summarize parent/change benchmark runs into one committed BENCH_<label>.json.
+
+    python3 tools/bench_summary.py --label pava --parent 2a9fed2 --change 161daf4
+
+Reads only the results files that ``bench/run.py`` leaves in
+``.bench_work/results/`` (copy in those of other checkouts first). A file
+belongs to a side when its recorded git commit or its ``src`` tree sha256
+starts with the given prefix. Only untraced runs at the workload's largest
+row count count; per seed the latest run of each side is kept, and seeds run
+on both sides form the pairs.
+
+For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
+side's median and quartiles over its runs, the median of the change minus
+the parent, and how many pairs the change won (strictly better in the
+metric's direction). It also records the seeds, both sides' commits and
+source hashes, the host, and the calls attempted and failed.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / ".bench_work" / "results"
+HOST_KEYS = ("cpu_model", "nproc", "cpus_usable", "python", "numpy", "scipy")
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4)
+
+
+def side_of(result: dict, prefixes: dict[str, str]) -> str | None:
+    prov = result["provenance"]
+    ids = (prov.get("git_commit") or "", prov.get("src_sha256") or "")
+    matches = [side for side, prefix in prefixes.items() if any(i.startswith(prefix) for i in ids)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def load_runs(results_dir: Path, prefixes: dict[str, str]) -> dict:
+    """{workload: {side: {seed: result}}}, keeping the latest untraced run per seed
+    among the runs with the most rows (smoke runs use fewer)."""
+    runs: dict = {}
+    for path in sorted(results_dir.glob("*.json")):  # names end in a timestamp
+        result = json.loads(path.read_text(encoding="utf-8"))
+        side = side_of(result, prefixes)
+        if result.get("trace") or side is None:
+            continue
+        by_rows = runs.setdefault(result["workload"], {}).setdefault(result["rows"], {})
+        by_rows.setdefault(side, {})[result["provenance"]["seed"]] = result
+    return {workload: by_rows[max(by_rows)] for workload, by_rows in runs.items()}
+
+
+def summarize_workload(sides: dict, metrics: list[dict]) -> dict:
+    parent, change = sides.get("parent", {}), sides.get("change", {})
+    seeds = sorted(set(parent) & set(change))
+    out: dict = {"seeds": seeds, "pairs": len(seeds), "metrics": {}}
+    for side, runs in (("parent", parent), ("change", change)):
+        out[side] = {
+            "runs": len(runs),
+            "calls_attempted": sum(r["attempted"] for r in runs.values()),
+            "calls_failed": sum(r["failed"] for r in runs.values()),
+            "commits": sorted({r["provenance"]["git_commit"] or "" for r in runs.values()}),
+            "src_sha256": sorted({r["provenance"]["src_sha256"] for r in runs.values()}),
+        }
+    for metric in metrics:
+        name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+        entry: dict = {"unit": metric["unit"], "better": metric["better"]}
+        for side, runs in (("parent", parent), ("change", change)):
+            values = [r["end_to_end"][name] for r in runs.values()]
+            if values:
+                q1, q2, q3 = quartiles(values)
+                entry[side] = {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        if seeds:
+            diffs = [change[s]["end_to_end"][name] - parent[s]["end_to_end"][name] for s in seeds]
+            entry["median_change_minus_parent"] = statistics.median(diffs)
+            entry["pairs_won_by_change"] = sum(sign * d < 0 for d in diffs)
+        out["metrics"][name] = entry
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
+    parser.add_argument("--parent", required=True, help="commit or src sha256 prefix")
+    parser.add_argument("--change", required=True, help="commit or src sha256 prefix")
+    parser.add_argument("--results", type=Path, default=RESULTS)
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = load_runs(args.results, {"parent": args.parent, "change": args.change})
+    if not runs:
+        print(f"no untraced results for either side in {args.results}", file=sys.stderr)
+        return 1
+    any_run = next(r for sides in runs.values() for side in sides.values() for r in side.values())
+    summary = {
+        "label": args.label,
+        "parent": args.parent,
+        "change": args.change,
+        "host": {key: any_run["provenance"].get(key) for key in HOST_KEYS},
+        "run_seconds": any_run["seconds"],
+        "workloads": {
+            w["name"]: summarize_workload(runs.get(w["name"], {}), spec["end_to_end"])
+            for w in spec["workloads"]
+        },
+    }
+    out = args.out_dir / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
