@@ -52,15 +52,20 @@ class MetricReport:
     config: Mapping[str, object]
 
 
-def _aggregate(losses: np.ndarray, weights: np.ndarray, counts: np.ndarray, norm: str) -> float:
-    """Aggregate per-bin losses; empty bins carry zero weight and are excluded from sup."""
+def _aggregate(losses: np.ndarray, counts: np.ndarray, norm: str) -> float:
+    """Aggregate per-bin losses; empty bins carry zero weight and are excluded from sup.
+
+    The weighted 1-norm divides once by the record count, after summing
+    count * |loss|, so it cannot round above the largest loss: TCE stays
+    within [0, 100] even when every bin rejects everything.
+    """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
     filled = counts > 0
     if not np.any(filled):
         raise ValueError("all bins are empty")
     if norm == "weighted_l1":
-        return float(np.sum(weights[filled] * np.abs(losses[filled])))
+        return float(np.sum(counts[filled] * np.abs(losses[filled])) / np.sum(counts))
     return float(np.max(np.abs(losses[filled])))
 
 
@@ -96,14 +101,14 @@ def gce(
     for b in range(len(bins)):
         if binned.counts[b] > 0:
             losses[b] = loss(binned.labels_in(b), binned.predictions_in(b))
-    value = _aggregate(losses, binned.weights, binned.counts, norm)
+    value = _aggregate(losses, binned.counts, norm)
     return _report(name, binned, losses, value, {"norm": norm})
 
 
 def _gap_metric(dataset, bins, norm, name, config) -> MetricReport:
     binned = partition(dataset, bins)
     losses = np.abs(binned.empirical_prob - binned.mean_prediction)
-    value = _aggregate(losses, binned.weights, binned.counts, norm)
+    value = _aggregate(losses, binned.counts, norm)
     return _report(name, binned, losses, value, config)
 
 

@@ -242,3 +242,10 @@ def test_tce_variants_in_range_and_monotone_in_alpha(ds, kind):
         values = [run[label].value for run in runs]
         assert all(0.0 <= v <= 100.0 for v in values), label
         assert all(lo <= hi for lo, hi in zip(values, values[1:])), label
+
+
+def test_tce_rejecting_every_record_is_exactly_100():
+    # per-bin weights 112/125 and 13/125 summed to 100.00000000000001
+    ds = Dataset(np.array([0.25] * 112 + [0.75] * 13), np.ones(125, dtype=int))
+    bins = quantile_bins(ds, 10)
+    assert tce(ds, bins, TestConfig(alpha=0.05)).value == 100.0
