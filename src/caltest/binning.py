@@ -80,21 +80,22 @@ def _make_fit(sums, lengths) -> IsotonicFit:
     )
 
 
+def _settle(sums: list[int], lengths: list[int], n_min: int, n_max: int) -> None:
+    """Merge the top block into the one below while the constraints allow."""
+    while len(sums) > 1:
+        combined = lengths[-2] + lengths[-1]
+        if combined > n_min:
+            if combined > n_max:
+                break
+            if sums[-2] * lengths[-1] < sums[-1] * lengths[-2]:
+                break
+        s, w = sums.pop(), lengths.pop()
+        sums[-1] += s
+        lengths[-1] += w
+
+
 # Vectorized pruning passes before `pava` finishes the hull with a stack.
 _HULL_PASSES = 64
-
-
-def _lower_hull(xs: list[int], ys: list[int]) -> list[int]:
-    """x of the strict lower-hull vertices of the points (xs, ys), xs ascending."""
-    hx: list[int] = []
-    hy: list[int] = []
-    for x, v in zip(xs, ys):
-        while len(hx) > 1 and (hy[-1] - hy[-2]) * (x - hx[-1]) >= (v - hy[-1]) * (hx[-1] - hx[-2]):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(v)
-    return hx
 
 
 def pava(labels_sorted) -> IsotonicFit:
@@ -120,8 +121,14 @@ def pava(labels_sorted) -> IsotonicFit:
         if not above.any():
             break
         pts = pts[np.concatenate(([True], ~above, [True]))]
-    else:
-        pts = np.asarray(_lower_hull(pts.tolist(), s[pts].tolist()))
+    else:  # passes ran out: pool the surviving segments on a stack
+        sums: list[int] = []
+        lengths: list[int] = []
+        for v, w in zip(np.diff(s[pts]).tolist(), np.diff(pts).tolist()):
+            sums.append(v)
+            lengths.append(w)
+            _settle(sums, lengths, 0, y.size)
+        return _make_fit(sums, lengths)
     return _make_fit(np.diff(s[pts]), np.diff(pts))
 
 
@@ -135,20 +142,6 @@ _WINDOW = 256
 _JUMP_COST = 32
 _SCALAR_RUN_MAX = 4096
 _EXACT_SPAN = 2**26
-
-
-def _settle(sums: list[int], lengths: list[int], n_min: int, n_max: int) -> None:
-    """Merge the top block into the one below while the constraints allow."""
-    while len(sums) > 1:
-        combined = lengths[-2] + lengths[-1]
-        if combined > n_min:
-            if combined > n_max:
-                break
-            if sums[-2] * lengths[-1] < sums[-1] * lengths[-2]:
-                break
-        s, w = sums.pop(), lengths.pop()
-        sums[-1] += s
-        lengths[-1] += w
 
 
 def _push(sums: list[int], lengths: list[int], labels: list[int], n_min: int, n_max: int) -> None:
