@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import repeat
+import warnings
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -88,75 +87,121 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 
 
 def ingest(path: str | Path) -> Dataset:
-    """Load and validate a prediction/label file, naming the offending row on error."""
+    """Load and validate a prediction/label file, naming the offending row on error.
+
+    A CSV file is read by ``np.loadtxt`` when it can be; every other CSV file,
+    and every bad one, goes to the per-row parser, which gives the same
+    columns or names the first bad row.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not data
-    if not text.strip():
-        raise EmptyInputError(f"{path}: file is empty")
+    if path.suffix.lower() != ".json":
+        columns = _loadtxt_columns(path)
+        return Dataset(*(_csv_rows(path) if columns is None else columns))
+    text = _read_text(path)
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRowError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(records, list) or not records:
+        raise EmptyInputError(f"{path}: expected a non-empty JSON array")
     preds: list[float] = []
     labels: list[int] = []
-    if path.suffix.lower() == ".json":
-        try:
-            records = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedRowError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(records, list) or not records:
-            raise EmptyInputError(f"{path}: expected a non-empty JSON array")
-        for row, record in enumerate(records, start=1):
-            if not isinstance(record, dict) or "prediction" not in record or "label" not in record:
-                raise MalformedRowError(f"row {row}: expected an object with prediction and label")
-            for field in ("prediction", "label"):
-                value = record[field]
-                # bool is an int subclass; true/false would pass as 1/0
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise MalformedRowError(f"row {row}: {field} {value!r} is not a number")
-            pred, label = _parse_record(record["prediction"], record["label"], row)
-            preds.append(pred)
-            labels.append(label)
-    else:
-        lines = text.splitlines()
-        header = lines[0].strip().lower()
-        if header.replace(" ", "") != "prediction,label":
-            raise MalformedRowError(f"{path}: expected header 'prediction,label', got {lines[0]!r}")
-        data_lines = [ln for ln in lines[1:] if ln.strip()]
-        if not data_lines:
-            raise EmptyInputError(f"{path}: no data rows")
-        columns = _csv_columns(data_lines)
-        if columns is None:
-            _raise_first_bad_row(data_lines)
-        return Dataset(*columns)
+    for row, record in enumerate(records, start=1):
+        if not isinstance(record, dict) or "prediction" not in record or "label" not in record:
+            raise MalformedRowError(f"row {row}: expected an object with prediction and label")
+        for field in ("prediction", "label"):
+            value = record[field]
+            # bool is an int subclass; true/false would pass as 1/0
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise MalformedRowError(f"row {row}: {field} {value!r} is not a number")
+        pred, label = _parse_record(record["prediction"], record["label"], row)
+        preds.append(pred)
+        labels.append(label)
     return Dataset(np.array(preds), np.array(labels))
 
 
-def _csv_columns(data_lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Predictions and labels of ``prediction,label`` rows, or None if any row is bad.
+def _read_text(path: Path) -> str:
+    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not data
+    if not text.strip():
+        raise EmptyInputError(f"{path}: file is empty")
+    return text
 
-    Every token goes through Python's ``float()`` (numpy converts a list of
-    str that way), so the accepted spellings are those of ``_parse_record``.
-    Each row must hold exactly one comma: a total of two fields per row is
-    not enough, since rows ``a,b,c`` and ``d`` balance out.
+
+def _is_csv_header(line: str) -> bool:
+    return line.strip().lower().replace(" ", "") == "prediction,label"
+
+
+def _csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and labels of a ``prediction,label`` file, parsed row by row.
+
+    Rows are the non-blank lines after the header, as ``str.splitlines`` cuts
+    them, numbered from 1; the first bad row raises its error.
     """
-    if set(map(str.count, data_lines, repeat(","))) != {1}:
-        return None
-    try:
-        values = np.array(",".join(data_lines).split(","), dtype=np.float64)
-    except ValueError:
-        return None
-    preds, labels = values[0::2], values[1::2]
-    # NaN fails both comparisons, so it is caught along with out-of-range values.
-    if not (np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0))):
-        return None
-    return preds, labels.astype(np.int64)
-
-
-def _raise_first_bad_row(data_lines: list[str]) -> NoReturn:
-    """Raise the error of the first row that ``_csv_columns`` cannot accept."""
+    lines = _read_text(path).splitlines()
+    if not _is_csv_header(lines[0]):
+        raise MalformedRowError(f"{path}: expected header 'prediction,label', got {lines[0]!r}")
+    data_lines = [ln for ln in lines[1:] if ln.strip()]
+    if not data_lines:
+        raise EmptyInputError(f"{path}: no data rows")
+    preds: list[float] = []
+    labels: list[int] = []
     for row, line in enumerate(data_lines, start=1):
         parts = line.split(",")
         if len(parts) != 2:
             raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
-        _parse_record(parts[0].strip(), parts[1].strip(), row)
-    raise RuntimeError("the vectorized CSV checks rejected rows that the per-row checks accept")
+        pred, label = _parse_record(parts[0].strip(), parts[1].strip(), row)
+        preds.append(pred)
+        labels.append(label)
+    return np.array(preds), np.array(labels)
+
+
+# The line breaks of str.splitlines besides \n and \r, UTF-8 encoded; np.loadtxt
+# reads them as ordinary characters (0.5\x0c,1 would pass as one row).
+_ASCII_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e")
+_NON_ASCII_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
+
+
+def _has_other_line_breaks(path: Path) -> bool:
+    tail = b""
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            window = tail + block  # a multi-byte break may straddle two blocks
+            breaks = _ASCII_BREAKS if window.isascii() else _ASCII_BREAKS + _NON_ASCII_BREAKS
+            if any(brk in window for brk in breaks):
+                return True
+            tail = block[-2:]
+    return False
+
+
+def _loadtxt_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns ``_csv_rows`` would return, read by ``np.loadtxt``, or None.
+
+    loadtxt converts each field with the routine behind Python's ``float()``,
+    minus its underscores and non-ASCII digits, and it cuts lines at universal
+    newlines only, so a file with another ``str.splitlines`` break is left to
+    the per-row parser. So are whitespace-only lines, which loadtxt rejects,
+    and every file that fails a check: None means "parse it row by row".
+    The file is passed open, since for a str path numpy picks a decompressor
+    by the name's suffix (``.gz``, ``.bz2``, ``.xz``).
+    """
+    if _has_other_line_breaks(path):
+        return None
+    try:
+        with path.open(encoding="utf-8-sig") as fh:  # a leading byte-order mark is not data
+            if not _is_csv_header(fh.readline()):
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:  # also a UnicodeDecodeError
+        return None
+    if table.shape[0] == 0 or table.shape[1] != 2:
+        return None
+    preds, labels = table[:, 0], table[:, 1]
+    # NaN fails both comparisons, so it is caught along with out-of-range values.
+    if not (np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0))):
+        return None
+    return preds, labels.astype(np.int64)
 
 
 def write_dataset_csv(dataset: Dataset, path: Path) -> None:

@@ -25,7 +25,7 @@ class Dataset:
     The view sorted ascending by prediction (``order``, ``sorted_predictions``,
     ``sorted_labels``, ``label_prefix``) is built on first use and kept, so each
     dataset is sorted at most once. It is not built in the constructor, where
-    the sort would overlap the caller's peak memory (ingest's parsed lists).
+    the sort would overlap the caller's peak memory (ingest's parsed table).
     """
 
     predictions: np.ndarray
@@ -172,7 +172,11 @@ class BinnedData:
     label_sums: np.ndarray
     empirical_prob: np.ndarray
     mean_prediction: np.ndarray
-    weights: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each bin's share of the dataset's records."""
+        return self.counts / self.dataset.n
 
     @property
     def is_empty(self) -> np.ndarray:
@@ -217,5 +221,4 @@ def partition(dataset: Dataset, bins: BinSet) -> BinnedData:
         label_sums=_frozen(label_sums),
         empirical_prob=_frozen(empirical),
         mean_prediction=_frozen(mean_pred),
-        weights=_frozen(counts / dataset.n),
     )
