@@ -155,21 +155,23 @@ def _csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(preds), np.array(labels)
 
 
-# The line breaks of str.splitlines besides \n and \r, UTF-8 encoded; np.loadtxt
-# reads them as ordinary characters (0.5\x0c,1 would pass as one row).
+# The line breaks of str.splitlines besides \n and \r, UTF-8 encoded. np.loadtxt
+# reads them as ordinary characters: it takes 0.5\x0c,1 for the row 0.5,1, where
+# the per-row parser sees the bad rows 0.5 and ,1.
 _ASCII_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e")
 _NON_ASCII_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
+_SCAN_BLOCK = 1 << 20
 
 
 def _has_other_line_breaks(path: Path) -> bool:
     tail = b""
     with path.open("rb") as fh:
-        while block := fh.read(1 << 20):
+        while block := fh.read(_SCAN_BLOCK):
             window = tail + block  # a multi-byte break may straddle two blocks
             breaks = _ASCII_BREAKS if window.isascii() else _ASCII_BREAKS + _NON_ASCII_BREAKS
             if any(brk in window for brk in breaks):
                 return True
-            tail = block[-2:]
+            tail = window[-2:]
     return False
 
 

@@ -1,10 +1,13 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from caltest import cli
 from caltest.cli import (
     EmptyInputError,
     LabelValueError,
@@ -168,6 +171,133 @@ def test_ingest_csv_matches_per_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "equivalence.csv"
     path.write_text(text, encoding="utf-8")
     assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
+
+
+SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+BREAK_PLACES = {
+    "in-field": "prediction,label\n0.5{},1\n0.25,0\n",
+    "between-rows": "prediction,label\n0.5,1{}0.25,0\n",
+    "own-line": "prediction,label\n0.5,1\n{}\n0.25,0\n",
+    "after-header": "prediction,label{}0.5,1\n",
+}
+
+BOUNDARY_CSV_TEXTS = {
+    **{
+        f"U+{ord(brk):04X}-{place}": template.format(brk)
+        for brk in SPLITLINES_ONLY_BREAKS
+        for place, template in BREAK_PLACES.items()
+    },
+    "hash-row": "prediction,label\n#0.5,1\n0.25,0\n",
+    "hash-after-row": "prediction,label\n0.5,1 # note\n",
+    "hash-header": "#prediction,label\n0.5,1\n",
+    "single-quotes": "prediction,label\n'0.5',1\n",
+    "double-quotes": 'prediction,label\n"0.5","1"\n',
+    "quoted-row": 'prediction,label\n"0.5,1"\n',
+    "spaces-line": "prediction,label\n0.5,1\n   \n0.25,0\n",
+    "tab-line-only": "prediction,label\n\t\n",
+    "unit-separator-line": "prediction,label\n0.5,1\n\x1f\n",
+    "one-column-rows": "prediction,label\n0.5\n0.25\n",
+    "one-column-file": "prediction\n0.5\n0.25\n",
+    "header-only": "prediction,label\n",
+    "header-only-no-newline": "prediction,label",
+    "lone-cr": "prediction,label\r0.5,1\r0.25,0\r",
+    "lone-cr-blank-line": "prediction,label\r0.5,1\r\r0.25,0",
+    "mixed-line-ends": "prediction,label\r\n0.5,1\r0.25,0\n",
+}
+
+
+@pytest.mark.parametrize("text", BOUNDARY_CSV_TEXTS.values(), ids=BOUNDARY_CSV_TEXTS.keys())
+def test_ingest_csv_boundaries_match_per_row_reference(tmp_path, text):
+    path = tmp_path / "boundary.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_ingest_matches_reference(path)
+
+
+def assert_ingest_matches_reference(path):
+    want = ingest_outcome(reference_ingest_csv, path)
+    assert ingest_outcome(ingest, path) == want
+    with mock.patch.object(cli, "_SCAN_BLOCK", 2):  # multi-byte breaks straddle the scanned blocks
+        assert ingest_outcome(ingest, path) == want
+
+
+@st.composite
+def odd_csv_texts(draw):
+    """Rows with line breaks, comment, quote and whitespace characters inserted anywhere."""
+    row = st.tuples(st.sampled_from(["0", "1", "0.25", "1e-3"]), st.sampled_from(["0", "1"])).map(",".join)
+    text = "\n".join(draw(st.lists(row | st.sampled_from(["", "  ", "0.5"]), max_size=6)))
+    odd = st.sampled_from([*SPLITLINES_ONLY_BREAKS, "\r", "\n", "#", "'", '"', " ", "\t", "\x1f", ","])
+    for piece in draw(st.lists(odd, max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "prediction,label" + newline + text.replace("\n", newline) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_csv_texts())
+def test_ingest_odd_csv_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "odd.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_ingest_matches_reference(path)
+
+
+def test_ingest_long_csv_names_the_global_row(tmp_path, monkeypatch):
+    """A CRLF, a blank line and a bad row well past loadtxt's first 50,000 lines."""
+    rng = np.random.default_rng(5)
+    n = 130_000
+    rows = [f"{p!r},{y}" for p, y in zip(rng.random(n).tolist(), rng.integers(0, 2, n).tolist())]
+    rows[60_000] += "\r"  # a CRLF line end
+    rows.insert(70_000, "")  # a blank line, which is not a row: list index i > 70,000 is row i
+    path = tmp_path / "long.csv"
+    path.write_bytes(("prediction,label\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
+    with monkeypatch.context() as m:  # a clean file never reaches the per-row parser
+        m.setattr(cli, "_csv_rows", None)
+        assert ingest(path).n == n
+
+    rows[125_000] = "0.5,2"
+    path.write_bytes(("prediction,label\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    with pytest.raises(LabelValueError, match=r"^row 125000: label '2' must be 0 or 1$"):
+        ingest(path)
+    assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
+
+
+@pytest.mark.parametrize("text", ["prediction,label\n", "prediction,label", "prediction,label\r\n\r\n"])
+def test_header_only_csv_is_empty_input_without_warning(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns "input contained no data"
+        with pytest.raises(EmptyInputError, match="no data rows"):
+            ingest(path)
+
+
+SPECIAL_PREDICTIONS = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def round_trip_datasets(draw):
+    value = st.floats(0.0, 1.0) | st.sampled_from(SPECIAL_PREDICTIONS)
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):  # tie-heavy: a few values, each repeated
+        pool = draw(st.lists(value, min_size=1, max_size=4))
+        preds = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        preds = draw(st.lists(value, min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Dataset(np.array(preds), np.array(labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(round_trip_datasets())
+def test_csv_round_trip_is_exact(tmp_path_factory, ds):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_dataset_csv(ds, path)
+    again = ingest(path)
+    assert again.predictions.tobytes() == ds.predictions.tobytes()
+    assert again.labels.tobytes() == ds.labels.tobytes()
+    assert metric_battery(again) == metric_battery(ds)
 
 
 def test_csv_round_trip_preserves_metrics(tmp_path):

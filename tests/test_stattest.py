@@ -1,9 +1,10 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -212,8 +213,57 @@ def screen_cases(draw):
     return n, k, alpha, fractions
 
 
+def mpmath_binomtest_pvalue(k, n, q):
+    """binomtest's two-sided p-value summed in 50-digit arithmetic.
+
+    The rule is binomtest's: add the mass of every outcome x with
+    pmf(x) <= pmf(k) * (1 + 1e-7). The pmf rises to its mode and falls after
+    it, so the outcomes above that bound form one run lo..hi around the mode,
+    found by bisection; the two tails outside it are regularized incomplete
+    beta functions.
+    """
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+
+        def pmf(x):
+            return mpmath.binomial(n, x) * q**x * (1 - q) ** (n - x)
+
+        def first(lo, hi, holds):  # first x in [lo, hi) where holds(x), which is monotone
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+            return lo
+
+        bound = pmf(k) * (1 + mpmath.mpf(1e-7))
+        mode = min(n, int(mpmath.floor((n + 1) * q)))
+        if pmf(mode) <= bound:
+            return 1.0
+        lo = first(0, mode, lambda x: pmf(x) > bound)
+        hi = first(mode, n + 1, lambda x: pmf(x) <= bound) - 1
+        below = 1 - mpmath.betainc(lo, n - lo + 1, 0, q, regularized=True) if lo > 0 else 0
+        above = mpmath.betainc(hi + 1, n - hi, 0, q, regularized=True) if hi < n else 0
+        return float(min(1, below + above))
+
+
+def binomtest_pvalue(k, n, q):
+    try:
+        return stats.binomtest(k, n, q).pvalue
+    except OverflowError:  # scipy's ibeta_derivative overflows for q of order 1e-307
+        return mpmath_binomtest_pvalue(k, n, q)
+
+
+@pytest.mark.parametrize(
+    "k, n, q",
+    [(0, 10, 0.3), (3, 10, 0.3), (9, 10, 0.3), (5, 100, 0.01), (500, 1000, 0.45),
+     (1000, 1000, 0.999), (1, 1, 0.5), (1, 10**6, 1e-7), (40, 10**6, 3e-5), (1, 1000, 2e-300)],
+)
+def test_mpmath_oracle_matches_binomtest(k, n, q):
+    assert mpmath_binomtest_pvalue(k, n, q) == pytest.approx(stats.binomtest(k, n, q).pvalue, rel=1e-9)
+
+
 @settings(max_examples=150, deadline=None)
 @given(screen_cases())
+@example((1000, 0, 0.001, [0.0, 7.882992971590177e-305]))  # binomtest overflows at q ~ 9e-307
 def test_binom_rejections_match_exact_kernel(case):
     n, k, alpha, fractions = case
     near_one = [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3]
@@ -225,7 +275,7 @@ def test_binom_rejections_match_exact_kernel(case):
     got = binom_rejections(n, k, qs, alpha)
     assert np.array_equal(got, binom_pvalues_sweep(n, k, qs) < alpha)
     for q, rejected in list(zip(qs, got))[::4]:
-        assert rejected == (stats.binomtest(k, n, float(q)).pvalue < alpha)
+        assert rejected == (binomtest_pvalue(k, n, float(q)) < alpha)
 
 
 def scipy_stats_tails(n, below, above, q):
