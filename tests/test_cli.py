@@ -243,7 +243,7 @@ def test_ingest_odd_csv_matches_per_row_reference(tmp_path_factory, text):
 
 
 def test_ingest_long_csv_names_the_global_row(tmp_path, monkeypatch):
-    """A CRLF, a blank line and a bad row well past loadtxt's first 50,000 lines."""
+    """A CRLF, a blank line and a bad row more than 50,000 lines into the file."""
     rng = np.random.default_rng(5)
     n = 130_000
     rows = [f"{p!r},{y}" for p, y in zip(rng.random(n).tolist(), rng.integers(0, 2, n).tolist())]
