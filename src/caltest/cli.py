@@ -8,9 +8,11 @@ configuration and seed; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -89,15 +91,16 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 def ingest(path: str | Path) -> Dataset:
     """Load and validate a prediction/label file, naming the offending row on error.
 
-    A CSV file is read by ``np.loadtxt`` when it can be; every other CSV file,
-    and every bad one, goes to the per-row parser, which gives the same
-    columns or names the first bad row.
+    A CSV file is read in blocks by ``np.loadtxt``; only a block that loadtxt
+    turns down goes to the per-row parser, which gives the same columns or
+    names the first bad row.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
-        columns = _loadtxt_columns(path)
-        return Dataset(*(_csv_rows(path) if columns is None else columns))
-    text = _read_text(path)
+        return Dataset(*_csv_columns(path))
+    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not data
+    if not text.strip():
+        raise EmptyInputError(f"{path}: file is empty")
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,90 +123,91 @@ def ingest(path: str | Path) -> Dataset:
     return Dataset(np.array(preds), np.array(labels))
 
 
-def _read_text(path: Path) -> str:
-    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not data
-    if not text.strip():
-        raise EmptyInputError(f"{path}: file is empty")
-    return text
+# Bytes read at a time; a block runs on to the end of a line longer than this.
+_SCAN_BLOCK = 1 << 16
 
 
-def _is_csv_header(line: str) -> bool:
-    return line.strip().lower().replace(" ", "") == "prediction,label"
-
-
-def _csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and labels of a ``prediction,label`` file, parsed row by row.
+def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a ``prediction,label`` file, read block by block; the first bad row raises.
 
     Rows are the non-blank lines after the header, as ``str.splitlines`` cuts
-    them, numbered from 1; the first bad row raises its error.
+    them, numbered from 1. A byte that is not UTF-8 makes its row bad.
     """
-    lines = _read_text(path).splitlines()
-    if not _is_csv_header(lines[0]):
-        raise MalformedRowError(f"{path}: expected header 'prediction,label', got {lines[0]!r}")
-    data_lines = [ln for ln in lines[1:] if ln.strip()]
-    if not data_lines:
+    with path.open("rb") as fh:
+        blocks = _line_blocks(fh)
+        lines, bad = next(blocks)
+        if bad is not None and not lines:
+            raise MalformedRowError(f"{path}: header: byte {bad} is not UTF-8")
+        header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
+        blocks = itertools.chain([(lines[1:], bad)], blocks)
+        if header.strip().lower().replace(" ", "") != "prediction,label":
+            if not header.strip() and all(b is None and not any(map(str.strip, ls)) for ls, b in blocks):
+                raise EmptyInputError(f"{path}: file is empty")
+            raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
+        columns, rows = [], 0
+        for lines, bad in blocks:
+            columns.append(_block_columns(lines, rows))
+            rows += len(columns[-1][0])
+            if bad is not None:
+                raise MalformedRowError(f"row {rows + 1}: byte {bad} is not UTF-8")
+    if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    preds: list[float] = []
-    labels: list[int] = []
-    for row, line in enumerate(data_lines, start=1):
+    preds, labels = zip(*columns)
+    return np.concatenate(preds), np.concatenate(labels)
+
+
+def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
+    """A binary file's lines, in blocks cut after a read's last line feed or carriage return.
+
+    A CRLF cut in two, and the line feed added to end the last line, leave only
+    empty lines. Each block comes with the offset of its first non-UTF-8 byte, or None.
+    """
+    start, pending = 0, []
+    for chunk in itertools.chain(iter(lambda: fh.read(_SCAN_BLOCK), b""), [b"\n"]):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        raw = b"".join([*pending, chunk[:cut]])
+        try:
+            lines, bad = raw.decode().splitlines(), None
+        except UnicodeDecodeError as exc:  # "x" ends the bad byte's line, which is dropped
+            lines, bad = (raw[: exc.start].decode() + "x").splitlines()[:-1], start + exc.start
+        yield lines, bad
+        start += len(raw)
+        pending = [chunk[cut:]]
+
+
+def _block_columns(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a block's lines, which follow ``rows`` rows, read by ``np.loadtxt`` if it can.
+
+    loadtxt converts a field as ``float()`` does, but turns down underscores,
+    non-ASCII digits and whitespace-only lines, and skips empty lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(lines, dtype="f8,f8", delimiter=",", comments=None, ndmin=1)
+        preds, labels = table["f0"], table["f1"]
+        # NaN fails both comparisons, so it is caught along with out-of-range values.
+        if np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0)):
+            return preds, labels.astype(np.int8)  # Dataset widens the 0/1 labels
+    except ValueError:
+        pass
+    return _csv_rows([ln for ln in lines if ln.strip()], rows)
+
+
+def _csv_rows(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of non-blank lines after ``rows`` rows; the first bad row raises its error."""
+    preds, labels = [], []
+    for row, line in enumerate(lines, start=rows + 1):
         parts = line.split(",")
         if len(parts) != 2:
             raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
         pred, label = _parse_record(parts[0].strip(), parts[1].strip(), row)
         preds.append(pred)
         labels.append(label)
-    return np.array(preds), np.array(labels)
-
-
-# The line breaks of str.splitlines besides \n and \r, UTF-8 encoded. np.loadtxt
-# reads them as ordinary characters: it takes 0.5\x0c,1 for the row 0.5,1, where
-# the per-row parser sees the bad rows 0.5 and ,1.
-_ASCII_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e")
-_NON_ASCII_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
-_SCAN_BLOCK = 1 << 20
-
-
-def _has_other_line_breaks(path: Path) -> bool:
-    tail = b""
-    with path.open("rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
-            window = tail + block  # a multi-byte break may straddle two blocks
-            breaks = _ASCII_BREAKS if window.isascii() else _ASCII_BREAKS + _NON_ASCII_BREAKS
-            if any(brk in window for brk in breaks):
-                return True
-            tail = window[-2:]
-    return False
-
-
-def _loadtxt_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns ``_csv_rows`` would return, read by ``np.loadtxt``, or None.
-
-    loadtxt converts each field with the routine behind Python's ``float()``,
-    minus its underscores and non-ASCII digits, and it cuts lines at universal
-    newlines only, so a file with another ``str.splitlines`` break is left to
-    the per-row parser. So are whitespace-only lines, which loadtxt rejects,
-    and every file that fails a check: None means "parse it row by row".
-    The file is passed open, since for a str path numpy picks a decompressor
-    by the name's suffix (``.gz``, ``.bz2``, ``.xz``).
-    """
-    if _has_other_line_breaks(path):
-        return None
-    try:
-        with path.open(encoding="utf-8-sig") as fh:  # a leading byte-order mark is not data
-            if not _is_csv_header(fh.readline()):
-                return None
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:  # also a UnicodeDecodeError
-        return None
-    if table.shape[0] == 0 or table.shape[1] != 2:
-        return None
-    preds, labels = table[:, 0], table[:, 1]
-    # NaN fails both comparisons, so it is caught along with out-of-range values.
-    if not (np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0))):
-        return None
-    return preds, labels.astype(np.int64)
+    return np.array(preds, dtype=np.float64), np.array(labels, dtype=np.int8)
 
 
 def write_dataset_csv(dataset: Dataset, path: Path) -> None:

@@ -85,15 +85,17 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
     return lower + upper
 
 
+# Pairs per pass of the exact kernel, which holds about twenty arrays of that length.
+_KERNEL_CHUNK = 1 << 14
+
+
 def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Two-sided binomial p-values for counts k against probabilities q, elementwise.
 
     For each (k, q) the p-value sums the masses of all outcomes j with
-    pmf(j) <= pmf(k) * (1 + slack). The pmf is unimodal, so the excluded
-    outcomes form a contiguous block around the mode. Its edges are located by
-    a vectorized binary search on each half of the pmf, so the cost per pair
-    is logarithmic in n, and the two tails outside it are each one regularized
-    incomplete beta value. q = 0 and q = 1 put all mass on one outcome.
+    pmf(j) <= pmf(k) * (1 + slack). q = 0 and q = 1 put all mass on one
+    outcome. The other pairs go through ``_interior_pvalues`` in chunks of
+    ``_KERNEL_CHUNK``, so its memory does not grow with their number.
     """
     k, q = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(q, dtype=np.float64))
     out = np.where(q == 0.0, k == 0, k == n).astype(np.float64)
@@ -103,6 +105,22 @@ def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     k, q = k[interior], q[interior]
     coeffs = _log_binom_coeffs(n)
+    p = np.empty(q.shape)
+    for start in range(0, q.size, _KERNEL_CHUNK):
+        chunk = slice(start, start + _KERNEL_CHUNK)
+        p[chunk] = _interior_pvalues(n, coeffs, k[chunk], q[chunk])
+    out[interior] = p
+    return out
+
+
+def _interior_pvalues(n: int, coeffs: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The p-values of pairs with 0 < q < 1, given ``coeffs = _log_binom_coeffs(n)``.
+
+    The pmf is unimodal, so the excluded outcomes form a contiguous block
+    around the mode. Its edges are located by a vectorized binary search on
+    each half of the pmf, so the cost per pair is logarithmic in n, and the
+    two tails outside it are each one regularized incomplete beta value.
+    """
     logq = np.log(q)
     log1mq = np.log1p(-q)
 
@@ -139,8 +157,9 @@ def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     last_above = lo
 
     p = np.where(flat, 1.0, _binom_tails(n, first_above, last_above, q))
-    out[interior] = np.clip(p, 0.0, 1.0)
-    return out
+    return np.clip(p, 0.0, 1.0)
+
+
 
 
 def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:

@@ -204,6 +204,12 @@ BOUNDARY_CSV_TEXTS = {
     "lone-cr": "prediction,label\r0.5,1\r0.25,0\r",
     "lone-cr-blank-line": "prediction,label\r0.5,1\r\r0.25,0",
     "mixed-line-ends": "prediction,label\r\n0.5,1\r0.25,0\n",
+    "whitespace-only-file": " \n\t\r\n\u3000\n",
+    "blank-first-line": "\nprediction,label\n0.5,1\n",
+    "byte-order-mark-only": "\ufeff",
+    "underscore-row-mid-file": "prediction,label\n0.5,1\n0.2_5,1\n0.25,0\n",
+    "non-ascii-digit-row-mid-file": "prediction,label\n0.5,1\n\u0660.\u0665,1\n0.25,0\n",
+    "lone-cr-past-one-block": "prediction,label\r" + "0.25,1\r0.5,0\r" * (cli._SCAN_BLOCK // 7),
 }
 
 
@@ -261,6 +267,49 @@ def test_ingest_long_csv_names_the_global_row(tmp_path, monkeypatch):
     with pytest.raises(LabelValueError, match=r"^row 125000: label '2' must be 0 or 1$"):
         ingest(path)
     assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
+
+
+def test_ingest_bounds_per_row_work_to_the_blocks_that_need_it(tmp_path, monkeypatch):
+    """A whitespace-only line and a 0.2_5 row, which loadtxt turns down, in a 130k-row file."""
+    rng = np.random.default_rng(11)
+    n = 130_000
+    rows = [f"{p!r},{y}" for p, y in zip(rng.random(n).tolist(), rng.integers(0, 2, n).tolist())]
+    rows[99_999] = "0.2_5,1"  # row 100,000
+    rows.insert(40_000, "  ")  # between rows 40,000 and 40,001
+    path = tmp_path / "long.csv"
+    path.write_bytes(("prediction,label\n" + "\n".join(rows) + "\n").encode("utf-8"))
+
+    calls = []
+    per_row = cli._csv_rows
+
+    def recording(lines, before):
+        calls.append((lines, before))
+        return per_row(lines, before)
+
+    monkeypatch.setattr(cli, "_csv_rows", recording)
+    assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
+    # A block is one read plus the rest of the line that the read cut.
+    longest = max(map(len, rows)) + 1
+    assert all(sum(len(ln) + 1 for ln in lines) <= cli._SCAN_BLOCK + longest for lines, _ in calls)
+    (blank_block, blank_before), (underscore_block, underscore_before) = calls
+    assert blank_before <= 40_000 <= blank_before + len(blank_block)
+    assert underscore_block[100_000 - underscore_before - 1] == "0.2_5,1"
+
+
+def test_ingest_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SCAN_BLOCK", 16)
+    head = "prediction,label\n" + "0.25,1\r\n" * 10
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(head.encode() + b"0.5,\xff\n0.5,1\n")
+    with pytest.raises(MalformedRowError, match=rf"^row 11: byte {len(head) + 4} is not UTF-8$"):
+        ingest(path)
+    path.write_bytes(b"\xef\xbb\xbfpred\xe9iction,label\n0.5,1\n")  # a byte-order mark, then Latin-1
+    with pytest.raises(MalformedRowError, match=r"header: byte 7 is not UTF-8$"):
+        ingest(path)
+    # The first bad row in the file is the one named.
+    path.write_bytes(head.encode() + b"0.5,2\n0.5,\xff\n")
+    with pytest.raises(LabelValueError, match=r"^row 11: label '2' must be 0 or 1$"):
+        ingest(path)
 
 
 @pytest.mark.parametrize("text", ["prediction,label\n", "prediction,label", "prediction,label\r\n\r\n"])

@@ -323,6 +323,22 @@ def test_kernel_tails_match_scipy_stats(case):
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tail_cases(), st.integers(1, 5))
+def test_chunked_kernel_matches_one_pass(case, chunk):
+    n, k, qs = case
+    qs = np.concatenate([[0.0], qs, [1.0]])  # pairs outside the kernel, around the chunks
+    counts_q = qs[1] if n <= 300 else 0.0  # every count k at once, for small n
+
+    def pvalues():
+        return binom_pvalues_sweep(n, k, qs).tobytes(), binom_pvalues_for_counts(n, counts_q).tobytes()
+
+    want = pvalues()
+    with mock.patch.object(stattest, "_KERNEL_CHUNK", chunk):
+        got = pvalues()
+    assert got == want
+
+
 def test_binom_entry_points_reject_nan_probability():
     for call in (
         lambda: binom_pvalue(5, 2, math.nan),
