@@ -8,6 +8,7 @@ configuration and seed; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import array
 import itertools
 import json
 import sys
@@ -124,7 +125,7 @@ def ingest(path: str | Path) -> Dataset:
 
 
 # Bytes read at a time; a block runs on to the end of a line longer than this.
-_SCAN_BLOCK = 1 << 16
+_SCAN_BLOCK = 1 << 14
 
 
 def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -141,19 +142,22 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
         header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
         blocks = itertools.chain([(lines[1:], bad)], blocks)
         if header.strip().lower().replace(" ", "") != "prediction,label":
-            if not header.strip() and all(b is None and not any(map(str.strip, ls)) for ls, b in blocks):
+            if not header.strip() and all(
+                b is None and not any(map(str.strip, ls)) for ls, b in blocks
+            ):  # a blank first line, and only blank text after it
                 raise EmptyInputError(f"{path}: file is empty")
             raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
-        columns, rows = [], 0
+        # Grown in place, so no block's arrays outlive it to be joined at the end.
+        preds, labels = array.array("d"), array.array("b")
         for lines, bad in blocks:
-            columns.append(_block_columns(lines, rows))
-            rows += len(columns[-1][0])
+            block_preds, block_labels = _block_columns(lines, len(preds))
+            preds.frombytes(block_preds.tobytes())
+            labels.frombytes(block_labels.tobytes())
             if bad is not None:
-                raise MalformedRowError(f"row {rows + 1}: byte {bad} is not UTF-8")
-    if not rows:
+                raise MalformedRowError(f"row {len(preds) + 1}: byte {bad} is not UTF-8")
+    if not preds:
         raise EmptyInputError(f"{path}: no data rows")
-    preds, labels = zip(*columns)
-    return np.concatenate(preds), np.concatenate(labels)
+    return np.frombuffer(preds), np.frombuffer(labels, dtype=np.int8)
 
 
 def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
@@ -188,12 +192,13 @@ def _block_columns(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(lines, dtype="f8,f8", delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        pass
+    else:
         preds, labels = table["f0"], table["f1"]
         # NaN fails both comparisons, so it is caught along with out-of-range values.
         if np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0)):
             return preds, labels.astype(np.int8)  # Dataset widens the 0/1 labels
-    except ValueError:
-        pass
     return _csv_rows([ln for ln in lines if ln.strip()], rows)
 
 
