@@ -8,7 +8,6 @@ configuration and seed; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
-import array
 import itertools
 import json
 import sys
@@ -147,17 +146,18 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
             ):  # a blank first line, and only blank text after it
                 raise EmptyInputError(f"{path}: file is empty")
             raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
-        # Grown in place, so no block's arrays outlive it to be joined at the end.
-        preds, labels = array.array("d"), array.array("b")
+        # Grown in place: per-block arrays joined at the end left freed heap
+        # resident after ingest, which raised the peak of the whole call.
+        preds, labels = bytearray(), bytearray()  # float64 and int8 values
         for lines, bad in blocks:
-            block_preds, block_labels = _block_columns(lines, len(preds))
-            preds.frombytes(block_preds.tobytes())
-            labels.frombytes(block_labels.tobytes())
+            block_preds, block_labels = _block_columns(lines, len(labels))
+            preds += block_preds.tobytes()
+            labels += block_labels.tobytes()
             if bad is not None:
-                raise MalformedRowError(f"row {len(preds) + 1}: byte {bad} is not UTF-8")
-    if not preds:
+                raise MalformedRowError(f"row {len(labels) + 1}: byte {bad} is not UTF-8")
+    if not labels:
         raise EmptyInputError(f"{path}: no data rows")
-    return np.frombuffer(preds), np.frombuffer(labels, dtype=np.int8)
+    return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
 
 
 def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
