@@ -160,8 +160,6 @@ def _interior_pvalues(n: int, coeffs: np.ndarray, k: np.ndarray, q: np.ndarray) 
     return np.clip(p, 0.0, 1.0)
 
 
-
-
 def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:
     """Exact two-sided binomial p-values for every count k = 0..n at once."""
     _validate_nk(n, 0)
