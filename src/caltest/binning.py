@@ -133,14 +133,13 @@ def pava(labels_sorted) -> IsotonicFit:
 
 
 # `pava_bc` sweep tuning: the first window of a jump, in records; a jump
-# costs about as much as pushing _JUMP_COST records one at a time; scalar
-# runs double up to _SCALAR_RUN_MAX records while jumps keep stalling.
-# Float block means order exactly while block lengths stay within
-# _EXACT_SPAN (distinct fractions with denominators <= 2**26 differ by more
-# than their rounding), so jumps never extend a block past it.
+# costs about as much as pushing _JUMP_COST records one at a time, and
+# advances fewer than n_max records, so with n_max <= _JUMP_COST the sweep
+# pushes every record. Float block means order exactly while block lengths
+# stay within _EXACT_SPAN (distinct fractions with denominators <= 2**26
+# differ by more than their rounding), so jumps never extend a block past it.
 _WINDOW = 256
 _JUMP_COST = 32
-_SCALAR_RUN_MAX = 4096
 _EXACT_SPAN = 2**26
 
 
@@ -163,7 +162,9 @@ def _jump(s: np.ndarray, sums: list[int], lengths: list[int], e: int, limit: int
     mean(y[b:j]) <= mean(B), while j - b <= n_max. The first such j is an
     event: B absorbs [t, j) and settles. Otherwise T extends to its last
     record low in the window, or fills unconditionally while shorter than
-    n_min. Returns the new position, e itself when T cannot grow.
+    n_min; when the window held every record T can reach, the record after
+    T is pushed as a block of its own. Returns the new position, e itself
+    when T cannot grow.
     """
     t = e - lengths[-1]
     filling = lengths[-1] < n_min
@@ -195,7 +196,13 @@ def _jump(s: np.ndarray, sums: list[int], lengths: list[int], e: int, limit: int
             return e
     lengths[-1] = int(span[k])
     sums[-1] = int(top[k])
-    return e + 1 + k
+    j = e + 1 + k
+    if not filling and j < hi < e + window:
+        # T has seen every record it can reach, so a jump from j would
+        # advance none: y[j] opens a block of its own.
+        _push(sums, lengths, [int(s[j + 1] - s[j])], n_min, n_max)
+        j += 1
+    return j
 
 
 def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
@@ -214,9 +221,10 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     The sweep is event-driven over the label prefix sums: each numpy jump
     (see :func:`_jump`) moves the top block to the next event, a pooling into
     the block below or the last prefix-mean record low in a window that
-    doubles between events. Where jumps keep advancing only a few records,
-    scalar pushes take over for doubling runs. The blocks equal those of
-    pushing every record one at a time.
+    doubles between events; a record that no jump advances over is pushed on
+    its own. With n_max <= ``_JUMP_COST`` no jump can pay for itself, so every
+    record is pushed. The blocks equal those of pushing every record one at a
+    time.
     """
     y = _as_binary(labels_sorted)
     n = y.size
@@ -226,28 +234,19 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
 
     s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
     limit = n - n_min
-    sums: list[int] = [int(y[0])] if limit else []
-    lengths: list[int] = [1] if limit else []
-    e, window, debt, run = len(sums), _WINDOW, 0, 2 * _JUMP_COST
-    while e < limit:
-        if debt > 4 * _JUMP_COST:
-            # Jumps kept stalling: push the next run of records one at a time.
-            k = min(run, limit - e)
-            _push(sums, lengths, y[e : e + k].tolist(), n_min, n_max)
-            e += k
-            run, debt = min(2 * run, _SCALAR_RUN_MAX), 0
-            continue
-        j = _jump(s, sums, lengths, e, limit, n_min, n_max, window)
-        advance = j - e
-        if not advance:  # y[e] opens a block of its own
-            _push(sums, lengths, [int(y[e])], n_min, n_max)
-            j += 1
-        # debt: how far the recent jumps fell short of paying for themselves
-        debt = max(0, debt + _JUMP_COST - advance)
-        if not debt:
-            run = 2 * _JUMP_COST
-        window = max(_WINDOW, 2 * advance)
-        e = j
+    sums: list[int] = []
+    lengths: list[int] = []
+    if n_max <= _JUMP_COST:
+        _push(sums, lengths, y[:limit].tolist(), n_min, n_max)
+    else:
+        e, window = 0, _WINDOW
+        while e < limit:
+            j = _jump(s, sums, lengths, e, limit, n_min, n_max, window) if sums else e
+            if j == e:  # y[e] opens a block of its own
+                _push(sums, lengths, [int(y[e])], n_min, n_max)
+                j += 1
+            window = max(_WINDOW, 2 * (j - e))
+            e = j
 
     tail_sum = int(y[n - n_min :].sum())
     if sums and lengths[-1] + n_min <= n_max:
@@ -260,31 +259,27 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     return _make_fit(sums, lengths)
 
 
-def _shifted_boundary(preds_sorted: np.ndarray, i: int) -> float | None:
-    """Boundary between records i-1 and i, moved off tied prediction values.
+def _bins_at_cuts(preds_sorted: np.ndarray, cuts: np.ndarray) -> BinSet:
+    """Bins with a boundary at each cut position 0 < i < N of the sorted predictions.
 
-    The natural boundary is the midpoint of the straddling predictions. When
-    those are equal the midpoint would split a tie group, so the boundary
-    moves to the nearest strictly increasing adjacent pair, rightward first
-    and then leftward. Returns None when every prediction is identical.
+    A boundary never splits a tie group: the one at cut i is the midpoint
+    between the group holding preds_sorted[i] and its neighbour below when
+    i opens the group or no value lies above it, and its neighbour above
+    otherwise. When every prediction is identical there is no boundary.
+    Duplicate boundaries collapse.
     """
-    value = preds_sorted[i]
-    if preds_sorted[i - 1] < value:
-        return float((preds_sorted[i - 1] + value) / 2.0)
-    right = int(np.searchsorted(preds_sorted, value, side="right"))
-    if right < preds_sorted.size:  # first value above the tie group
-        return float((value + preds_sorted[right]) / 2.0)
-    left = int(np.searchsorted(preds_sorted, value, side="left"))
-    if left > 0:  # last value below the tie group
-        return float((preds_sorted[left - 1] + value) / 2.0)
-    return None
-
-
-def _bins_from_boundaries(boundaries: list[float]) -> BinSet:
-    # Midpoints can round onto 0 or 1 when the straddling predictions sit
+    n = preds_sorted.size
+    value = preds_sorted[cuts]
+    left = np.searchsorted(preds_sorted, value, side="left")
+    right = np.searchsorted(preds_sorted, value, side="right")
+    below = (left == cuts) | (right == n)
+    other = np.where(below, preds_sorted[left - 1], preds_sorted[np.minimum(right, n - 1)])
+    mids = (other + value) / 2.0
+    # A group with no neighbour on either side holds every prediction, and
+    # midpoints can round onto 0 or 1 when the straddling predictions sit
     # within an ulp of the endpoints; such boundaries are vacuous.
-    uniq = sorted({b for b in boundaries if 0.0 < b < 1.0})
-    return BinSet.from_edges([0.0, *uniq, 1.0])
+    mids = mids[((left > 0) | ~below) & (mids > 0.0) & (mids < 1.0)]
+    return BinSet.from_edges(np.concatenate(([0.0], np.unique(mids), [1.0])))
 
 
 def equispaced_bins(num_bins: int) -> BinSet:
@@ -306,21 +301,16 @@ def quantile_bins(dataset: Dataset, num_bins: int) -> BinSet:
         raise ValueError("need at least one bin")
     _, preds = sorted_view(dataset)
     n = preds.size
-    boundaries = []
-    for j in range(1, num_bins):
-        cut = (j * n) // num_bins
-        if 0 < cut < n:
-            b = _shifted_boundary(preds, cut)
-            if b is not None:
-                boundaries.append(b)
-    return _bins_from_boundaries(boundaries)
+    # More than N bins cut at every position 1..N-1, as N bins do.
+    num_bins = min(num_bins, n)
+    return _bins_at_cuts(preds, np.arange(1, num_bins) * n // num_bins)
 
 
 def bins_from_fit(fit: IsotonicFit, preds_sorted) -> BinSet:
     """Bins with one boundary at each change point of the fitted sequence.
 
     Each boundary is the midpoint of the adjacent predictions straddling the
-    change point; ties are shifted per :func:`_shifted_boundary` and duplicate
+    change point; ties are shifted per :func:`_bins_at_cuts` and duplicate
     boundaries collapse.
     """
     preds = np.asarray(preds_sorted, dtype=np.float64)
@@ -328,13 +318,7 @@ def bins_from_fit(fit: IsotonicFit, preds_sorted) -> BinSet:
         raise ValueError("fit and predictions must have equal length")
     if np.any(preds[1:] < preds[:-1]):
         raise ValueError("predictions must be sorted ascending")
-    changes = np.flatnonzero(fit.fitted[1:] != fit.fitted[:-1]) + 1
-    boundaries = []
-    for i in changes.tolist():
-        b = _shifted_boundary(preds, i)
-        if b is not None:
-            boundaries.append(b)
-    return _bins_from_boundaries(boundaries)
+    return _bins_at_cuts(preds, np.flatnonzero(fit.fitted[1:] != fit.fitted[:-1]) + 1)
 
 
 def _within_bin_sq_errors(dataset: Dataset, bins: BinSet) -> tuple[np.ndarray, np.ndarray]:
@@ -406,13 +390,9 @@ def monotonicity_report(fit: IsotonicFit) -> list[tuple[int, int]]:
     Always empty for unconstrained fits; the block-constrained variant can
     produce a few mild violations. Comparisons use the integer label sums.
     """
-    sums = fit.block_label_sums
-    lens = fit.block_lengths
-    out = []
-    for b in range(1, len(sums)):
-        if int(sums[b]) * int(lens[b - 1]) < int(sums[b - 1]) * int(lens[b]):
-            out.append((b - 1, b))
-    return out
+    sums, lens = fit.block_label_sums, fit.block_lengths
+    drops = np.flatnonzero(sums[1:] * lens[:-1] < sums[:-1] * lens[1:])
+    return [(b, b + 1) for b in drops.tolist()]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ configuration and seed; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import codecs
 import itertools
 import json
 import sys
@@ -98,7 +99,13 @@ def ingest(path: str | Path) -> Dataset:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return Dataset(*_csv_columns(path))
-    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not data
+    raw = path.read_bytes()
+    body = raw.removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is not data
+    try:
+        text = body.decode()
+    except UnicodeDecodeError as exc:
+        bad = exc.start + len(raw) - len(body)
+        raise MalformedRowError(f"{path}: byte {bad} is not UTF-8") from None
     if not text.strip():
         raise EmptyInputError(f"{path}: file is empty")
     try:

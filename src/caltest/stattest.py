@@ -103,13 +103,11 @@ def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     if not np.any(interior):
         return out
 
-    k, q = k[interior], q[interior]
     coeffs = _log_binom_coeffs(n)
-    p = np.empty(q.shape)
-    for start in range(0, q.size, _KERNEL_CHUNK):
-        chunk = slice(start, start + _KERNEL_CHUNK)
-        p[chunk] = _interior_pvalues(n, coeffs, k[chunk], q[chunk])
-    out[interior] = p
+    pairs = np.flatnonzero(interior)
+    for start in range(0, pairs.size, _KERNEL_CHUNK):
+        chunk = pairs[start : start + _KERNEL_CHUNK]
+        out[chunk] = _interior_pvalues(n, coeffs, k[chunk], q[chunk])
     return out
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_bins import bins_from_fit as loop_bins_from_fit
+from reference_bins import quantile_bins as loop_quantile_bins
 from reference_pava import pava as loop_pava
 from reference_pava import pava_bc as loop_pava_bc
 
@@ -288,12 +290,12 @@ def test_build_bins_matches_fit_blocks_on_distinct_predictions():
 FIT_FIELDS = ("fitted", "block_starts", "block_lengths", "block_label_sums")
 
 # Private tuning of the fits. "tiny" ends every jump window early, so jumps
-# advance a record or two and alternate with short scalar runs, and leaves
-# the hull to the stack after one pass; "scalar" pushes almost every record
-# one at a time and builds the hull with the stack alone.
+# advance a record or two, pushes every record only when n_max <= 4, and
+# leaves the hull to the stack after one pass; "scalar" pushes every record
+# one at a time when n_max <= 64 and builds the hull with the stack alone.
 TUNINGS = {
     "default": {},
-    "tiny": {"_WINDOW": 1, "_JUMP_COST": 4, "_SCALAR_RUN_MAX": 16, "_HULL_PASSES": 1},
+    "tiny": {"_WINDOW": 1, "_JUMP_COST": 4, "_HULL_PASSES": 1},
     "scalar": {"_WINDOW": 2, "_JUMP_COST": 64, "_HULL_PASSES": 0},
 }
 
@@ -356,6 +358,7 @@ def test_fit_tunings_reach_every_path():
         binning, "_jump", wraps=binning._jump
     ) as jump, mock.patch.object(binning, "_push", wraps=binning._push) as push:
         assert_same_fit(pava_bc(labels, 3, 40), loop_pava_bc(labels, 3, 40))
+        assert_same_fit(pava_bc(labels, 1, 4), loop_pava_bc(labels, 1, 4))
     assert jump.call_count > 0
     assert max(len(call.args[2]) for call in push.call_args_list) > 1
     # a convex run then zeros: one pruning pass leaves the hull to the stack
@@ -365,6 +368,17 @@ def test_fit_tunings_reach_every_path():
     ) as finish:
         assert_same_fit(pava(convex), loop_pava(convex))
     assert finish.call_count > 0
+
+
+@pytest.mark.parametrize("n_min, n_max", [(0, 1), (0, 8), (3, 20), (0, binning._JUMP_COST)])
+def test_pava_bc_never_jumps_when_blocks_stay_short(n_min, n_max):
+    labels = np.random.default_rng(26).integers(0, 2, 500)
+    with mock.patch.object(binning, "_jump", wraps=binning._jump) as jump:
+        assert_same_fit(pava_bc(labels, n_min, n_max), loop_pava_bc(labels, n_min, n_max))
+    assert jump.call_count == 0
+    with mock.patch.object(binning, "_jump", wraps=binning._jump) as jump:
+        pava_bc(labels, n_min, binning._JUMP_COST + 1)
+    assert jump.call_count > 0
 
 
 def test_fits_match_per_record_loops_at_scale():
@@ -408,3 +422,34 @@ def test_bins_cover_unit_interval_and_keep_ties_together(ds, kind, num_bins):
     assert int(partition(ds, bins).counts.sum()) == ds.n
     for value in np.unique(ds.predictions):
         assert np.unique(idx[ds.predictions == value]).size == 1
+
+
+# --- vectorized boundary placement against the per-boundary loops ---
+
+# Endpoints and their nearest floats: midpoints next to them round onto 0 or 1.
+EDGE_VALUES = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    levels = draw(
+        st.lists(st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0), min_size=1, max_size=6)
+    )
+    n = draw(st.integers(1, 80))
+    preds = np.sort(np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    n_max = draw(st.integers(1, n))
+    return preds, labels, draw(st.integers(0, n_max)), n_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_cases(), num_bins=st.integers(1, 12) | st.integers(80, 200))
+def test_bins_match_per_boundary_loops(case, num_bins):
+    preds, labels, n_min, n_max = case
+    ds = Dataset(preds, labels)
+    assert np.array_equal(quantile_bins(ds, num_bins).edges, loop_quantile_bins(ds, num_bins).edges)
+    size = preds.size
+    for bins in (size, size + 1, 10**12):  # as many bins as records, or more
+        assert np.array_equal(quantile_bins(ds, bins).edges, loop_quantile_bins(ds, size).edges)
+    for fit in (pava(labels), pava_bc(labels, n_min, n_max)):
+        assert np.array_equal(bins_from_fit(fit, preds).edges, loop_bins_from_fit(fit, preds).edges)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -309,6 +310,14 @@ def test_ingest_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch):
     # The first bad row in the file is the one named.
     path.write_bytes(head.encode() + b"0.5,2\n0.5,\xff\n")
     with pytest.raises(LabelValueError, match=r"^row 11: label '2' must be 0 or 1$"):
+        ingest(path)
+
+
+@pytest.mark.parametrize("bom, offset", [(b"", 51), (b"\xef\xbb\xbf", 54)])
+def test_ingest_json_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, bom, offset):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(bom + b'[{"prediction": 0.5, "label": 1}, {"prediction": 0.\xff5, "label": 1}]')
+    with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(path))}: byte {offset} is not UTF-8$"):
         ingest(path)
 
 
