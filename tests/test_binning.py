@@ -447,9 +447,10 @@ def tie_heavy_cases(draw):
 def test_bins_match_per_boundary_loops(case, num_bins):
     preds, labels, n_min, n_max = case
     ds = Dataset(preds, labels)
-    assert np.array_equal(quantile_bins(ds, num_bins).edges, loop_quantile_bins(ds, num_bins).edges)
     size = preds.size
-    for bins in (size, size + 1, 10**12):  # as many bins as records, or more
-        assert np.array_equal(quantile_bins(ds, bins).edges, loop_quantile_bins(ds, size).edges)
+    for bins in (num_bins, size, 2 * size + 1):
+        assert np.array_equal(quantile_bins(ds, bins).edges, loop_quantile_bins(ds, bins).edges)
+    # The loop cannot run 10**12 bins; as many bins as records cut at the same positions.
+    assert np.array_equal(quantile_bins(ds, 10**12).edges, loop_quantile_bins(ds, size).edges)
     for fit in (pava(labels), pava_bc(labels, n_min, n_max)):
         assert np.array_equal(bins_from_fit(fit, preds).edges, loop_bins_from_fit(fit, preds).edges)
