@@ -82,16 +82,7 @@ def _make_fit(sums, lengths) -> IsotonicFit:
 
 def _settle(sums: list[int], lengths: list[int], n_min: int, n_max: int) -> None:
     """Merge the top block into the one below while the constraints allow."""
-    while len(sums) > 1:
-        combined = lengths[-2] + lengths[-1]
-        if combined > n_min:
-            if combined > n_max:
-                break
-            if sums[-2] * lengths[-1] < sums[-1] * lengths[-2]:
-                break
-        s, w = sums.pop(), lengths.pop()
-        sums[-1] += s
-        lengths[-1] += w
+    _push(sums, lengths, [sums.pop()], n_min, n_max, lengths.pop())
 
 
 # Vectorized pruning passes before `pava` finishes the hull with a stack.
@@ -114,6 +105,12 @@ def pava(labels_sorted) -> IsotonicFit:
     """
     y = _as_binary(labels_sorted)
     s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
+    return _make_fit(*_pava_blocks(y, s))
+
+
+def _pava_blocks(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block label sums and lengths of :func:`pava` for int64 labels y in
+    {0, 1} and their prefix sums s."""
     pts = np.concatenate(([0], np.flatnonzero((y[:-1] == 0) & (y[1:] == 1)) + 1, [y.size]))
     for _ in range(_HULL_PASSES):
         dx, ds = np.diff(pts), np.diff(s[pts])
@@ -128,8 +125,8 @@ def pava(labels_sorted) -> IsotonicFit:
             sums.append(v)
             lengths.append(w)
             _settle(sums, lengths, 0, y.size)
-        return _make_fit(sums, lengths)
-    return _make_fit(np.diff(s[pts]), np.diff(pts))
+        return np.array(sums, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    return np.diff(s[pts]), np.diff(pts)
 
 
 # `pava_bc` sweep tuning: the first window of a jump, in records; a jump
@@ -143,12 +140,24 @@ _JUMP_COST = 32
 _EXACT_SPAN = 2**26
 
 
-def _push(sums: list[int], lengths: list[int], labels: list[int], n_min: int, n_max: int) -> None:
-    """Scalar steps of the sweep: push each label as a block, then settle."""
+def _push(sums: list[int], lengths: list[int], labels: list[int], n_min: int, n_max: int,
+          width: int = 1) -> None:
+    """Scalar steps of the sweep: push each label sum as a block of `width`
+    records, then merge the top block into the one below while the
+    constraints allow."""
     for v in labels:
         sums.append(v)
-        lengths.append(1)
-        _settle(sums, lengths, n_min, n_max)
+        lengths.append(width)
+        while len(sums) > 1:
+            combined = lengths[-2] + lengths[-1]
+            if combined > n_min:
+                if combined > n_max:
+                    break
+                if sums[-2] * lengths[-1] < sums[-1] * lengths[-2]:
+                    break
+            top, w = sums.pop(), lengths.pop()
+            sums[-1] += top
+            lengths[-1] += w
 
 
 def _jump(s: np.ndarray, sums: list[int], lengths: list[int], e: int, limit: int,
@@ -227,12 +236,19 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     time.
     """
     y = _as_binary(labels_sorted)
+    s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
+    return _make_fit(*_pava_bc_blocks(y, s, n_min, n_max))
+
+
+def _pava_bc_blocks(y: np.ndarray, s: np.ndarray, n_min: int,
+                    n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block label sums and lengths of :func:`pava_bc` for int64 labels y in
+    {0, 1} and their prefix sums s."""
     n = y.size
     n_min, n_max = int(n_min), int(n_max)
     if not (0 <= n_min <= n_max <= n):
         raise ValueError(f"need 0 <= n_min <= n_max <= {n}, got ({n_min}, {n_max})")
 
-    s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
     limit = n - n_min
     sums: list[int] = []
     lengths: list[int] = []
@@ -248,7 +264,7 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
             window = max(_WINDOW, 2 * (j - e))
             e = j
 
-    tail_sum = int(y[n - n_min :].sum())
+    tail_sum = int(s[n] - s[limit])
     if sums and lengths[-1] + n_min <= n_max:
         sums[-1] += tail_sum
         lengths[-1] += n_min
@@ -256,7 +272,7 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
         # n_min == 0 with a non-empty sweep has an empty tail: nothing to add.
         sums.append(tail_sum)
         lengths.append(n_min)
-    return _make_fit(sums, lengths)
+    return np.array(sums, dtype=np.int64), np.array(lengths, dtype=np.int64)
 
 
 def _bins_at_cuts(preds_sorted: np.ndarray, cuts: np.ndarray) -> BinSet:
@@ -318,7 +334,14 @@ def bins_from_fit(fit: IsotonicFit, preds_sorted) -> BinSet:
         raise ValueError("fit and predictions must have equal length")
     if np.any(preds[1:] < preds[:-1]):
         raise ValueError("predictions must be sorted ascending")
-    return _bins_at_cuts(preds, np.flatnonzero(fit.fitted[1:] != fit.fitted[:-1]) + 1)
+    return _bins_at_changes(preds, fit.block_label_sums, fit.block_lengths)
+
+
+def _bins_at_changes(preds_sorted: np.ndarray, sums: np.ndarray, lengths: np.ndarray) -> BinSet:
+    """Bins cut at each block start whose mean differs from the block before."""
+    means = sums / lengths
+    starts = np.cumsum(lengths[:-1])
+    return _bins_at_cuts(preds_sorted, starts[means[1:] != means[:-1]])
 
 
 def _within_bin_sq_errors(dataset: Dataset, bins: BinSet) -> tuple[np.ndarray, np.ndarray]:
@@ -431,10 +454,9 @@ def build_bins(dataset: Dataset, strategy: BinStrategy) -> BinSet:
         return equispaced_bins(strategy.num_bins)
     if strategy.kind == "quantile":
         return quantile_bins(dataset, strategy.num_bins)
-    labels, preds = sorted_view(dataset)
+    y, s = dataset.sorted_labels, dataset.label_prefix
     if strategy.kind == "pava":
-        fit = pava(labels)
+        sums, lengths = _pava_blocks(y, s)
     else:
-        n_min, n_max = strategy.resolve_sizes(dataset.n)
-        fit = pava_bc(labels, n_min, n_max)
-    return bins_from_fit(fit, preds)
+        sums, lengths = _pava_bc_blocks(y, s, *strategy.resolve_sizes(dataset.n))
+    return _bins_at_changes(dataset.sorted_predictions, sums, lengths)

@@ -61,8 +61,25 @@ class Dataset:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Record indices ascending by prediction, stable on ties."""
-        return _frozen(np.argsort(self.predictions, kind="stable"))
+        """Record indices ascending by prediction, stable on ties.
+
+        numpy's default argsort (SIMD where the CPU allows) is several times
+        faster than its stable sort but may permute a tie group. Where ties
+        exist they are put back in index order by sorting the keys g*N + i,
+        g being the rank of record i's tie group among the distinct values:
+        keys stay below N**2, so N must stay below 3e9.
+        """
+        order = np.argsort(self.predictions)
+        values = self.predictions[order]
+        group = np.zeros(order.size, dtype=np.int64)
+        np.cumsum(values[1:] != values[:-1], out=group[1:])
+        del values
+        if group[-1] < order.size - 1:  # some value is tied
+            group *= order.size
+            order += group
+            order.sort()
+            order -= group
+        return _frozen(order)
 
     @cached_property
     def sorted_predictions(self) -> np.ndarray:
@@ -75,7 +92,9 @@ class Dataset:
     @cached_property
     def label_prefix(self) -> np.ndarray:
         """Exact integer label sums of the sorted prefixes: entry i covers the first i records."""
-        return _frozen(np.concatenate(([0], np.cumsum(self.sorted_labels))))
+        prefix = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.sorted_labels, out=prefix[1:])
+        return _frozen(prefix)
 
 
 def sorted_view(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -198,6 +198,7 @@ def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray
     log_bound = log_coeff + k * np.log(q) + (n - k) * np.log1p(-q) + _LOG_SLACK + math.log(n + 1)
     exact = ~interior
     exact[interior] = log_bound >= math.log(alpha / 2)
+    del q, log_bound  # the exact kernel's own arrays peak next
     rejected = np.ones(qs.shape, dtype=bool)
     rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
     return rejected

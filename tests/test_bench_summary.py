@@ -48,3 +48,37 @@ def test_summary_pairs_seeds_and_counts_wins(tmp_path):
     assert compute["metrics"]["peak_rss_mb"]["pairs_won_by_change"] == 0
     assert compute["change"]["commits"] == ["bbbb222"] and compute["change"]["runs"] == 3
     assert summary["workloads"]["diagram-ties-500k"]["pairs"] == 0
+
+
+PARENT_WALL = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # 10/10 pairs won and medians 0.2 apart, against a parent IQR of 0.045
+    (PARENT_WALL, [v - 0.2 for v in PARENT_WALL], "gain"),
+    # 9/10 pairs won is still a gain
+    (PARENT_WALL, [v - 0.2 for v in PARENT_WALL[:9]] + [1.5], "gain"),
+    # 10/10 won, but the medians differ by less than the parent's IQR
+    (PARENT_WALL, [v - 0.01 for v in PARENT_WALL], "no change"),
+    # the median is 30% worse; the bound is 25%
+    (PARENT_WALL, [v * 1.3 for v in PARENT_WALL], "regression"),
+    # the parent's IQR is 40% of its median and the runs overlap
+    ([0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 0.5, 1.5, 1.1], [1.0] * 10, "unresolved"),
+    # as wide, but every change run beats every parent run
+    ([0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 0.5, 1.5, 1.1], [0.3] * 10, "no change"),
+    (PARENT_WALL, PARENT_WALL[::-1], "no change"),
+])
+def test_summary_states_a_verdict_per_metric(tmp_path, parent, change, expected):
+    results = tmp_path / "results"
+    results.mkdir()
+    for seed, (old, new) in enumerate(zip(parent, change)):
+        write_result(results, f"a{seed}", "aaaa111", seed, old)
+        write_result(results, f"b{seed}", "bbbb222", seed, new)
+    assert bench_summary.main(["--label", "t", "--parent", "aaaa", "--change", "bbbb",
+                               "--results", str(results), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    metrics = summary["workloads"]["compute-500k"]["metrics"]
+    assert metrics["wall_rel"]["verdict"] == expected
+    assert metrics["cpu_rel"]["verdict"] == expected  # the helper writes the same values
+    assert metrics["peak_rss_mb"]["verdict"] == "no change"  # 100.0 on every run
+    assert "verdict" not in summary["workloads"]["diagram-ties-500k"]["metrics"]["wall_rel"]

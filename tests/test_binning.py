@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -454,3 +455,49 @@ def test_bins_match_per_boundary_loops(case, num_bins):
     assert np.array_equal(quantile_bins(ds, 10**12).edges, loop_quantile_bins(ds, size).edges)
     for fit in (pava(labels), pava_bc(labels, n_min, n_max)):
         assert np.array_equal(bins_from_fit(fit, preds).edges, loop_bins_from_fit(fit, preds).edges)
+
+
+# --- build_bins fits the dataset's sorted view directly ---
+
+
+@st.composite
+def tie_heavy_datasets(draw):
+    levels = draw(
+        st.lists(st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0), min_size=1, max_size=6)
+    )
+    n = draw(st.integers(1, 120))
+    preds = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return Dataset(preds, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=tie_heavy_datasets(), fracs=st.sampled_from([(0, 1), (0, 0.1), (0.05, 0.2), (0.3, 0.5)]))
+def test_build_bins_equals_fit_of_the_sorted_view(ds, fracs):
+    labels, preds = ds.sorted_labels, ds.sorted_predictions
+    got = build_bins(ds, BinStrategy("pava")).edges
+    assert np.array_equal(got, bins_from_fit(pava(labels), preds).edges)
+    sizes = [(0, ds.n), (ds.n, ds.n), (1, 1), (int(fracs[0] * ds.n), int(fracs[1] * ds.n))]
+    for n_min, n_max in sizes:
+        strategy = BinStrategy("pava_bc", n_min=n_min, n_max=n_max)
+        n_min, n_max = strategy.resolve_sizes(ds.n)
+        got = build_bins(ds, strategy).edges
+        assert np.array_equal(got, bins_from_fit(pava_bc(labels, n_min, n_max), preds).edges)
+
+
+@pytest.mark.parametrize("kind", ["pava", "pava_bc"])
+def test_build_bins_copies_no_full_length_array(kind):
+    # Decisions ledger "build_bins fits the sorted view": ≈24 bytes per record
+    # when each fit copied the labels and their prefix sums, 1-7 now.
+    n = 200_000
+    rng = np.random.default_rng(28)
+    preds = rng.random(n)
+    ds = Dataset(preds, (rng.random(n) < preds).astype(int))
+    ds.label_prefix, ds.sorted_predictions  # the view is built once, before any fit
+    tracemalloc.start()
+    try:
+        build_bins(ds, BinStrategy(kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n

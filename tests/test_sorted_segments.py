@@ -5,7 +5,7 @@ view. These tests hold the segment path to per-record references built from
 ``BinSet.assign``, which places every record independently of any sort.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caltest.binning import BinStrategy, build_bins, total_error, within_bin_error_avg
@@ -13,6 +13,9 @@ from caltest.core import BinSet, Dataset, partition
 from caltest.experiments import metric_battery
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+
+# -0.0 ties with 0.0 but differs in bits; the others sit at or next to the ends.
+EDGE_VALUES = [0.0, -0.0, 5e-324, float(np.nextafter(1.0, 0.0)), 1.0]
 
 
 @st.composite
@@ -115,3 +118,26 @@ def test_dataset_is_sorted_once_and_lazily(monkeypatch):
     metric_battery(ds)
     metric_battery(ds)
     assert len(calls) == 1
+
+
+@st.composite
+def tie_heavy_records(draw):
+    """Predictions drawn from a few values, mostly the edge values, in any order."""
+    levels = draw(st.lists(st.sampled_from(EDGE_VALUES) | unit, min_size=1, max_size=6))
+    preds = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=400))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(preds), max_size=len(preds)))
+    return preds, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_records())
+@example(([-0.0], [1]))
+@example(([0.5] * 300, [k % 2 for k in range(300)]))
+@example(([0.5 if k % 7 == 0 else 0.0 if k % 3 == 0 else -0.0 for k in range(300)], [1] * 300))
+def test_sorted_view_matches_stable_sort(case):
+    ds = Dataset(np.array(case[0]), np.array(case[1]))
+    order = np.argsort(ds.predictions, kind="stable")
+    assert np.array_equal(ds.order, order)
+    assert ds.sorted_predictions.tobytes() == ds.predictions[order].tobytes()
+    assert np.array_equal(ds.sorted_labels, ds.labels[order])
+    assert np.array_equal(ds.label_prefix, np.concatenate(([0], np.cumsum(ds.sorted_labels))))

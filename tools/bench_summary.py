@@ -12,8 +12,20 @@ on both sides form the pairs.
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles over its runs, the median of the change minus
 the parent, and how many pairs the change won (strictly better in the
-metric's direction). It also records the seeds, both sides' commits and
-source hashes, the host, and the calls attempted and failed.
+metric's direction), and one verdict:
+
+- ``gain``: the change won at least 9 of every 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound`` (from ``BENCHMARK.json``) times the parent's
+  median;
+- ``unresolved``: either side's interquartile range is wider than that
+  bound times the parent's median, and not every change run is better than
+  every parent run;
+- ``no change``: none of these.
+
+It also records the seeds, both sides' commits and source hashes, the host,
+and the calls attempted and failed.
 """
 from __future__ import annotations
 
@@ -55,6 +67,24 @@ def load_runs(results_dir: Path, prefixes: dict[str, str]) -> dict:
     return {workload: by_rows[max(by_rows)] for workload, by_rows in runs.items()}
 
 
+def verdict(entry: dict, parent: list[float], change: list[float], pairs: int,
+            bound: float) -> str:
+    """The verdict on one metric's summary entry, given each side's values."""
+    sign = 1 if entry["better"] == "lower" else -1
+    base = entry["parent"]["median"]
+    gain = sign * (base - entry["change"]["median"])  # > 0: the change's median is better
+    if 10 * entry["pairs_won_by_change"] >= 9 * pairs and gain > entry["parent"]["iqr"]:
+        return "gain"
+    limit = bound * abs(base)
+    if -gain > limit:
+        return "regression"
+    spread = max(entry["parent"]["iqr"], entry["change"]["iqr"])
+    every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
+    if spread > limit and not every_run_better:
+        return "unresolved"
+    return "no change"
+
+
 def summarize_workload(sides: dict, metrics: list[dict]) -> dict:
     parent, change = sides.get("parent", {}), sides.get("change", {})
     seeds = sorted(set(parent) & set(change))
@@ -70,15 +100,18 @@ def summarize_workload(sides: dict, metrics: list[dict]) -> dict:
     for metric in metrics:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         entry: dict = {"unit": metric["unit"], "better": metric["better"]}
+        values = {}
         for side, runs in (("parent", parent), ("change", change)):
-            values = [r["end_to_end"][name] for r in runs.values()]
-            if values:
-                q1, q2, q3 = quartiles(values)
+            values[side] = [r["end_to_end"][name] for r in runs.values()]
+            if values[side]:
+                q1, q2, q3 = quartiles(values[side])
                 entry[side] = {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
         if seeds:
             diffs = [change[s]["end_to_end"][name] - parent[s]["end_to_end"][name] for s in seeds]
             entry["median_change_minus_parent"] = statistics.median(diffs)
             entry["pairs_won_by_change"] = sum(sign * d < 0 for d in diffs)
+            entry["verdict"] = verdict(entry, values["parent"], values["change"], len(seeds),
+                                       metric["bound"])
         out["metrics"][name] = entry
     return out
 
@@ -111,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    for workload, result in summary["workloads"].items():
+        for name, entry in result["metrics"].items():
+            print(f"{workload} {name}: {entry.get('verdict', 'no pairs')}")
     print(f"wrote {out}")
     return 0
 
