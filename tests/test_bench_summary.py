@@ -62,7 +62,7 @@ PARENT_WALL = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
     (PARENT_WALL, [v - 0.01 for v in PARENT_WALL], "no change"),
     # the median is 30% worse; the bound is 25%
     (PARENT_WALL, [v * 1.3 for v in PARENT_WALL], "regression"),
-    # the parent's IQR is 40% of its median and the runs overlap
+    # the parent's IQR is about 80% of its median and the runs overlap
     ([0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 0.5, 1.5, 1.1], [1.0] * 10, "unresolved"),
     # as wide, but every change run beats every parent run
     ([0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 0.5, 1.5, 1.1], [0.3] * 10, "no change"),

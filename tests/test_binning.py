@@ -487,8 +487,8 @@ def test_build_bins_equals_fit_of_the_sorted_view(ds, fracs):
 
 @pytest.mark.parametrize("kind", ["pava", "pava_bc"])
 def test_build_bins_copies_no_full_length_array(kind):
-    # Decisions ledger "build_bins fits the sorted view": ≈24 bytes per record
-    # when each fit copied the labels and their prefix sums, 1-7 now.
+    # Decisions ledger "`build_bins` fits the sorted view": ≈24 bytes per
+    # record when each fit copied the labels and their prefix sums, ≈1-7 now.
     n = 200_000
     rng = np.random.default_rng(28)
     preds = rng.random(n)
