@@ -276,26 +276,25 @@ def _pava_bc_blocks(y: np.ndarray, s: np.ndarray, n_min: int,
 
 
 def _bins_at_cuts(preds_sorted: np.ndarray, cuts: np.ndarray) -> BinSet:
-    """Bins with a boundary at each cut position 0 < i < N of the sorted predictions.
+    """Bins cut at a tie-group boundary c for each cut 0 < i < N of the sorted predictions p.
 
-    A boundary never splits a tie group: the one at cut i is the midpoint
-    between the group holding preds_sorted[i] and its neighbour below when
-    i opens the group or no value lies above it, and its neighbour above
-    otherwise. When every prediction is identical there is no boundary.
-    Duplicate boundaries collapse.
+    c is the start of the group holding p[i] when i opens the group or no
+    value lies above it, and the group's end otherwise. The edge is the
+    midpoint of p[c - 1] and p[c], or p[c] when the midpoint rounds onto
+    p[c - 1], so it lies in (p[c - 1], p[c]] and :func:`partition` cuts at c.
+    c = 0 (all predictions tie) and an edge of 1.0 (the last bin is closed at
+    1) give no boundary. Duplicate boundaries collapse.
     """
     n = preds_sorted.size
     value = preds_sorted[cuts]
     left = np.searchsorted(preds_sorted, value, side="left")
     right = np.searchsorted(preds_sorted, value, side="right")
-    below = (left == cuts) | (right == n)
-    other = np.where(below, preds_sorted[left - 1], preds_sorted[np.minimum(right, n - 1)])
-    mids = (other + value) / 2.0
-    # A group with no neighbour on either side holds every prediction, and
-    # midpoints can round onto 0 or 1 when the straddling predictions sit
-    # within an ulp of the endpoints; such boundaries are vacuous.
-    mids = mids[((left > 0) | ~below) & (mids > 0.0) & (mids < 1.0)]
-    return BinSet.from_edges(np.concatenate(([0.0], np.unique(mids), [1.0])))
+    c = np.where((left == cuts) | (right == n), left, right)
+    c = c[c > 0]
+    low, high = preds_sorted[c - 1], preds_sorted[c]
+    mids = (low + high) / 2.0
+    edges = np.where(mids > low, mids, high)
+    return BinSet.from_edges(np.concatenate(([0.0], np.unique(edges[edges < 1.0]), [1.0])))
 
 
 def equispaced_bins(num_bins: int) -> BinSet:

@@ -18,18 +18,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import BinStrategy, build_bins
+from .binning import STRATEGY_KINDS, BinStrategy, build_bins
 from .core import Dataset
 from .diagram import build_diagram, json_safe, render_svg
 from .experiments import (
+    DEFAULT_SIMULATE_SEEDS,
+    DEFAULT_SWEEP_SEEDS,
+    DEFAULT_TEST_SIZE,
+    DEFAULT_TRAIN_SIZE,
     METRIC_COLUMNS,
     SWEEP_PARAMETERS,
     BatteryConfig,
     metric_battery,
     run_sweep,
+    scenario_dataset,
     simulate,
 )
-from .stattest import TestConfig
+from .stattest import TEST_KINDS, TestConfig
 
 __all__ = [
     "IngestError",
@@ -44,13 +49,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _NORM_FLAGS = {"wl1": "weighted_l1", "sup": "sup"}
-_TEST_FLAGS = {"binomial": "binomial", "t": "t"}
-_BIN_FLAGS = {
-    "equispaced": "equispaced",
-    "quantile": "quantile",
-    "pava": "pava",
-    "pava-bc": "pava_bc",
-}
+# Flags shared by every command, recorded in each report's config.
+_CONFIG_FLAGS = ("bins", "B", "nmin_frac", "nmax_frac", "alpha", "test", "norm", "seed")
 
 
 class IngestError(ValueError):
@@ -231,7 +231,18 @@ def write_dataset_csv(dataset: Dataset, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_report(out_dir: Path, stem: str, payload: dict, table: str) -> None:
+def _write_report(args, stem: str, kind: str, results: list, table: str, *flags: str) -> None:
+    """Write the versioned report and the table to ``args.out``, and print the table.
+
+    The report's config holds the shared flags and the command's own ``flags``.
+    """
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": {flag: getattr(args, flag) for flag in (*_CONFIG_FLAGS, *flags)},
+        "results": results,
+    }
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     body = json.dumps(json_safe(payload), indent=2, sort_keys=True)
     (out_dir / f"{stem}.json").write_text(body + "\n", encoding="utf-8")
@@ -259,25 +270,12 @@ def _metrics_table(rows: list[tuple[str, dict]], label_header: str) -> str:
 
 def _battery_config(args) -> BatteryConfig:
     return BatteryConfig(
-        test=TestConfig(_TEST_FLAGS[args.test], args.alpha),
+        test=TestConfig(args.test, args.alpha),
         num_bins=args.B,
         nmin_frac=args.nmin_frac,
         nmax_frac=args.nmax_frac,
         norm=_NORM_FLAGS[args.norm],
     )
-
-
-def _config_snapshot(args) -> dict:
-    return {
-        "bins": args.bins,
-        "B": args.B,
-        "nmin_frac": args.nmin_frac,
-        "nmax_frac": args.nmax_frac,
-        "alpha": args.alpha,
-        "test": args.test,
-        "norm": args.norm,
-        "seed": args.seed,
-    }
 
 
 def cmd_compute(args) -> int:
@@ -296,27 +294,22 @@ def cmd_compute(args) -> int:
                 "metrics": values,
             }
         )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "compare" if len(args.inputs) > 1 else "compute",
-        "config": _config_snapshot(args),
-        "results": results,
-    }
-    _write_report(Path(args.out), "report", payload, _metrics_table(rows, "input"))
+    kind = "compare" if len(args.inputs) > 1 else "compute"
+    _write_report(args, "report", kind, results, _metrics_table(rows, "input"))
     return 0
 
 
 def cmd_diagram(args) -> int:
     dataset = ingest(args.input)
     strategy = BinStrategy(
-        kind=_BIN_FLAGS[args.bins],
+        kind=args.bins.replace("-", "_"),
         num_bins=args.B,
         nmin_frac=args.nmin_frac,
         nmax_frac=args.nmax_frac,
     )
     bins = build_bins(dataset, strategy)
     kind = "test_based" if args.kind == "test-based" else "standard"
-    cfg = TestConfig(_TEST_FLAGS[args.test], args.alpha) if kind == "test_based" else None
+    cfg = TestConfig(args.test, args.alpha) if kind == "test_based" else None
     spec = build_diagram(dataset, bins, cfg, kind)
 
     out_dir = Path(args.out)
@@ -356,24 +349,15 @@ def cmd_simulate(args) -> int:
     for entry in results:
         label = f"{entry['train_prevalence']:g} vs {entry['test_prevalence']:g}"
         rows.append((label, {c: entry["summary"][c]["mean"] for c in METRIC_COLUMNS}))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "simulate",
-        "config": {**_config_snapshot(args), "n_train": args.n_train,
-                   "n_test": args.n_test, "n_seeds": args.n_seeds},
-        "results": results,
-    }
-    out_dir = Path(args.out)
-    _write_report(out_dir, "simulate", payload, _metrics_table(rows, "prevalence"))
+    _write_report(args, "simulate", "simulate", results, _metrics_table(rows, "prevalence"),
+                  "n_train", "n_test", "n_seeds")
     if args.dump_data:
-        from .experiments import scenario_dataset
-
         for train_prev, test_prev in pairs:
             dataset = scenario_dataset(
                 train_prev, test_prev, args.n_train, args.n_test, args.seed
             )
             name = f"scenario_{train_prev:g}_vs_{test_prev:g}_seed{args.seed}.csv"
-            write_dataset_csv(dataset, out_dir / name)
+            write_dataset_csv(dataset, Path(args.out) / name)
     return 0
 
 
@@ -423,14 +407,8 @@ def cmd_sweep(args) -> int:
             else:
                 rows.append((label, {c: point["summary"][c]["mean"] for c in METRIC_COLUMNS}))
         blocks.append(_metrics_table(rows, args.parameter))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sweep",
-        "config": {**_config_snapshot(args), "parameter": args.parameter,
-                   "n_train": args.n_train, "n_test": args.n_test, "n_seeds": args.n_seeds},
-        "results": results,
-    }
-    _write_report(Path(args.out), "sweep", payload, "\n".join(blocks))
+    _write_report(args, "sweep", "sweep", results, "\n".join(blocks),
+                  "parameter", "n_train", "n_test", "n_seeds")
     return 0
 
 
@@ -450,12 +428,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value file with flag defaults")
-    parser.add_argument("--bins", choices=sorted(_BIN_FLAGS), default="pava-bc")
-    parser.add_argument("--B", type=int, default=10, help="bin count for equispaced/quantile")
-    parser.add_argument("--nmin-frac", type=float, default=1 / 20, dest="nmin_frac")
-    parser.add_argument("--nmax-frac", type=float, default=1 / 5, dest="nmax_frac")
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--test", choices=sorted(_TEST_FLAGS), default="binomial")
+    parser.add_argument("--bins", choices=[kind.replace("_", "-") for kind in STRATEGY_KINDS],
+                        default=BinStrategy.kind.replace("_", "-"))
+    parser.add_argument("--B", type=int, default=BinStrategy.num_bins,
+                        help="bin count for equispaced/quantile")
+    parser.add_argument("--nmin-frac", type=float, default=BinStrategy.nmin_frac, dest="nmin_frac")
+    parser.add_argument("--nmax-frac", type=float, default=BinStrategy.nmax_frac, dest="nmax_frac")
+    parser.add_argument("--alpha", type=float, default=TestConfig.alpha)
+    parser.add_argument("--test", choices=TEST_KINDS, default=TestConfig.kind)
     parser.add_argument("--norm", choices=sorted(_NORM_FLAGS), default="wl1")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="caltest_out", help="output directory")
@@ -492,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.5:0.5,0.5:0.4,0.01:0.02",
         help="comma-separated train:test prevalence pairs",
     )
-    p_sim.add_argument("--n-train", type=int, default=14000, dest="n_train")
-    p_sim.add_argument("--n-test", type=int, default=6000, dest="n_test")
-    p_sim.add_argument("--n-seeds", type=int, default=20, dest="n_seeds")
+    p_sim.add_argument("--n-train", type=int, default=DEFAULT_TRAIN_SIZE, dest="n_train")
+    p_sim.add_argument("--n-test", type=int, default=DEFAULT_TEST_SIZE, dest="n_test")
+    p_sim.add_argument("--n-seeds", type=int, default=DEFAULT_SIMULATE_SEEDS, dest="n_seeds")
     p_sim.add_argument("--dump-data", action="store_true", dest="dump_data",
                        help="also write one scenario CSV per pair")
     _add_common_flags(p_sim)
@@ -506,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values; use a:b for pairs")
     p_sweep.add_argument("--pairs",
                          help="comma-separated train:test prevalence pairs (default 0.5:0.5,0.5:0.4)")
-    p_sweep.add_argument("--n-train", type=int, default=14000, dest="n_train")
-    p_sweep.add_argument("--n-test", type=int, default=6000, dest="n_test")
-    p_sweep.add_argument("--n-seeds", type=int, default=5, dest="n_seeds")
+    p_sweep.add_argument("--n-train", type=int, default=DEFAULT_TRAIN_SIZE, dest="n_train")
+    p_sweep.add_argument("--n-test", type=int, default=DEFAULT_TEST_SIZE, dest="n_test")
+    p_sweep.add_argument("--n-seeds", type=int, default=DEFAULT_SWEEP_SEEDS, dest="n_seeds")
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
@@ -520,18 +500,17 @@ _SWITCH_KEYS = {"dump_data"}
 def _merge_config_argv(argv: list[str]) -> list[str]:
     """Inject config-file values as flags right after the subcommand.
 
-    Explicit command-line flags appear later in argv and therefore override
-    the injected ones.
+    The path is read as the command's parser reads ``--config``, abbreviations
+    included. Explicit command-line flags appear later in argv and therefore
+    override the injected ones.
     """
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    if path is None or not argv:
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # such as --config without a path: the parser reports it
+        return argv
+    if path is None:
         return argv
     injected: list[str] = []
     for key, value in _read_config_file(path).items():

@@ -187,12 +187,14 @@ def render_svg(spec: DiagramSpec, width: int = 640, height: int = 480) -> str:
 
     Layout: main panel with the per-bin content, a bottom panel with grey
     size bars (plus red rejection bars for the test-based kind), and a right
-    panel with the global prediction histogram.
+    panel with the global prediction histogram. The margins and the gap
+    between panels take 94 px of each dimension; width and height must
+    exceed that, or a panel would get a negative size.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("dimensions must be positive")
     margin = 42
     gap = 10
+    if min(width, height) <= 2 * margin + gap:
+        raise ValueError(f"width and height must exceed {2 * margin + gap} px")
     bottom_h = 0.18 * (height - 2 * margin - gap)
     right_w = 0.16 * (width - 2 * margin - gap)
     main_w = (width - 2 * margin - gap) - right_w

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .binning import BinStrategy
 from .core import Dataset
 from .metrics import ace, ece, mce, tce_variants
 from .stattest import TestConfig
@@ -31,6 +32,8 @@ METRIC_COLUMNS = ("TCE", "TCE(Q)", "TCE(V)", "ECE", "ACE", "MCE", "MCE(Q)")
 
 DEFAULT_TRAIN_SIZE = 14000
 DEFAULT_TEST_SIZE = 6000
+DEFAULT_SIMULATE_SEEDS = 20
+DEFAULT_SWEEP_SEEDS = 5
 
 SWEEP_PARAMETERS = (
     "n_min",
@@ -49,9 +52,9 @@ class BatteryConfig:
     """Settings shared by every metric in the standard comparison battery."""
 
     test: TestConfig = field(default_factory=TestConfig)
-    num_bins: int = 10
-    nmin_frac: float = 1 / 20
-    nmax_frac: float = 1 / 5
+    num_bins: int = BinStrategy.num_bins
+    nmin_frac: float = BinStrategy.nmin_frac
+    nmax_frac: float = BinStrategy.nmax_frac
     n_min: int | None = None
     n_max: int | None = None
     norm: str = "weighted_l1"
@@ -122,9 +125,15 @@ def _aggregate_seeds(rows: list[dict[str, float]]) -> dict[str, dict[str, float]
     return out
 
 
+def _check_seeds(n_seeds: int) -> None:
+    # No seeds would summarize nothing: every mean and std would be NaN.
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got n_seeds={n_seeds}")
+
+
 def simulate(
     pairs: list[tuple[float, float]],
-    n_seeds: int = 20,
+    n_seeds: int = DEFAULT_SIMULATE_SEEDS,
     n_train: int = DEFAULT_TRAIN_SIZE,
     n_test: int = DEFAULT_TEST_SIZE,
     base_seed: int = 0,
@@ -134,6 +143,7 @@ def simulate(
 
     Returns one entry per pair with per-seed values and mean/std summaries.
     """
+    _check_seeds(n_seeds)
     results = []
     for train_prev, test_prev in pairs:
         rows = [
@@ -183,7 +193,7 @@ def run_sweep(
     parameter: str,
     grid: list,
     scenarios: list[tuple[float, float]] | None = None,
-    n_seeds: int = 5,
+    n_seeds: int = DEFAULT_SWEEP_SEEDS,
     n_train: int = DEFAULT_TRAIN_SIZE,
     n_test: int = DEFAULT_TEST_SIZE,
     base_seed: int = 0,
@@ -197,6 +207,7 @@ def run_sweep(
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
+    _check_seeds(n_seeds)
     if parameter == "prevalence":
         # The grid itself carries the train/test pairs; one block covers it.
         scenarios = [(None, None)]

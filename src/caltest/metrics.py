@@ -112,7 +112,7 @@ def _gap_metric(dataset, bins, norm, name, config) -> MetricReport:
     return _report(name, binned, losses, value, config)
 
 
-def ece(dataset: Dataset, num_bins: int = 10) -> MetricReport:
+def ece(dataset: Dataset, num_bins: int = BinStrategy.num_bins) -> MetricReport:
     """Expected calibration error: size-weighted |label mean - prediction mean|
     over equispaced bins."""
     return _gap_metric(
@@ -124,7 +124,7 @@ def ece(dataset: Dataset, num_bins: int = 10) -> MetricReport:
     )
 
 
-def ace(dataset: Dataset, num_bins: int = 10) -> MetricReport:
+def ace(dataset: Dataset, num_bins: int = BinStrategy.num_bins) -> MetricReport:
     """Adaptive calibration error: the ECE formula over quantile bins."""
     return _gap_metric(
         dataset,
@@ -135,7 +135,9 @@ def ace(dataset: Dataset, num_bins: int = 10) -> MetricReport:
     )
 
 
-def mce(dataset: Dataset, num_bins: int = 10, bins_kind: str = "equispaced") -> MetricReport:
+def mce(
+    dataset: Dataset, num_bins: int = BinStrategy.num_bins, bins_kind: str = "equispaced"
+) -> MetricReport:
     """Maximum calibration error: the worst per-bin gap over non-empty bins."""
     if bins_kind == "equispaced":
         bins = equispaced_bins(num_bins)
@@ -192,9 +194,9 @@ def tce(
 def tce_variants(
     dataset: Dataset,
     cfg: TestConfig = TestConfig(),
-    num_bins: int = 10,
-    nmin_frac: float = 1 / 20,
-    nmax_frac: float = 1 / 5,
+    num_bins: int = BinStrategy.num_bins,
+    nmin_frac: float = BinStrategy.nmin_frac,
+    nmax_frac: float = BinStrategy.nmax_frac,
     n_min: int | None = None,
     n_max: int | None = None,
     norm: str = "weighted_l1",

@@ -115,9 +115,10 @@ def _interior_pvalues(n: int, coeffs: np.ndarray, k: np.ndarray, q: np.ndarray) 
     """The p-values of pairs with 0 < q < 1, given ``coeffs = _log_binom_coeffs(n)``.
 
     The pmf is unimodal, so the excluded outcomes form a contiguous block
-    around the mode. Its edges are located by a vectorized binary search on
-    each half of the pmf, so the cost per pair is logarithmic in n, and the
-    two tails outside it are each one regularized incomplete beta value.
+    around the mode. One binary search finds its lower edge on [0, mode],
+    where the mass rises with j, and its upper edge on the mirrored pmf
+    j -> n - j over [0, n - mode], so the cost per pair is logarithmic in n.
+    The two tails outside it are each one regularized incomplete beta value.
     """
     logq = np.log(q)
     log1mq = np.log1p(-q)
@@ -127,35 +128,28 @@ def _interior_pvalues(n: int, coeffs: np.ndarray, k: np.ndarray, q: np.ndarray) 
 
     thresh = coeffs[k] + k * logq + (n - k) * log1mq + _LOG_SLACK
     mode = np.minimum(np.floor((n + 1) * q).astype(np.int64), n)
-    peak = logpmf_at(mode)
-    flat = peak <= thresh  # observed count is effectively the mode
-
-    # First index on [0, mode] with mass above threshold (mass rises with j).
-    lo = np.zeros(q.shape, dtype=np.int64)
-    hi = mode.copy()
-    for _ in range(int(n).bit_length() + 1):
-        mid = (lo + hi) // 2
-        above = logpmf_at(mid) > thresh
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid + 1)
-        if np.all(lo >= hi):
-            break
-    first_above = lo
-
-    # Last index on [mode, n] with mass above threshold (mass falls with j).
-    lo = mode.copy()
-    hi = np.full(q.shape, n, dtype=np.int64)
-    for _ in range(int(n).bit_length() + 1):
-        mid = (lo + hi + 1) // 2
-        above = logpmf_at(mid) > thresh
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid - 1)
-        if np.all(lo >= hi):
-            break
-    last_above = lo
-
+    flat = logpmf_at(mode) <= thresh  # observed count is effectively the mode
+    first_above = _first_above(lambda j: logpmf_at(j) > thresh, mode, n)
+    last_above = n - _first_above(lambda j: logpmf_at(n - j) > thresh, n - mode, n)
     p = np.where(flat, 1.0, _binom_tails(n, first_above, last_above, q))
     return np.clip(p, 0.0, 1.0)
+
+
+def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
+    """Per pair, the first index j on [0, hi] with ``above(j)``, or hi when none is.
+
+    ``above`` must be false and then true on [0, hi], with hi <= n; every
+    pair's search ends within bit_length(n) halvings.
+    """
+    lo = np.zeros_like(hi)
+    for _ in range(int(n).bit_length() + 1):
+        mid = (lo + hi) // 2
+        up = above(mid)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid + 1)
+        if np.all(lo >= hi):
+            break
+    return lo
 
 
 def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:

@@ -9,6 +9,7 @@ by design, simply by shifting the prevalence between training and test data.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,9 @@ def fit_logistic(
     """Maximum-likelihood fit of p = sigmoid(b0 + b1 x) by damped Newton steps.
 
     Iterates until the gradient norm drops below tol or max_iter is hit; each
-    Newton step is halved while it fails to improve the log-likelihood.
+    Newton step is halved while it fails to improve the log-likelihood. A
+    step that leaves the bits of (b0, b1) unchanged ends the loop: every later
+    iteration would repeat it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -154,8 +157,11 @@ def fit_logistic(
             if cand >= current:
                 break
             scale *= 0.5
+        state = struct.pack("2d", b0, b1)
         b0 += scale * step0
         b1 += scale * step1
+        if struct.pack("2d", b0, b1) == state:
+            break
         current = loglik(b0, b1)
     return float(b0), float(b1)
 

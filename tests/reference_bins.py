@@ -1,9 +1,10 @@
-"""The per-boundary loops that ``caltest.binning`` replaced, kept verbatim.
+"""The per-boundary loops that ``caltest.binning`` replaced.
 
 ``quantile_bins`` and ``bins_from_fit`` here place one boundary at a time
 with ``_shifted_boundary``. They plainly follow their docstrings, so the
 tests hold the vectorized boundary placement in ``caltest.binning`` to them
-edge for edge.
+edge for edge. They are kept verbatim except for ``_edge``, the rounding
+rule that ``caltest.binning`` follows too.
 """
 from __future__ import annotations
 
@@ -13,30 +14,37 @@ from caltest.binning import IsotonicFit
 from caltest.core import BinSet, Dataset, sorted_view
 
 
+def _edge(low: float, high: float) -> float:
+    """The midpoint of adjacent distinct predictions low < high, or high when
+    the midpoint rounds onto low: a boundary at low would put low's group in
+    the bin above, since bins are closed below."""
+    mid = (low + high) / 2.0
+    return float(mid if mid > low else high)
+
+
 def _shifted_boundary(preds_sorted: np.ndarray, i: int) -> float | None:
     """Boundary between records i-1 and i, moved off tied prediction values.
 
-    The natural boundary is the midpoint of the straddling predictions. When
+    The natural boundary is the :func:`_edge` of the straddling predictions. When
     those are equal the midpoint would split a tie group, so the boundary
     moves to the nearest strictly increasing adjacent pair, rightward first
     and then leftward. Returns None when every prediction is identical.
     """
     value = preds_sorted[i]
     if preds_sorted[i - 1] < value:
-        return float((preds_sorted[i - 1] + value) / 2.0)
+        return _edge(preds_sorted[i - 1], value)
     right = int(np.searchsorted(preds_sorted, value, side="right"))
     if right < preds_sorted.size:  # first value above the tie group
-        return float((value + preds_sorted[right]) / 2.0)
+        return _edge(value, preds_sorted[right])
     left = int(np.searchsorted(preds_sorted, value, side="left"))
     if left > 0:  # last value below the tie group
-        return float((preds_sorted[left - 1] + value) / 2.0)
+        return _edge(preds_sorted[left - 1], value)
     return None
 
 
 def _bins_from_boundaries(boundaries: list[float]) -> BinSet:
-    # Midpoints can round onto 0 or 1 when the straddling predictions sit
-    # within an ulp of the endpoints; such boundaries are vacuous.
-    uniq = sorted({b for b in boundaries if 0.0 < b < 1.0})
+    # A boundary at 1 is vacuous: the last bin is closed at 1.
+    uniq = sorted({b for b in boundaries if b < 1.0})
     return BinSet.from_edges([0.0, *uniq, 1.0])
 
 

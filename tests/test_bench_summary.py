@@ -82,3 +82,55 @@ def test_summary_states_a_verdict_per_metric(tmp_path, parent, change, expected)
     assert metrics["cpu_rel"]["verdict"] == expected  # the helper writes the same values
     assert metrics["peak_rss_mb"]["verdict"] == "no change"  # 100.0 on every run
     assert "verdict" not in summary["workloads"]["diagram-ties-500k"]["metrics"]["wall_rel"]
+
+
+def write_traced(directory, name, commit, seed, per_layer):
+    result = {
+        "workload": "compute-500k",
+        "rows": 500_000,
+        "seconds": 30,
+        "trace": 1,
+        "attempted": 1,
+        "failed": 0,
+        "provenance": {"git_commit": commit, "src_sha256": "f" * 64, "seed": seed},
+        "per_layer": per_layer,
+    }
+    (directory / f"{name}.json").write_text(json.dumps(result), encoding="utf-8")
+
+
+TRACED = {"binning.bins.P": 12, "stattest.rejected.Q": 300, "diagram.svg_bytes": 9000,
+          "core.partition_s": 0.10}
+EXACT = [m["name"] for m in json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text(
+    encoding="utf-8"))["per_layer"] if m["unit"] in ("count", "bytes")]
+
+
+@pytest.mark.parametrize("changed, differ", [
+    # times differ from run to run; only counts and bytes are compared
+    ({"core.partition_s": 0.25}, []),
+    ({"binning.bins.P": 13, "diagram.svg_bytes": 9001}, ["binning.bins.P", "diagram.svg_bytes"]),
+])
+def test_summary_compares_traced_counts(tmp_path, capsys, changed, differ):
+    results = tmp_path / "results"
+    results.mkdir()
+    write_traced(results, "a0", "aaaa111", 0, TRACED)
+    write_traced(results, "b0", "bbbb222", 0, {**TRACED, **changed})
+    # seeds 1 and 2 run on one side each, seed 3 on both: seed 0 is compared
+    for name, commit, seed in [("a1", "aaaa111", 1), ("b2", "bbbb222", 2), ("a3", "aaaa111", 3),
+                               ("b3", "bbbb222", 3)]:
+        write_traced(results, name, commit, seed, {**TRACED, "binning.bins.P": 99})
+    assert bench_summary.main(["--label", "t", "--parent", "aaaa", "--change", "bbbb",
+                               "--results", str(results), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    counts = summary["workloads"]["compute-500k"]["traced_counts"]
+    assert counts["seed"] == 0
+    assert list(counts["metrics"]) == EXACT
+    assert counts["metrics"]["binning.bins.P"]["parent"] == 12
+    assert counts["metrics"]["stattest.distinct_q.P"] == {
+        "unit": "count", "parent": None, "change": None, "equal": True}
+    assert counts["differ"] == differ
+    printed = capsys.readouterr().out
+    assert f"compute-500k traced counts at seed 0: {len(EXACT) - len(differ)} of {len(EXACT)} equal" in printed
+    for name in differ:
+        entry = counts["metrics"][name]
+        assert f"compute-500k {name} differs: parent {entry['parent']}, change {entry['change']}" in printed
+    assert summary["workloads"]["diagram-ties-500k"]["traced_counts"]["seed"] is None

@@ -26,6 +26,11 @@ metric's direction), and one verdict:
 
 It also records the seeds, both sides' commits and source hashes, the host,
 and the calls attempted and failed.
+
+From the traced runs (``--trace 1``) at the lowest seed both sides ran, it
+lists every per-layer metric of ``BENCHMARK.json`` whose unit is ``count`` or
+``bytes``, with each side's value and whether they are equal, and prints the
+ones that differ: a change meant to keep outputs the same repeats them all.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / ".bench_work" / "results"
 HOST_KEYS = ("cpu_model", "nproc", "cpus_usable", "python", "numpy", "scipy")
+EXACT_UNITS = ("count", "bytes")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -53,14 +59,14 @@ def side_of(result: dict, prefixes: dict[str, str]) -> str | None:
     return matches[0] if len(matches) == 1 else None
 
 
-def load_runs(results_dir: Path, prefixes: dict[str, str]) -> dict:
-    """{workload: {side: {seed: result}}}, keeping the latest untraced run per seed
-    among the runs with the most rows (smoke runs use fewer)."""
+def load_runs(results_dir: Path, prefixes: dict[str, str], traced: bool = False) -> dict:
+    """{workload: {side: {seed: result}}} of the traced or the untraced runs, keeping
+    the latest run per seed among the runs with the most rows (smoke runs use fewer)."""
     runs: dict = {}
     for path in sorted(results_dir.glob("*.json")):  # names end in a timestamp
         result = json.loads(path.read_text(encoding="utf-8"))
         side = side_of(result, prefixes)
-        if result.get("trace") or side is None:
+        if bool(result.get("trace")) != traced or side is None:
             continue
         by_rows = runs.setdefault(result["workload"], {}).setdefault(result["rows"], {})
         by_rows.setdefault(side, {})[result["provenance"]["seed"]] = result
@@ -116,6 +122,20 @@ def summarize_workload(sides: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def compare_counts(sides: dict, metrics: list[dict]) -> dict:
+    """Each side's exact per-layer metrics from the traced runs at the lowest seed both ran."""
+    parent, change = sides.get("parent", {}), sides.get("change", {})
+    seed = min(set(parent) & set(change), default=None)
+    out = {}
+    for metric in metrics if seed is not None else ():
+        if metric["unit"] in EXACT_UNITS:
+            name = metric["name"]
+            old, new = parent[seed]["per_layer"].get(name), change[seed]["per_layer"].get(name)
+            out[name] = {"unit": metric["unit"], "parent": old, "change": new, "equal": old == new}
+    return {"seed": seed, "metrics": out,
+            "differ": [name for name, entry in out.items() if not entry["equal"]]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
@@ -126,11 +146,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    runs = load_runs(args.results, {"parent": args.parent, "change": args.change})
-    if not runs:
-        print(f"no untraced results for either side in {args.results}", file=sys.stderr)
+    prefixes = {"parent": args.parent, "change": args.change}
+    runs = load_runs(args.results, prefixes)
+    traced = load_runs(args.results, prefixes, traced=True)
+    if not runs and not traced:
+        print(f"no results for either side in {args.results}", file=sys.stderr)
         return 1
-    any_run = next(r for sides in runs.values() for side in sides.values() for r in side.values())
+    any_run = next(r for sides in (*runs.values(), *traced.values())
+                   for side in sides.values() for r in side.values())
     summary = {
         "label": args.label,
         "parent": args.parent,
@@ -138,7 +161,10 @@ def main(argv: list[str] | None = None) -> int:
         "host": {key: any_run["provenance"].get(key) for key in HOST_KEYS},
         "run_seconds": any_run["seconds"],
         "workloads": {
-            w["name"]: summarize_workload(runs.get(w["name"], {}), spec["end_to_end"])
+            w["name"]: {
+                **summarize_workload(runs.get(w["name"], {}), spec["end_to_end"]),
+                "traced_counts": compare_counts(traced.get(w["name"], {}), spec["per_layer"]),
+            }
             for w in spec["workloads"]
         },
     }
@@ -147,6 +173,15 @@ def main(argv: list[str] | None = None) -> int:
     for workload, result in summary["workloads"].items():
         for name, entry in result["metrics"].items():
             print(f"{workload} {name}: {entry.get('verdict', 'no pairs')}")
+        counts = result["traced_counts"]
+        if counts["seed"] is None:
+            print(f"{workload} traced counts: no pairs")
+            continue
+        print(f"{workload} traced counts at seed {counts['seed']}: "
+              f"{len(counts['metrics']) - len(counts['differ'])} of {len(counts['metrics'])} equal")
+        for name in counts["differ"]:
+            entry = counts["metrics"][name]
+            print(f"{workload} {name} differs: parent {entry['parent']}, change {entry['change']}")
     print(f"wrote {out}")
     return 0
 
