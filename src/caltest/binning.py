@@ -226,6 +226,8 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     own block. Interior blocks may end up below n_min and block means may
     mildly violate monotonicity; both are inherent to the constrained sweep
     and surfaced by :func:`monotonicity_report` rather than treated as errors.
+    So the fit is a greedy sweep, not the least-error partition under both
+    size bounds.
 
     The sweep is event-driven over the label prefix sums: each numpy jump
     (see :func:`_jump`) moves the top block to the next event, a pooling into
@@ -439,12 +441,10 @@ class BinStrategy:
             raise ValueError("need at least one bin")
 
     def resolve_sizes(self, n: int) -> tuple[int, int]:
+        """(n_min, n_max) for n records, as asked; :func:`pava_bc` refuses an inverted pair."""
         n_min = self.n_min if self.n_min is not None else int(n * self.nmin_frac)
         n_max = self.n_max if self.n_max is not None else int(n * self.nmax_frac)
-        # fractional defaults floor to 0 on tiny datasets; a zero-size cap is
-        # unsatisfiable, so keep at least one record per block
-        n_max = max(n_max, 1)
-        return min(n_min, n_max), n_max
+        return n_min, n_max
 
 
 def build_bins(dataset: Dataset, strategy: BinStrategy) -> BinSet:

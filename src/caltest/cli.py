@@ -22,7 +22,9 @@ from .binning import STRATEGY_KINDS, BinStrategy, build_bins
 from .core import Dataset
 from .diagram import build_diagram, json_safe, render_svg
 from .experiments import (
+    DEFAULT_SIMULATE_PAIRS,
     DEFAULT_SIMULATE_SEEDS,
+    DEFAULT_SWEEP_PAIRS,
     DEFAULT_SWEEP_SEEDS,
     DEFAULT_TEST_SIZE,
     DEFAULT_TRAIN_SIZE,
@@ -326,12 +328,20 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+def _parse_pair(chunk: str) -> tuple[float, float]:
+    try:
+        left, right = map(float, chunk.split(":"))
+    except ValueError:  # not two fields, or a field that is not a number
+        raise ValueError(f"pair {chunk!r} is not two numbers a:b") from None
+    return left, right
+
+
 def _parse_pairs(text: str) -> list[tuple[float, float]]:
-    pairs = []
-    for chunk in text.split(","):
-        left, _, right = chunk.partition(":")
-        pairs.append((float(left), float(right)))
-    return pairs
+    return [_parse_pair(chunk) for chunk in text.split(",")]
+
+
+def _format_pairs(pairs) -> str:
+    return ",".join(f"{a:g}:{b:g}" for a, b in pairs)
 
 
 def cmd_simulate(args) -> int:
@@ -365,8 +375,7 @@ def _parse_grid(parameter: str, text: str) -> list:
     values = []
     for chunk in text.split(","):
         if parameter in ("binsize_range", "prevalence"):
-            left, _, right = chunk.partition(":")
-            values.append((float(left), float(right)))
+            values.append(_parse_pair(chunk))
         elif parameter == "test_kind":
             values.append(chunk.strip())
         else:
@@ -377,15 +386,10 @@ def _parse_grid(parameter: str, text: str) -> list:
 def cmd_sweep(args) -> int:
     cfg = _battery_config(args)
     grid = _parse_grid(args.parameter, args.grid)
-    scenarios = None
-    if args.pairs is not None:
-        if args.parameter == "prevalence":
-            raise ValueError("--pairs does not apply to a prevalence sweep: its grid holds the pairs")
-        scenarios = _parse_pairs(args.pairs)
     results = run_sweep(
         args.parameter,
         grid,
-        scenarios=scenarios,
+        scenarios=None if args.pairs is None else _parse_pairs(args.pairs),
         n_seeds=args.n_seeds,
         n_train=args.n_train,
         n_test=args.n_test,
@@ -412,17 +416,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_SWITCH_KEYS = {"dump_data"}
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value defaults; command-line flags override these."""
+    """Flat key=value defaults; command-line flags override these.
+
+    A leading byte-order mark is not data. A switch takes 1/true/yes or
+    0/false/no, in any case.
+    """
     overrides = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line {raw!r} is not key = value")
-        overrides[key.strip().replace("-", "_")] = value.strip()
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key in _SWITCH_KEYS and value.lower() not in _SWITCH_VALUES:
+            raise ValueError(f"config line {raw!r}: {key} takes 1/true/yes or 0/false/no")
+        overrides[key] = value
     return overrides
 
 
@@ -469,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="prevalence-shift scenarios on synthetic data")
     p_sim.add_argument(
         "--pairs",
-        default="0.5:0.5,0.5:0.4,0.01:0.02",
+        default=_format_pairs(DEFAULT_SIMULATE_PAIRS),
         help="comma-separated train:test prevalence pairs",
     )
     p_sim.add_argument("--n-train", type=int, default=DEFAULT_TRAIN_SIZE, dest="n_train")
@@ -484,17 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated values; use a:b for pairs")
-    p_sweep.add_argument("--pairs",
-                         help="comma-separated train:test prevalence pairs (default 0.5:0.5,0.5:0.4)")
+    p_sweep.add_argument("--pairs", help="comma-separated train:test prevalence pairs"
+                         f" (default {_format_pairs(DEFAULT_SWEEP_PAIRS)})")
     p_sweep.add_argument("--n-train", type=int, default=DEFAULT_TRAIN_SIZE, dest="n_train")
     p_sweep.add_argument("--n-test", type=int, default=DEFAULT_TEST_SIZE, dest="n_test")
     p_sweep.add_argument("--n-seeds", type=int, default=DEFAULT_SWEEP_SEEDS, dest="n_seeds")
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
-
-
-_SWITCH_KEYS = {"dump_data"}
 
 
 def _merge_config_argv(argv: list[str]) -> list[str]:
@@ -516,7 +528,7 @@ def _merge_config_argv(argv: list[str]) -> list[str]:
     for key, value in _read_config_file(path).items():
         flag = "--" + key.replace("_", "-")
         if key in _SWITCH_KEYS:
-            if value.lower() in ("1", "true", "yes"):
+            if _SWITCH_VALUES[value.lower()]:
                 injected.append(flag)
         else:
             injected.extend([flag, value])

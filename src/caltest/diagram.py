@@ -9,7 +9,7 @@ so identical specs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,28 +55,9 @@ class DiagramSpec:
     config: dict
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "kind": self.kind,
-            "n": self.n,
-            "bins": [
-                {
-                    "lower": b.bin.lower,
-                    "upper": b.bin.upper,
-                    "closed_upper": b.bin.closed_upper,
-                    "count": b.count,
-                    "empirical_prob": b.empirical_prob,
-                    "mean_prediction": b.mean_prediction,
-                    "rejection_pct": b.rejection_pct,
-                    "quartiles": b.quartiles,
-                    "density": b.density,
-                }
-                for b in self.bins
-            ],
-            "histogram_edges": self.histogram_edges,
-            "histogram_counts": self.histogram_counts,
-            "config": self.config,
-        }
+        payload = {"schema_version": 1, **asdict(self)}
+        # Each bin's interval fields sit beside its counts, not under "bin".
+        payload["bins"] = [{**entry.pop("bin"), **entry} for entry in payload["bins"]]
         return json.dumps(json_safe(payload), indent=2, sort_keys=True)
 
 

@@ -34,6 +34,9 @@ DEFAULT_TRAIN_SIZE = 14000
 DEFAULT_TEST_SIZE = 6000
 DEFAULT_SIMULATE_SEEDS = 20
 DEFAULT_SWEEP_SEEDS = 5
+# Calibrated, miscalibrated, and rare-positive train/test prevalence pairs.
+DEFAULT_SIMULATE_PAIRS = ((0.5, 0.5), (0.5, 0.4), (0.01, 0.02))
+DEFAULT_SWEEP_PAIRS = DEFAULT_SIMULATE_PAIRS[:2]
 
 SWEEP_PARAMETERS = (
     "n_min",
@@ -186,7 +189,6 @@ def _battery_for_point(parameter: str, value, base: BatteryConfig, n_test: int) 
         return replace(base, test=TestConfig(base.test.kind, float(value)))
     if parameter == "test_kind":
         return replace(base, test=TestConfig(str(value), base.test.alpha))
-    return base
 
 
 def run_sweep(
@@ -202,17 +204,18 @@ def run_sweep(
     """Sensitivity sweep of one parameter over a grid, per scenario.
 
     Invalid grid points produce an error entry and the sweep continues.
-    Scenarios default to a calibrated pair (0.5, 0.5) and a miscalibrated
-    pair (0.5, 0.4).
+    Scenarios default to ``DEFAULT_SWEEP_PAIRS``. A prevalence sweep takes
+    its train/test pairs from the grid, so it refuses ``scenarios``.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     _check_seeds(n_seeds)
     if parameter == "prevalence":
-        # The grid itself carries the train/test pairs; one block covers it.
-        scenarios = [(None, None)]
+        if scenarios is not None:
+            raise ValueError("a prevalence sweep takes no scenarios: its grid holds the pairs")
+        scenarios = [(None, None)]  # one block covers the grid
     elif scenarios is None:
-        scenarios = [(0.5, 0.5), (0.5, 0.4)]
+        scenarios = DEFAULT_SWEEP_PAIRS
 
     # Only noise, data_size and prevalence change the data; any other
     # parameter reuses each seed's dataset across the points of a block.

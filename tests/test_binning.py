@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from reference_bins import bins_from_fit as loop_bins_from_fit
 from reference_bins import quantile_bins as loop_quantile_bins
 from reference_pava import pava as loop_pava
+from reference_optimal import block_error, constrained_optimal
 from reference_pava import pava_bc as loop_pava_bc
 
 from caltest import binning
@@ -135,6 +136,20 @@ def test_pava_bc_size_guarantees():
         assert fit.block_lengths[-1] >= min(n_min, n)
 
 
+def test_bin_strategy_resolves_the_sizes_asked():
+    strategy = BinStrategy("pava_bc", n_min=100, n_max=20)
+    assert strategy.resolve_sizes(1000) == (100, 20)
+    with pytest.raises(ValueError, match=r"got \(100, 20\)"):  # not clamped to (20, 20)
+        build_bins(Dataset(np.linspace(0, 1, 1000), np.arange(1000) % 2), strategy)
+    # A zero cap, as the fractional defaults give below 5 records, makes
+    # one-record blocks, as a cap of one does.
+    rng = np.random.default_rng(12)
+    for n in range(1, 40):
+        ds = Dataset(rng.random(n), rng.integers(0, 2, n))
+        capped = [build_bins(ds, BinStrategy("pava_bc", n_min=0, n_max=cap)).edges for cap in (0, 1)]
+        assert np.array_equal(*capped)
+
+
 def test_pava_bc_validation():
     with pytest.raises(ValueError):
         pava_bc([0, 1], 2, 1)
@@ -236,6 +251,61 @@ def test_pava_attains_brute_force_minimum():
         bins = bins_from_fit(pava(labels), preds)
         _, best = brute_force_optimal(labels)
         assert total_error(ds, bins) == pytest.approx(best, abs=1e-12)
+
+
+def exhaustive_constrained_error(labels, n_min, n_max):
+    """Least error over every contiguous partition meeting the sizes and the
+    non-decreasing means, or None."""
+    n, best = len(labels), None
+    for mask in range(1 << (n - 1)):
+        cuts = [0, *(i + 1 for i in range(n - 1) if mask >> i & 1), n]
+        lens = np.diff(cuts).tolist()
+        sums = [int(labels[a:b].sum()) for a, b in zip(cuts, cuts[1:])]
+        if min(lens) < n_min or max(lens) > n_max:
+            continue
+        if all(sums[i] * lens[i + 1] <= sums[i + 1] * lens[i] for i in range(len(sums) - 1)):
+            err = block_error(sums, lens)
+            best = err if best is None else min(best, err)
+    return best
+
+
+def test_constrained_optimum_matches_exhaustive_search():
+    rng = np.random.default_rng(15)
+    for _ in range(80):
+        n = int(rng.integers(1, 13))
+        labels = rng.integers(0, 2, n)
+        _, best = constrained_optimal(labels, 1, n)
+        assert best == pytest.approx(brute_force_optimal(labels)[1], abs=1e-12)
+        n_min = int(rng.integers(1, n + 1))
+        n_max = int(rng.integers(n_min, n + 1))
+        found = constrained_optimal(labels, n_min, n_max)
+        expected = exhaustive_constrained_error(labels, n_min, n_max)
+        if expected is None:
+            assert found is None
+            continue
+        blocks, best = found
+        assert best == pytest.approx(expected, abs=1e-12)
+        assert [start for start, _ in blocks] == np.cumsum([0] + [w for _, w in blocks[:-1]]).tolist()
+        assert all(n_min <= w <= n_max for _, w in blocks)
+
+
+def test_pava_bc_meeting_every_constraint_is_no_better_than_the_optimum():
+    # Decisions ledger "How optimal is `pava_bc`": interior blocks may fall
+    # below n_min, so only some fits meet every constraint of the optimum.
+    rng = np.random.default_rng(17)
+    met = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 60))
+        y = (rng.random(n) < rng.uniform(0.05, 0.6)).astype(int)
+        n_min = int(rng.integers(1, n // 4 + 2))
+        n_max = int(rng.integers(n_min, n + 1))
+        fit = pava_bc(y, n_min, n_max)
+        if fit.block_lengths.min() < n_min or monotonicity_report(fit):
+            continue
+        met += 1
+        _, best = constrained_optimal(y, n_min, n_max)
+        assert block_error(fit.block_label_sums, fit.block_lengths) >= best - 1e-12
+    assert met >= 100
 
 
 def test_monotonicity_report():

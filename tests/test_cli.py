@@ -62,6 +62,12 @@ def test_ingest_errors_name_the_row(tmp_path):
         ingest(write(tmp_path, "headeronly.csv", "prediction,label\n"))
     with pytest.raises(MalformedRowError, match="row 1"):
         ingest(write(tmp_path, "bad.json", '[{"prediction": 0.5}]'))
+    with pytest.raises(EmptyInputError, match="file is empty"):
+        ingest(write(tmp_path, "empty.json", " \n"))
+    with pytest.raises(MalformedRowError, match="invalid JSON"):
+        ingest(write(tmp_path, "broken.json", '[{"prediction": 0.5,'))
+    with pytest.raises(EmptyInputError, match="non-empty JSON array"):
+        ingest(write(tmp_path, "nothing.json", "[]"))
 
 
 @pytest.mark.parametrize(
@@ -481,6 +487,16 @@ def test_sweep_command_with_invalid_point_continues(tmp_path):
     assert "summary" in points[2]
 
 
+def test_sweep_command_takes_test_kinds(tmp_path):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--parameter", "test_kind", "--grid", "t, bogus", "--pairs", "0.5:0.4",
+            "--n-train", "1000", "--n-test", "400", "--n-seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    points = json.loads((out / "sweep.json").read_text())["results"][0]["points"]
+    assert [point["value"] for point in points] == ["t", "bogus"]
+    assert "summary" in points[0] and "error" in points[1]
+
+
 def test_sweep_command_takes_scenario_pairs(tmp_path):
     def blocks(*extra):
         out = tmp_path / "sweep"
@@ -496,6 +512,24 @@ def test_sweep_command_takes_scenario_pairs(tmp_path):
             "--out", str(tmp_path / "refused")]
     assert main(argv) == 1
     assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pairs", "0.5:0.4,0.5"],
+    ["sweep", "--parameter", "binsize_range", "--grid", "20:100,20"],
+    ["sweep", "--parameter", "alpha", "--grid", "0.05", "--pairs", "0.5:x"],
+])
+def test_malformed_pair_names_itself(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert re.search(r"error: pair '(0\.5|20|0\.5:x)' is not two numbers a:b", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_inverted_block_sizes_fail(tmp_path, capsys):
+    data = write(tmp_path, "four.csv", FOUR_POINT_CSV)
+    argv = ["compute", str(data), "--nmin-frac", "0.5", "--nmax-frac", "0.25"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert "got (2, 1)" in capsys.readouterr().err
 
 
 def test_sweep_alpha_is_monotone(tmp_path):
@@ -525,6 +559,36 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path):
     payload = json.loads((out2 / "report.json").read_text())
     assert payload["config"]["alpha"] == 0.3
     assert payload["config"]["B"] == 5
+
+
+def test_config_file_skips_comments_and_a_byte_order_mark(tmp_path, capsys):
+    data = write(tmp_path, "four.csv", FOUR_POINT_CSV)
+    cfg = write(tmp_path, "bom.cfg", "\ufeffalpha = 0.2\n# B = 7\n\nB = 5\n")
+    out = tmp_path / "out"
+    assert main(["compute", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert (payload["config"]["alpha"], payload["config"]["B"]) == (0.2, 5)
+    bad = write(tmp_path, "bad.cfg", "alpha 0.2\n")
+    assert main(["compute", str(data), "--config", str(bad), "--out", str(tmp_path / "bad")]) == 1
+    assert "config line 'alpha 0.2' is not key = value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, dumped", [("yes", True), ("TRUE", True), ("1", True),
+                                           ("No", False), ("false", False), ("0", False)])
+def test_config_switch_values(tmp_path, value, dumped):
+    cfg = write(tmp_path, "run.cfg", f"dump-data = {value}\npairs = 0.5:0.4\n")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg), "--n-train", "1000", "--n-test", "200",
+            "--n-seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "scenario_0.5_vs_0.4_seed0.csv").exists() == dumped
+
+
+def test_config_switch_rejects_other_values(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", "dump_data = ture\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config line 'dump_data = ture'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_positive_test_set_end_to_end(tmp_path):

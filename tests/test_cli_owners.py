@@ -8,6 +8,7 @@ from test_cli import FOUR_POINT_CSV
 from caltest import cli
 from caltest.binning import BinStrategy
 from caltest.experiments import (
+    DEFAULT_SIMULATE_PAIRS,
     DEFAULT_TEST_SIZE,
     DEFAULT_TRAIN_SIZE,
     BatteryConfig,
@@ -32,6 +33,7 @@ def test_parser_defaults_equal_the_library_defaults():
     strategy = BinStrategy(args.bins.replace("-", "_"), args.B, args.nmin_frac, args.nmax_frac)
     assert strategy == BinStrategy()
     sim = parse("simulate")
+    assert cli._parse_pairs(sim.pairs) == list(DEFAULT_SIMULATE_PAIRS)
     assert (sim.n_train, sim.n_test, sim.n_seeds) == (
         DEFAULT_TRAIN_SIZE, DEFAULT_TEST_SIZE, seeds_default(simulate))
     sweep = parse("sweep", "--parameter", "alpha", "--grid", "0.05")

@@ -4,6 +4,7 @@ import pytest
 from caltest import experiments
 from caltest.experiments import (
     METRIC_COLUMNS,
+    SWEEP_PARAMETERS,
     BatteryConfig,
     metric_battery,
     run_scenario,
@@ -77,6 +78,36 @@ def test_sweep_prevalence_pairs_form_single_block():
     assert len(rows[0]["points"]) == 2
 
 
+def test_prevalence_sweep_refuses_scenarios_before_any_work(monkeypatch):
+    monkeypatch.setattr(experiments, "scenario_dataset", lambda *args: pytest.fail("built data"))
+    with pytest.raises(ValueError, match="grid holds the pairs"):
+        run_sweep("prevalence", [(0.5, 0.5)], scenarios=[(0.3, 0.3)])
+
+
+# One valid and one invalid grid value per sweep parameter, on 400 test rows.
+SWEEP_POINTS = {
+    "n_min": (20, -1),
+    "n_max": (100, 500),  # more than the 400 records
+    "binsize_range": ((20, 100), (100, 20)),  # an inverted range is not repaired
+    "noise": (0.1, -0.1),
+    "alpha": (0.05, 1.5),
+    "test_kind": ("t", "bogus"),
+    "data_size": (300, 0),
+    "prevalence": ((0.5, 0.4), (1.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_sweep_point_is_a_summary_or_an_error(parameter):
+    scenarios = None if parameter == "prevalence" else [(0.5, 0.4)]
+    rows = run_sweep(parameter, list(SWEEP_POINTS[parameter]), scenarios=scenarios,
+                     n_seeds=1, n_train=1000, n_test=400)
+    valid, invalid = rows[0]["points"]
+    assert set(valid) == {"value", "summary"}
+    assert tuple(valid["summary"]) == METRIC_COLUMNS
+    assert set(invalid) == {"value", "error"} and invalid["error"]
+
+
 def test_sweep_test_kind_runs_both_tests():
     rows = run_sweep(
         "test_kind",
@@ -119,3 +150,7 @@ def test_battery_sweep_builds_each_dataset_once_per_scenario(monkeypatch):
     # a dataset that cannot be built is an error entry of every point, not a crash
     rows = run_sweep("alpha", grid, scenarios=[(1.5, 0.5)], n_seeds=2, n_train=1200, n_test=400)
     assert [set(point) for point in rows[0]["points"]] == [{"value", "error"}] * len(grid)
+    # a parameter that changes the data builds one dataset per point and seed
+    built.clear()
+    run_sweep("noise", [0.0, 0.1, 0.2], scenarios=[(0.5, 0.4)], n_seeds=2, n_train=1200, n_test=400)
+    assert len(built) == 3 * 2
