@@ -74,8 +74,9 @@ def _ledger_rows(seeds=range(40), n_train=2000):
                 feasible = fit.block_lengths.min() >= n_min and not monotonicity_report(fit)
                 meets += bool(feasible)
                 best = constrained_optimal(y, n_min, n_max)
-                if best is not None:  # an error of 0 is met only by labels that are all 0
-                    gaps.append((err - best[1]) / best[1] if best[1] > 0 else 0.0)
+                if best is not None:
+                    opt = best[1]
+                    gaps.append((err - opt) / opt if opt > 0 else 0.0 if err == 0 else np.inf)
                     if feasible:
                         feasible_gaps.append(gaps[-1])
             gaps = np.array(gaps)
@@ -87,5 +88,6 @@ if __name__ == "__main__":
     print("N    scenario  seeds  meets  solvable  optimal  gap mean  gap min  gap max"
           "  meets: gap mean  gap min")
     for n, pair, *counts, mean, low, high, fmean, flow in _ledger_rows():
-        print(f"{n:<5}" + f"{pair[0]:g}/{pair[1]:g}".ljust(9) + "".join(f"{c:>{w}}" for c, w in zip(counts, (5, 7, 10, 9)))
-              + "".join(f"{g:>+{w}.2%}" for g, w in zip((mean, low, high, fmean, flow), (10, 9, 9, 17, 9))))
+        cells = [f"{c:>{w}}" for c, w in zip(counts, (5, 7, 10, 9))]
+        cells += [f"{g:>+{w}.2%}" for g, w in zip((mean, low, high, fmean, flow), (10, 9, 9, 17, 9))]
+        print(f"{n:<5}" + f"{pair[0]:g}/{pair[1]:g}".ljust(9) + "".join(cells))

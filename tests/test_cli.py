@@ -514,14 +514,14 @@ def test_sweep_command_takes_scenario_pairs(tmp_path):
     assert not (tmp_path / "refused").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--pairs", "0.5:0.4,0.5"],
-    ["sweep", "--parameter", "binsize_range", "--grid", "20:100,20"],
-    ["sweep", "--parameter", "alpha", "--grid", "0.05", "--pairs", "0.5:x"],
+@pytest.mark.parametrize("argv, chunk", [
+    (["simulate", "--pairs", "0.5:0.4,0.5"], "0.5"),
+    (["sweep", "--parameter", "binsize_range", "--grid", "20:100,20"], "20"),
+    (["sweep", "--parameter", "alpha", "--grid", "0.05", "--pairs", "0.5:x"], "0.5:x"),
 ])
-def test_malformed_pair_names_itself(tmp_path, capsys, argv):
+def test_malformed_pair_names_itself(tmp_path, capsys, argv, chunk):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-    assert re.search(r"error: pair '(0\.5|20|0\.5:x)' is not two numbers a:b", capsys.readouterr().err)
+    assert f"error: pair '{chunk}' is not two numbers a:b" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
