@@ -51,8 +51,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _NORM_FLAGS = {"wl1": "weighted_l1", "sup": "sup"}
-# Flags shared by every command, recorded in each report's config.
-_CONFIG_FLAGS = ("bins", "B", "nmin_frac", "nmax_frac", "alpha", "test", "norm", "seed")
+# Flags of every command that writes a report, recorded in its config.
+_CONFIG_FLAGS = ("B", "nmin_frac", "nmax_frac", "alpha", "test", "norm")
 
 
 class IngestError(ValueError):
@@ -233,14 +233,15 @@ def write_dataset_csv(dataset: Dataset, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_report(args, stem: str, kind: str, results: list, table: str, *flags: str) -> None:
+def _write_report(args, stem: str, results: list, table: str, *flags: str) -> None:
     """Write the versioned report and the table to ``args.out``, and print the table.
 
-    The report's config holds the shared flags and the command's own ``flags``.
+    The report's kind is the command, and its config holds the shared flags
+    and the command's own ``flags``.
     """
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": args.command,
         "config": {flag: getattr(args, flag) for flag in (*_CONFIG_FLAGS, *flags)},
         "results": results,
     }
@@ -296,8 +297,7 @@ def cmd_compute(args) -> int:
                 "metrics": values,
             }
         )
-    kind = "compare" if len(args.inputs) > 1 else "compute"
-    _write_report(args, "report", kind, results, _metrics_table(rows, "input"))
+    _write_report(args, "report", results, _metrics_table(rows, "input"))
     return 0
 
 
@@ -359,8 +359,8 @@ def cmd_simulate(args) -> int:
     for entry in results:
         label = f"{entry['train_prevalence']:g} vs {entry['test_prevalence']:g}"
         rows.append((label, {c: entry["summary"][c]["mean"] for c in METRIC_COLUMNS}))
-    _write_report(args, "simulate", "simulate", results, _metrics_table(rows, "prevalence"),
-                  "n_train", "n_test", "n_seeds")
+    _write_report(args, "simulate", results, _metrics_table(rows, "prevalence"),
+                  "seed", "n_train", "n_test", "n_seeds")
     if args.dump_data:
         for train_prev, test_prev in pairs:
             dataset = scenario_dataset(
@@ -411,8 +411,8 @@ def cmd_sweep(args) -> int:
             else:
                 rows.append((label, {c: point["summary"][c]["mean"] for c in METRIC_COLUMNS}))
         blocks.append(_metrics_table(rows, args.parameter))
-    _write_report(args, "sweep", "sweep", results, "\n".join(blocks),
-                  "parameter", "n_train", "n_test", "n_seeds")
+    _write_report(args, "sweep", results, "\n".join(blocks),
+                  "parameter", "seed", "n_train", "n_test", "n_seeds")
     return 0
 
 
@@ -441,21 +441,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return overrides
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value file with flag defaults")
-    parser.add_argument("--bins", choices=[kind.replace("_", "-") for kind in STRATEGY_KINDS],
-                        default=BinStrategy.kind.replace("_", "-"))
-    parser.add_argument("--B", type=int, default=BinStrategy.num_bins,
-                        help="bin count for equispaced/quantile")
-    parser.add_argument("--nmin-frac", type=float, default=BinStrategy.nmin_frac, dest="nmin_frac")
-    parser.add_argument("--nmax-frac", type=float, default=BinStrategy.nmax_frac, dest="nmax_frac")
-    parser.add_argument("--alpha", type=float, default=TestConfig.alpha)
-    parser.add_argument("--test", choices=TEST_KINDS, default=TestConfig.kind)
-    parser.add_argument("--norm", choices=sorted(_NORM_FLAGS), default="wl1")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="caltest_out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caltest",
@@ -463,25 +448,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", help="metric battery for one prediction file")
+    # A command takes only the flags it applies: those of every command, of scoring, of drawing data.
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--config", help="flat key=value file with flag defaults")
+    every.add_argument("--B", type=int, default=BinStrategy.num_bins,
+                       help="bin count for equispaced/quantile")
+    every.add_argument("--nmin-frac", type=float, default=BinStrategy.nmin_frac, dest="nmin_frac")
+    every.add_argument("--nmax-frac", type=float, default=BinStrategy.nmax_frac, dest="nmax_frac")
+    every.add_argument("--alpha", type=float, default=TestConfig.alpha)
+    every.add_argument("--test", choices=TEST_KINDS, default=TestConfig.kind)
+    every.add_argument("--out", default="caltest_out", help="output directory")
+    scored = argparse.ArgumentParser(add_help=False)
+    scored.add_argument("--norm", choices=sorted(_NORM_FLAGS), default="wl1")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+
+    p_compute = sub.add_parser("compute", parents=[every, scored],
+                               help="metric battery for one prediction file")
     p_compute.add_argument("inputs", nargs=1, metavar="INPUT")
-    _add_common_flags(p_compute)
     p_compute.set_defaults(func=cmd_compute)
 
-    p_compare = sub.add_parser("compare", help="metric battery across several files")
+    p_compare = sub.add_parser("compare", parents=[every, scored],
+                               help="metric battery across several files")
     p_compare.add_argument("inputs", nargs="+", metavar="INPUT")
-    _add_common_flags(p_compare)
     p_compare.set_defaults(func=cmd_compute)
 
-    p_diagram = sub.add_parser("diagram", help="emit a reliability diagram (SVG + JSON)")
+    p_diagram = sub.add_parser("diagram", parents=[every],
+                               help="emit a reliability diagram (SVG + JSON)")
     p_diagram.add_argument("input", metavar="INPUT")
+    p_diagram.add_argument("--bins", choices=[kind.replace("_", "-") for kind in STRATEGY_KINDS],
+                           default=BinStrategy.kind.replace("_", "-"))
     p_diagram.add_argument("--kind", choices=["standard", "test-based"], default="test-based")
     p_diagram.add_argument("--width", type=int, default=640)
     p_diagram.add_argument("--height", type=int, default=480)
-    _add_common_flags(p_diagram)
     p_diagram.set_defaults(func=cmd_diagram)
 
-    p_sim = sub.add_parser("simulate", help="prevalence-shift scenarios on synthetic data")
+    p_sim = sub.add_parser("simulate", parents=[every, scored, seeded],
+                           help="prevalence-shift scenarios on synthetic data")
     p_sim.add_argument(
         "--pairs",
         default=_format_pairs(DEFAULT_SIMULATE_PAIRS),
@@ -492,10 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n-seeds", type=int, default=DEFAULT_SIMULATE_SEEDS, dest="n_seeds")
     p_sim.add_argument("--dump-data", action="store_true", dest="dump_data",
                        help="also write one scenario CSV per pair")
-    _add_common_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="sensitivity sweep of one parameter")
+    p_sweep = sub.add_parser("sweep", parents=[every, scored, seeded],
+                             help="sensitivity sweep of one parameter")
     p_sweep.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated values; use a:b for pairs")
@@ -504,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-train", type=int, default=DEFAULT_TRAIN_SIZE, dest="n_train")
     p_sweep.add_argument("--n-test", type=int, default=DEFAULT_TEST_SIZE, dest="n_test")
     p_sweep.add_argument("--n-seeds", type=int, default=DEFAULT_SWEEP_SEEDS, dest="n_seeds")
-    _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -111,7 +111,7 @@ def build_diagram(
         dataset.predictions, bins=GLOBAL_HIST_BUCKETS, range=(0.0, 1.0)
     )
     config: dict = {"num_bins": len(bins)}
-    if cfg is not None:
+    if kind == "test_based":
         config.update({"test": cfg.kind, "alpha": cfg.alpha})
     return DiagramSpec(
         kind=kind,

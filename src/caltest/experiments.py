@@ -167,28 +167,35 @@ def simulate(
     return results
 
 
-def _battery_for_point(parameter: str, value, base: BatteryConfig, n_test: int) -> BatteryConfig:
-    """Battery settings with one sweep parameter overridden.
-
-    Size constraints are clamped so the pair stays valid when the swept value
-    crosses the other bound, mirroring how a fixed opposite bound behaves in
-    practice.
-    """
-    if parameter == "n_min":
-        n_min = int(value)
-        n_max = base.n_max if base.n_max is not None else int(n_test * base.nmax_frac)
-        return replace(base, n_min=n_min, n_max=max(n_max, n_min))
-    if parameter == "n_max":
-        n_max = int(value)
-        n_min = base.n_min if base.n_min is not None else int(n_test * base.nmin_frac)
-        return replace(base, n_min=min(n_min, n_max), n_max=n_max)
-    if parameter == "binsize_range":
+def _sweep_point(parameter: str, value, pair, n_test: int, base: BatteryConfig):
+    """The data recipe (the ``scenario_dataset`` arguments a point can change)
+    and the battery settings of one sweep point. The point sets only the
+    setting its parameter names, so an ``n_min`` or ``n_max`` that crosses the
+    other bound fails when the bins are built."""
+    (train_prev, test_prev), noise, size, cfg = pair, 0.0, n_test, base
+    if parameter == "noise":
+        noise = float(value)
+        if noise < 0.0:
+            raise ValueError("noise scale must be non-negative")
+    elif parameter == "data_size":
+        size = int(value)
+        if size < 1:
+            raise ValueError("data size must be positive")
+    elif parameter == "prevalence":
+        train_prev, test_prev = float(value[0]), float(value[1])
+    elif parameter == "n_min":
+        cfg = replace(base, n_min=int(value))
+    elif parameter == "n_max":
+        cfg = replace(base, n_max=int(value))
+    elif parameter == "binsize_range":
         n_min, n_max = (int(v) for v in value)
-        return replace(base, n_min=n_min, n_max=n_max)
-    if parameter == "alpha":
-        return replace(base, test=TestConfig(base.test.kind, float(value)))
-    if parameter == "test_kind":
-        return replace(base, test=TestConfig(str(value), base.test.alpha))
+        cfg = replace(base, n_min=n_min, n_max=n_max)
+    elif parameter == "alpha":
+        cfg = replace(base, test=TestConfig(base.test.kind, float(value)))
+    else:  # test_kind
+        cfg = replace(base, test=TestConfig(str(value), base.test.alpha))
+    return {"train_prevalence": train_prev, "test_prevalence": test_prev,
+            "n_test": size, "noise_sigma": noise}, cfg
 
 
 def run_sweep(
@@ -217,40 +224,21 @@ def run_sweep(
     elif scenarios is None:
         scenarios = DEFAULT_SWEEP_PAIRS
 
-    # Only noise, data_size and prevalence change the data; any other
-    # parameter reuses each seed's dataset across the points of a block.
-    battery_only = parameter not in ("noise", "data_size", "prevalence")
     results = []
-    for train_prev, test_prev in scenarios:
-        block = {"train_prevalence": train_prev, "test_prevalence": test_prev, "points": []}
-        datasets: dict[int, Dataset] = {}
+    for pair in scenarios:
+        block = {"train_prevalence": pair[0], "test_prevalence": pair[1], "points": []}
+        built, datasets = None, {}  # each seed's dataset, kept while the recipe holds
         for value in grid:
             point: dict = {"value": value}
             try:
-                noise = 0.0
-                size = n_test
-                pair = (train_prev, test_prev)
-                point_cfg = cfg
-                if parameter == "noise":
-                    noise = float(value)
-                    if noise < 0.0:
-                        raise ValueError("noise scale must be non-negative")
-                elif parameter == "data_size":
-                    size = int(value)
-                    if size < 1:
-                        raise ValueError("data size must be positive")
-                elif parameter == "prevalence":
-                    pair = (float(value[0]), float(value[1]))
-                else:
-                    point_cfg = _battery_for_point(parameter, value, cfg, n_test)
+                recipe, point_cfg = _sweep_point(parameter, value, pair, n_test, cfg)
+                if recipe != built:
+                    built, datasets = recipe, {}
                 rows = []
                 for seed in range(base_seed, base_seed + n_seeds):
-                    dataset = datasets.get(seed)
-                    if dataset is None:
-                        dataset = scenario_dataset(pair[0], pair[1], n_train, size, seed, noise)
-                        if battery_only:
-                            datasets[seed] = dataset
-                    rows.append(metric_battery(dataset, point_cfg))
+                    if seed not in datasets:
+                        datasets[seed] = scenario_dataset(n_train=n_train, seed=seed, **recipe)
+                    rows.append(metric_battery(datasets[seed], point_cfg))
                 point["summary"] = _aggregate_seeds(rows)
             except (ValueError, TypeError) as exc:
                 point["error"] = str(exc)

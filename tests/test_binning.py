@@ -59,6 +59,8 @@ def test_quantile_examples():
     assert quantile_bins(tied, 5).edges.tolist() == [0.0, 1.0]
 
     assert quantile_bins(ds, 1).edges.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="need at least one bin"):
+        quantile_bins(ds, 0)
 
 
 def test_quantile_never_splits_ties():
@@ -81,6 +83,8 @@ def test_pava_examples():
     assert fit.blocks == ((0, 1, 0.0), (1, 2, 0.5), (3, 1, 1.0))
     with pytest.raises(ValueError):
         pava([])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        pava([0, 2])
 
 
 def test_pava_is_monotone_with_increasing_block_means():
@@ -172,6 +176,8 @@ def test_bins_from_fit_examples():
 
     with pytest.raises(ValueError):
         bins_from_fit(flat, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="sorted ascending"):
+        bins_from_fit(fit, np.array([0.9, 0.5, 0.5]))
 
 
 def test_bins_from_fit_all_predictions_tied():
@@ -340,6 +346,8 @@ def test_build_bins_strategies():
         assert int(binned.counts.sum()) == 200
     with pytest.raises(ValueError):
         BinStrategy("fancy")
+    with pytest.raises(ValueError, match="need at least one bin"):
+        BinStrategy("quantile", num_bins=0)
 
 
 def test_build_bins_matches_fit_blocks_on_distinct_predictions():

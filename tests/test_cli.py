@@ -407,6 +407,13 @@ def test_compare_lists_one_row_per_input(tmp_path):
     assert str(one) in table and str(two) in table
 
 
+def test_compare_of_one_input_is_a_compare_report(tmp_path):
+    one = write(tmp_path, "one.csv", FOUR_POINT_CSV)
+    out = tmp_path / "out"
+    assert main(["compare", str(one), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["kind"] == "compare"
+
+
 def test_compute_propagates_ingest_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.csv", "prediction,label\n1.2,0\n")
     code = main(["compute", str(bad), "--out", str(tmp_path / "out")])

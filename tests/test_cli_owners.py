@@ -30,7 +30,9 @@ def test_parser_defaults_equal_the_library_defaults():
     args = parse("compute", "four.csv")
     assert cli._battery_config(args) == BatteryConfig()
     assert TestConfig(args.test, args.alpha) == TestConfig()
-    strategy = BinStrategy(args.bins.replace("-", "_"), args.B, args.nmin_frac, args.nmax_frac)
+    diagram = parse("diagram", "four.csv")
+    strategy = BinStrategy(
+        diagram.bins.replace("-", "_"), diagram.B, diagram.nmin_frac, diagram.nmax_frac)
     assert strategy == BinStrategy()
     sim = parse("simulate")
     assert cli._parse_pairs(sim.pairs) == list(DEFAULT_SIMULATE_PAIRS)

@@ -110,6 +110,10 @@ def test_dataset_validation():
         Dataset(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         Dataset(np.array([0.5, 0.6]), np.array([1]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Dataset(np.array([[0.5]]), np.array([[1]]))
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.array([np.nan]), np.array([0]))
 
 
 def test_dataset_arrays_are_read_only():
@@ -129,9 +133,20 @@ def test_bin_and_binset_validation():
         BinSet.from_edges([0.1, 0.5, 1.0])  # does not start at 0
     with pytest.raises(ValueError):
         BinSet.from_edges([0.0, 0.5, 0.5, 1.0])
+    # the rules of a bin set built from its bins, not from edges
+    for bins, rule in [
+        ((), "at least one bin"),
+        ((Bin(0.1, 1.0, closed_upper=True),), "start at 0"),
+        ((Bin(0.0, 1.0),), "closed at 1"),
+        ((Bin(0.0, 0.5, closed_upper=True), Bin(0.5, 1.0, closed_upper=True)), "only the last"),
+        ((Bin(0.0, 0.4), Bin(0.5, 1.0, closed_upper=True)), "contiguous"),
+    ]:
+        with pytest.raises(ValueError, match=rule):
+            BinSet(bins)
     # last bin closed, others half-open
     bs = BinSet.from_edges([0.0, 0.4, 1.0])
     assert not bs.bins[0].closed_upper
     assert bs.bins[1].closed_upper
+    assert [str(b) for b in bs.bins] == ["[0, 0.4)", "[0.4, 1]"]
     assert bs.bins[0].contains(0.0) and not bs.bins[0].contains(0.4)
     assert bs.bins[1].contains(1.0)

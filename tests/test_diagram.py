@@ -63,6 +63,14 @@ def test_quartiles_inside_bin_and_density_sums():
         assert len(entry.density) == 20
 
 
+def test_diagram_config_records_a_test_only_when_one_ran(four_point):
+    bins = BinSet.from_edges([0.0, 0.5, 1.0])
+    cfg = TestConfig(alpha=0.2)
+    assert build_diagram(four_point, bins, cfg, "standard").config == {"num_bins": 2}
+    assert build_diagram(four_point, bins, cfg, "test_based").config == {
+        "num_bins": 2, "test": "binomial", "alpha": 0.2}
+
+
 def test_build_diagram_validation(four_point):
     with pytest.raises(ValueError):
         build_diagram(four_point, BinSet.from_edges([0.0, 1.0]), kind="fancy")

@@ -45,6 +45,7 @@ def test_sweep_min_blocksize_degrades_calibrated_scores():
         [300, 3000],
         scenarios=[(0.5, 0.5)],
         n_seeds=3,
+        cfg=BatteryConfig(nmax_frac=0.5),
     )
     points = rows[0]["points"]
     small = points[0]["summary"]["TCE"]["mean"]
@@ -84,10 +85,11 @@ def test_prevalence_sweep_refuses_scenarios_before_any_work(monkeypatch):
         run_sweep("prevalence", [(0.5, 0.5)], scenarios=[(0.3, 0.3)])
 
 
-# One valid and one invalid grid value per sweep parameter, on 400 test rows.
+# One valid grid value, then invalid ones, per sweep parameter, on 400 test
+# rows, where the default sizes are (20, 80).
 SWEEP_POINTS = {
-    "n_min": (20, -1),
-    "n_max": (100, 500),  # more than the 400 records
+    "n_min": (20, -1, 100),  # 100 crosses the default n_max
+    "n_max": (100, 500, 10),  # 500 is more than the 400 records; 10 crosses n_min
     "binsize_range": ((20, 100), (100, 20)),  # an inverted range is not repaired
     "noise": (0.1, -0.1),
     "alpha": (0.05, 1.5),
@@ -95,6 +97,9 @@ SWEEP_POINTS = {
     "data_size": (300, 0),
     "prevalence": ((0.5, 0.4), (1.5, 0.5)),
 }
+# The sizes that a point crossing the other bound scores, named in its error.
+CROSSED_SIZES = {("n_min", 100): (100, 80), ("n_max", 10): (20, 10),
+                 ("binsize_range", (100, 20)): (100, 20)}
 
 
 @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
@@ -102,10 +107,14 @@ def test_sweep_point_is_a_summary_or_an_error(parameter):
     scenarios = None if parameter == "prevalence" else [(0.5, 0.4)]
     rows = run_sweep(parameter, list(SWEEP_POINTS[parameter]), scenarios=scenarios,
                      n_seeds=1, n_train=1000, n_test=400)
-    valid, invalid = rows[0]["points"]
+    valid, *invalid = rows[0]["points"]
     assert set(valid) == {"value", "summary"}
     assert tuple(valid["summary"]) == METRIC_COLUMNS
-    assert set(invalid) == {"value", "error"} and invalid["error"]
+    for point in invalid:
+        assert set(point) == {"value", "error"} and point["error"]
+        crossed = CROSSED_SIZES.get((parameter, point["value"]))
+        if crossed is not None:
+            assert point["error"].endswith(f"got {crossed}")
 
 
 def test_sweep_test_kind_runs_both_tests():

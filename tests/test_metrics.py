@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caltest import metrics
 from caltest.binning import BinStrategy, equispaced_bins, quantile_bins
 from caltest.core import BinSet, Dataset
 from caltest.metrics import ace, ece, gce, mce, tce, tce_classwise, tce_variants
@@ -51,6 +52,8 @@ def test_gce_constant_losses(four_point):
     assert gce(four_point, bins, lambda y, p: 0.37, norm="sup").value == 0.37
     with pytest.raises(ValueError):
         gce(four_point, bins, lambda y, p: 1.0, norm="l7")
+    with pytest.raises(ValueError, match="all bins are empty"):
+        metrics._aggregate(np.zeros(2), np.zeros(2, dtype=np.int64), "weighted_l1")
 
 
 def test_ace_examples(four_point):
@@ -216,6 +219,10 @@ def test_classwise_validation():
     good = np.array([[0.7, 0.3], [0.5, 0.5]])
     with pytest.raises(ValueError):
         tce_classwise(good, np.array([0, 2]))  # label outside [0, K)
+    with pytest.raises(ValueError, match=r"\(N, K\) matrix"):
+        tce_classwise(np.ones((2, 1)), np.array([0, 0]))  # one class
+    with pytest.raises(ValueError, match="probabilities must lie"):
+        tce_classwise(np.array([[1.5, -0.5], [0.5, 0.5]]), np.array([0, 1]))
 
 
 @st.composite

@@ -181,6 +181,8 @@ def test_t_sweep_matches_scalar():
 def test_t_validation():
     with pytest.raises(ValueError):
         t_pvalue(np.array([1]), 0.5)
+    with pytest.raises(ValueError, match="at least two"):
+        t_pvalues_sweep(np.array([1]), np.array([0.5]))
 
 
 def test_binom_sweep_matches_binomtest_up_to_a_million():

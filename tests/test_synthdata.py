@@ -34,6 +34,8 @@ def test_sample_is_deterministic():
 def test_sample_zero_prevalence_supported():
     x, y = sample(GdaConfig(prevalence=0.0, seed=2), 500)
     assert y.sum() == 0 and x.shape == (500,)
+    with pytest.raises(ValueError, match="at least one sample"):
+        sample(GdaConfig(prevalence=0.5), 0)
 
 
 def test_true_posterior_values():
@@ -44,6 +46,9 @@ def test_true_posterior_values():
     # prior enters through the intercept
     skew = GdaConfig(prevalence=0.2)
     assert true_posterior(skew, 0.0) == pytest.approx(0.2, abs=1e-12)
+    # a prior of 0 or 1 decides the posterior whatever x is
+    assert true_posterior(GdaConfig(prevalence=0.0), [-3.0, 3.0]).tolist() == [0.0, 0.0]
+    assert true_posterior(GdaConfig(prevalence=1.0), [-3.0, 3.0]).tolist() == [1.0, 1.0]
 
 
 def test_true_posterior_matches_conditional_monte_carlo():
@@ -94,6 +99,8 @@ def test_fit_logistic_recovers_parameters():
     p = predict_logistic(x, b0, b1)
     assert abs(np.sum(y - p)) < 1e-6
     assert abs(np.sum((y - p) * x)) < 1e-6
+    # one value of x leaves the Hessian singular: the fit stops where it starts
+    assert fit_logistic(np.full(4, 2.0), np.array([0, 1, 1, 1])) == (0.0, 0.0)
 
 
 def test_oracle_predictions_are_well_calibrated():

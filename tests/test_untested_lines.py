@@ -27,7 +27,8 @@ def unused(x):
 
 
 if __name__ == "__main__":
-    print(used(4))
+    for value in (1, 4):
+        print(used(value))
 '''
 
 
@@ -44,7 +45,8 @@ def test_untested_lines_of_a_toy_module(tmp_path):
     finally:
         tracer.stop()
     statements, missed = untested_lines.untested(path, tracer.executed[str(path)])
-    # The module docstring, the import, two defs, two ifs, three returns, the
-    # assignment and the print; the function's docstring compiles to nothing.
-    assert statements == 11
-    assert missed == [10, 14, 17, 21]
+    # The module docstring, the import, two defs, two ifs, three returns and
+    # the assignment; the function's docstring compiles to nothing, and the
+    # body of the __main__ guard runs only when the module is a program.
+    assert statements == 10
+    assert missed == [10, 14, 17]

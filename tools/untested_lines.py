@@ -52,16 +52,23 @@ class LineTracer:
 def statement_lines(source: str, filename: str = "<module>") -> dict[int, range]:
     """The statements that compile to code, as first line -> the lines that
     start them: a simple statement's own lines, a compound statement's
-    header up to its body."""
+    header up to its body. The body of an ``if __name__ == "__main__":``
+    block runs only in a child interpreter, which the tracer cannot see, so
+    its statements are left out."""
     code_lines: set[int] = set()
     codes = [compile(source, filename, "exec")]
     while codes:
         code = codes.pop()
         code_lines.update(line for _, _, line in code.co_lines() if line is not None)
         codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    tree = ast.parse(source, filename)
+    main_test = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
+    guarded = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.If) and ast.dump(node.test) == main_test
+               for stmt in node.body for inner in ast.walk(stmt)}
     statements = {}
-    for node in ast.walk(ast.parse(source, filename)):
-        if not isinstance(node, ast.stmt):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or id(node) in guarded:
             continue
         first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
         body = getattr(node, "body", None)
