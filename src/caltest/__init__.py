@@ -28,7 +28,6 @@ from .stattest import TestConfig, TestOutcome, binom_pvalue, reject, t_pvalue
 from .synthdata import (
     GdaConfig,
     fit_logistic,
-    logistic_curve,
     perturb_logit_normal,
     predict_logistic,
     sample,
@@ -60,7 +59,6 @@ __all__ = [
     "equispaced_bins",
     "fit_logistic",
     "gce",
-    "logistic_curve",
     "mce",
     "metric_battery",
     "monotonicity_report",

@@ -51,8 +51,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _NORM_FLAGS = {"wl1": "weighted_l1", "sup": "sup"}
-# Flags of every command that writes a report, recorded in its config.
-_CONFIG_FLAGS = ("B", "nmin_frac", "nmax_frac", "alpha", "test", "norm")
+# Parsed values that are not settings, so a report's config leaves them out.
+_NOT_SETTINGS = {"command", "func", "config", "out", "inputs"}
 
 
 class IngestError(ValueError):
@@ -233,16 +233,16 @@ def write_dataset_csv(dataset: Dataset, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_report(args, stem: str, results: list, table: str, *flags: str) -> None:
+def _write_report(args, stem: str, results: list, table: str) -> None:
     """Write the versioned report and the table to ``args.out``, and print the table.
 
-    The report's kind is the command, and its config holds the shared flags
-    and the command's own ``flags``.
+    The report's kind is the command, and its config holds every flag the
+    command parsed but ``--config`` and ``--out``, keyed by its dest.
     """
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": args.command,
-        "config": {flag: getattr(args, flag) for flag in (*_CONFIG_FLAGS, *flags)},
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS},
         "results": results,
     }
     out_dir = Path(args.out)
@@ -359,8 +359,7 @@ def cmd_simulate(args) -> int:
     for entry in results:
         label = f"{entry['train_prevalence']:g} vs {entry['test_prevalence']:g}"
         rows.append((label, {c: entry["summary"][c]["mean"] for c in METRIC_COLUMNS}))
-    _write_report(args, "simulate", results, _metrics_table(rows, "prevalence"),
-                  "seed", "n_train", "n_test", "n_seeds")
+    _write_report(args, "simulate", results, _metrics_table(rows, "prevalence"))
     if args.dump_data:
         for train_prev, test_prev in pairs:
             dataset = scenario_dataset(
@@ -411,8 +410,7 @@ def cmd_sweep(args) -> int:
             else:
                 rows.append((label, {c: point["summary"][c]["mean"] for c in METRIC_COLUMNS}))
         blocks.append(_metrics_table(rows, args.parameter))
-    _write_report(args, "sweep", results, "\n".join(blocks),
-                  "parameter", "seed", "n_train", "n_test", "n_seeds")
+    _write_report(args, "sweep", results, "\n".join(blocks))
     return 0
 
 
@@ -514,9 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config_argv(argv: list[str]) -> list[str]:
     """Inject config-file values as flags right after the subcommand.
 
-    The path is read as the command's parser reads ``--config``, abbreviations
-    included. Explicit command-line flags appear later in argv and therefore
-    override the injected ones.
+    One ``--key=value`` token per value, so argparse names a stray key, not the
+    input after it. The path is read as the parser reads ``--config``,
+    abbreviations included. Command-line flags come later, so they override these.
     """
     finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     finder.add_argument("--config")
@@ -533,7 +531,7 @@ def _merge_config_argv(argv: list[str]) -> list[str]:
             if _SWITCH_VALUES[value.lower()]:
                 injected.append(flag)
         else:
-            injected.extend([flag, value])
+            injected.append(f"{flag}={value}")
     return [argv[0], *injected, *argv[1:]]
 
 

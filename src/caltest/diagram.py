@@ -149,17 +149,17 @@ class _Canvas:
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{fill}"/>'
         )
 
-    def polygon(self, points, fill, stroke="none"):
+    def polygon(self, points, fill):
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
-        self.parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}"/>')
+        self.parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
 
     def circle(self, cx, cy, r, fill):
         self.parts.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" fill="{fill}"/>')
 
-    def text(self, x, y, content, size=10, anchor="middle", fill="#333333"):
+    def text(self, x, y, content, size=10, anchor="middle"):
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" text-anchor="{anchor}" font-size="{size}" '
-            f'font-family="Helvetica, Arial, sans-serif" fill="{fill}">{_esc(content)}</text>'
+            f'font-family="Helvetica, Arial, sans-serif" fill="#333333">{_esc(content)}</text>'
         )
 
 

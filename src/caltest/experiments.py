@@ -111,12 +111,9 @@ def run_scenario(
     n_test: int = DEFAULT_TEST_SIZE,
     seed: int = 0,
     cfg: BatteryConfig = BatteryConfig(),
-    noise_sigma: float = 0.0,
 ) -> dict[str, float]:
     """One seed of one train/test prevalence pair; returns the metric battery."""
-    dataset = scenario_dataset(
-        train_prevalence, test_prevalence, n_train, n_test, seed, noise_sigma
-    )
+    dataset = scenario_dataset(train_prevalence, test_prevalence, n_train, n_test, seed)
     return metric_battery(dataset, cfg)
 
 
@@ -167,6 +164,13 @@ def simulate(
     return results
 
 
+def _whole(parameter: str, value) -> int:
+    """A count from the grid; a fraction is refused, not cut off."""
+    if not float(value).is_integer():  # NaN and infinity are not whole either
+        raise ValueError(f"{parameter} {value!r} is not a whole number")
+    return int(value)
+
+
 def _sweep_point(parameter: str, value, pair, n_test: int, base: BatteryConfig):
     """The data recipe (the ``scenario_dataset`` arguments a point can change)
     and the battery settings of one sweep point. The point sets only the
@@ -178,17 +182,17 @@ def _sweep_point(parameter: str, value, pair, n_test: int, base: BatteryConfig):
         if noise < 0.0:
             raise ValueError("noise scale must be non-negative")
     elif parameter == "data_size":
-        size = int(value)
+        size = _whole(parameter, value)
         if size < 1:
             raise ValueError("data size must be positive")
     elif parameter == "prevalence":
         train_prev, test_prev = float(value[0]), float(value[1])
     elif parameter == "n_min":
-        cfg = replace(base, n_min=int(value))
+        cfg = replace(base, n_min=_whole(parameter, value))
     elif parameter == "n_max":
-        cfg = replace(base, n_max=int(value))
+        cfg = replace(base, n_max=_whole(parameter, value))
     elif parameter == "binsize_range":
-        n_min, n_max = (int(v) for v in value)
+        n_min, n_max = (_whole(parameter, v) for v in value)
         cfg = replace(base, n_min=n_min, n_max=n_max)
     elif parameter == "alpha":
         cfg = replace(base, test=TestConfig(base.test.kind, float(value)))

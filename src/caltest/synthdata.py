@@ -1,8 +1,8 @@
 """Synthetic binary classification data from a two-Gaussian generative model.
 
 Labels are Bernoulli with a configurable prevalence and the scalar feature is
-Gaussian with a class-dependent mean, so the exact posterior P(y=1 | x) is
-available in closed form (it is logistic in x). That makes it possible to
+Gaussian with a fixed class-dependent mean, so the exact posterior P(y=1 | x)
+is available in closed form (it is logistic in x). That makes it possible to
 construct test sets where a fitted model is well-calibrated or miscalibrated
 by design, simply by shifting the prevalence between training and test data.
 """
@@ -18,34 +18,31 @@ __all__ = [
     "GdaConfig",
     "sample",
     "true_posterior",
-    "logistic_curve",
     "perturb_logit_normal",
     "fit_logistic",
     "predict_logistic",
 ]
 
 _CLAMP = 1e-12
+# The fixed generative model: class means and the standard deviation of x.
+_MEAN_NEG, _MEAN_POS, _SCALE = -1.0, 1.0, 2.0
+_FIT_TOL, _FIT_MAX_ITER = 1e-10, 100
 
 
 @dataclass(frozen=True)
 class GdaConfig:
-    """Generative model: y ~ Bernoulli(prevalence), x | y ~ Normal(mean_y, scale).
+    """Generative model: y ~ Bernoulli(prevalence), x | y ~ Normal(mean_y, 2).
 
-    ``scale`` is a standard deviation. Defaults put the class means at -1 and
-    +1 with scale 2.
+    The rest of the model is fixed: the class means are -1 and +1, and the
+    scale 2 is a standard deviation. Only the prevalence and the seed vary.
     """
 
     prevalence: float
-    mean_neg: float = -1.0
-    mean_pos: float = 1.0
-    scale: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.prevalence <= 1.0):
             raise ValueError("prevalence must lie in [0, 1]")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -59,7 +56,7 @@ def sample(cfg: GdaConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one sample")
     rng = _rng(cfg.seed)
     y = (rng.random(n) < cfg.prevalence).astype(np.int64)
-    x = np.where(y == 1, cfg.mean_pos, cfg.mean_neg) + cfg.scale * rng.standard_normal(n)
+    x = np.where(y == 1, _MEAN_POS, _MEAN_NEG) + _SCALE * rng.standard_normal(n)
     return x, y
 
 
@@ -68,26 +65,19 @@ def true_posterior(cfg: GdaConfig, x) -> np.ndarray:
 
     The log-odds are linear in x:
         log(prev / (1 - prev)) + (m1 - m0) * x / s^2 + (m0^2 - m1^2) / (2 s^2).
-    With the default means and scale this reduces to log-odds + x / 2.
+    With the fixed means and scale this reduces to log-odds + x / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if cfg.prevalence == 0.0:
         return np.zeros_like(x)
     if cfg.prevalence == 1.0:
         return np.ones_like(x)
-    s2 = cfg.scale**2
+    s2 = _SCALE**2
     intercept = math.log(cfg.prevalence / (1.0 - cfg.prevalence)) + (
-        cfg.mean_neg**2 - cfg.mean_pos**2
+        _MEAN_NEG**2 - _MEAN_POS**2
     ) / (2.0 * s2)
-    slope = (cfg.mean_pos - cfg.mean_neg) / s2
+    slope = (_MEAN_POS - _MEAN_NEG) / s2
     return _sigmoid(intercept + slope * x)
-
-
-def logistic_curve(x, beta0: float, beta1: float) -> np.ndarray:
-    """The curve 1 / (1 + exp(beta0 + beta1 * x)), kept alongside
-    :func:`true_posterior` so alternative parameterizations can be compared."""
-    x = np.asarray(x, dtype=np.float64)
-    return 1.0 / (1.0 + np.exp(beta0 + beta1 * x))
 
 
 def perturb_logit_normal(preds, sigma: float, seed: int = 0) -> np.ndarray:
@@ -113,18 +103,13 @@ def _sigmoid(z) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
-def fit_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> tuple[float, float]:
+def fit_logistic(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Maximum-likelihood fit of p = sigmoid(b0 + b1 x) by damped Newton steps.
 
-    Iterates until the gradient norm drops below tol or max_iter is hit; each
-    Newton step is halved while it fails to improve the log-likelihood. A
-    step that leaves the bits of (b0, b1) unchanged ends the loop: every later
-    iteration would repeat it.
+    Iterates until the gradient norm drops below _FIT_TOL or _FIT_MAX_ITER
+    steps are taken; each Newton step is halved while it fails to improve the
+    log-likelihood. A step that leaves the bits of (b0, b1) unchanged ends the
+    loop: every later iteration would repeat it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -135,12 +120,12 @@ def fit_logistic(
 
     b0, b1 = 0.0, 0.0
     current = loglik(b0, b1)
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         eta = b0 + b1 * x
         p = _sigmoid(eta)
         resid = y - p
         grad = np.array([resid.sum(), (resid * x).sum()])
-        if math.hypot(grad[0], grad[1]) < tol:
+        if math.hypot(grad[0], grad[1]) < _FIT_TOL:
             break
         w = p * (1.0 - p)
         h00 = w.sum()

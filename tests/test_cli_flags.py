@@ -52,9 +52,13 @@ RUNS = {
 }
 
 
-def command_flags(command):
+def command_actions(command):
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    return sub.choices[command]._actions
+
+
+def command_flags(command):
+    return {flag for action in command_actions(command) for flag in action.option_strings}
 
 
 def written(tmp_path, argv, data):
@@ -100,3 +104,28 @@ def test_a_flag_the_command_does_not_apply_is_a_usage_error(tmp_path, capsys, co
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compute", "compare", "simulate", "sweep"])
+def test_the_report_records_every_setting_the_command_parsed(tmp_path, command):
+    parsed = {a.dest for a in command_actions(command) if a.default is not argparse.SUPPRESS}
+    data = tmp_path / "scores.csv"
+    cli.write_dataset_csv(scenario_dataset(0.5, 0.4, 1000, 300, 0), data)
+    base = RUNS[command][0]
+    out = tmp_path / "out"
+    assert cli.main([command, *(t.format(data=data) for t in base), "--out", str(out)]) == 0
+    (report,) = out.glob("*.json")
+    config = json.loads(report.read_text(encoding="utf-8"))["config"]
+    assert set(config) == parsed - {"config", "out", "inputs"}
+
+
+def test_a_config_key_the_command_does_not_take_is_named_with_its_value(tmp_path, capsys):
+    data = tmp_path / "scores.csv"
+    cli.write_dataset_csv(scenario_dataset(0.5, 0.4, 1000, 300, 0), data)
+    config = tmp_path / "bad.cfg"
+    config.write_text("seed = 7\n", encoding="utf-8")
+    with pytest.raises(SystemExit):
+        cli.main(["compute", str(data), "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed=7" in err
+    assert str(data) not in err

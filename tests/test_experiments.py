@@ -87,14 +87,14 @@ def test_prevalence_sweep_refuses_scenarios_before_any_work(monkeypatch):
 
 # One valid grid value, then invalid ones, per sweep parameter, on 400 test
 # rows, where the default sizes are (20, 80).
-SWEEP_POINTS = {
-    "n_min": (20, -1, 100),  # 100 crosses the default n_max
-    "n_max": (100, 500, 10),  # 500 is more than the 400 records; 10 crosses n_min
-    "binsize_range": ((20, 100), (100, 20)),  # an inverted range is not repaired
+SWEEP_POINTS = {  # a count that is not a whole number is refused, not cut off
+    "n_min": (20, -1, 100, 20.5, float("inf")),  # 100 crosses the default n_max
+    "n_max": (100, 500, 10, 100.5),  # 500 is more than the 400 records; 10 crosses n_min
+    "binsize_range": ((20, 100), (100, 20), (20.5, 100)),  # an inverted range is not repaired
     "noise": (0.1, -0.1),
     "alpha": (0.05, 1.5),
     "test_kind": ("t", "bogus"),
-    "data_size": (300, 0),
+    "data_size": (300, 0, 300.9),
     "prevalence": ((0.5, 0.4), (1.5, 0.5)),
 }
 # The sizes that a point crossing the other bound scores, named in its error.

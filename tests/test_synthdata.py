@@ -8,7 +8,6 @@ from caltest.metrics import ece, tce_variants
 from caltest.synthdata import (
     GdaConfig,
     fit_logistic,
-    logistic_curve,
     perturb_logit_normal,
     predict_logistic,
     sample,
@@ -56,11 +55,6 @@ def test_true_posterior_matches_conditional_monte_carlo():
     window = (x > 1.99) & (x < 2.01)
     freq = y[window].mean()
     assert abs(freq - true_posterior(GdaConfig(prevalence=0.5), 2.0)) < 0.01
-
-
-def test_logistic_curve_shape():
-    assert logistic_curve(0.0, 0.0, 4.0) == pytest.approx(0.5)
-    assert logistic_curve(10.0, 0.0, 4.0) < 1e-9  # decreasing in x for positive slope
 
 
 def test_perturb_zero_noise_is_identity_after_clamp():
@@ -119,5 +113,3 @@ def test_oracle_predictions_are_well_calibrated():
 def test_gda_config_validation():
     with pytest.raises(ValueError):
         GdaConfig(prevalence=1.5)
-    with pytest.raises(ValueError):
-        GdaConfig(prevalence=0.5, scale=0.0)
