@@ -52,7 +52,15 @@ SCHEMA_VERSION = 1
 
 _NORM_FLAGS = {"wl1": "weighted_l1", "sup": "sup"}
 # Parsed values that are not settings, so a report's config leaves them out.
-_NOT_SETTINGS = {"command", "func", "config", "out", "inputs"}
+_NOT_SETTINGS = {"command", "func", "config", "out", "inputs", "given"}
+# Flags that diagram applies only under some --bins or --kind: the setting and its values.
+_DIAGRAM_CONTEXT = {
+    "--B": ("bins", {"equispaced", "quantile"}),
+    "--nmin-frac": ("bins", {"pava-bc"}),
+    "--nmax-frac": ("bins", {"pava-bc"}),
+    "--alpha": ("kind", {"test-based"}),
+    "--test": ("kind", {"test-based"}),
+}
 
 
 class IngestError(ValueError):
@@ -439,6 +447,23 @@ def _read_config_file(path: str) -> dict[str, str]:
     return overrides
 
 
+class _Given(argparse.Action):
+    """Store the value and note the flag in ``given``, on the command line or from --config."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
+
+
+def _idle_flags(args) -> list[str]:
+    """Flags given to ``diagram`` that its ``--bins`` and ``--kind`` do not apply."""
+    if args.command != "diagram":
+        return []
+    given = getattr(args, "given", frozenset())
+    return [flag for flag, (setting, values) in _DIAGRAM_CONTEXT.items()
+            if flag in given and getattr(args, setting) not in values]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caltest",
@@ -449,12 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     # A command takes only the flags it applies: those of every command, of scoring, of drawing data.
     every = argparse.ArgumentParser(add_help=False)
     every.add_argument("--config", help="flat key=value file with flag defaults")
-    every.add_argument("--B", type=int, default=BinStrategy.num_bins,
+    every.add_argument("--B", type=int, default=BinStrategy.num_bins, action=_Given,
                        help="bin count for equispaced/quantile")
-    every.add_argument("--nmin-frac", type=float, default=BinStrategy.nmin_frac, dest="nmin_frac")
-    every.add_argument("--nmax-frac", type=float, default=BinStrategy.nmax_frac, dest="nmax_frac")
-    every.add_argument("--alpha", type=float, default=TestConfig.alpha)
-    every.add_argument("--test", choices=TEST_KINDS, default=TestConfig.kind)
+    every.add_argument("--nmin-frac", type=float, default=BinStrategy.nmin_frac, dest="nmin_frac",
+                       action=_Given)
+    every.add_argument("--nmax-frac", type=float, default=BinStrategy.nmax_frac, dest="nmax_frac",
+                       action=_Given)
+    every.add_argument("--alpha", type=float, default=TestConfig.alpha, action=_Given)
+    every.add_argument("--test", choices=TEST_KINDS, default=TestConfig.kind, action=_Given)
     every.add_argument("--out", default="caltest_out", help="output directory")
     scored = argparse.ArgumentParser(add_help=False)
     scored.add_argument("--norm", choices=sorted(_NORM_FLAGS), default="wl1")
@@ -540,6 +567,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         merged = _merge_config_argv(sys.argv[1:] if argv is None else list(argv))
         args = parser.parse_args(merged)
+        idle = _idle_flags(args)
+        if idle:
+            parser.error(f"{', '.join(idle)}: not applied by diagram"
+                         f" --bins {args.bins} --kind {args.kind}")
         return args.func(args)
     except (IngestError, FileExistsError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,21 +18,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """Paired model predictions in [0, 1] and binary labels.
 
-    Arrays are validated and made read-only on construction, so instances can
-    be shared freely across threads. Out-of-range predictions are rejected
-    rather than clamped; silent clamping would hide upstream bugs.
+    The constructor validates float64 copies of the predictions and int8 copies
+    of the labels and makes them read-only, so instances can be shared freely
+    across threads and the caller's arrays stay the caller's. Out-of-range
+    predictions are rejected rather than clamped; silent clamping would hide
+    upstream bugs.
 
-    The view sorted ascending by prediction (``order``, ``sorted_predictions``,
+    The view sorted ascending by prediction (``sorted_predictions``,
     ``sorted_labels``, ``label_prefix``) is built on first use and kept, so each
-    dataset is sorted at most once. It is not built in the constructor, where
-    the sort would overlap the caller's peak memory (ingest's parsed table).
+    dataset is sorted at most once: 26 bytes per record with the arrays above.
+    It is not built in the constructor, where the sort would overlap the
+    caller's peak memory (ingest's parsed table). The sort permutation
+    ``order`` is not kept with it; it is computed when asked for.
     """
 
     predictions: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        preds = np.ascontiguousarray(self.predictions, dtype=np.float64)
+        preds = np.array(self.predictions, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels)
         if preds.ndim != 1 or labels.ndim != 1:
             raise ValueError("predictions and labels must be one-dimensional")
@@ -49,7 +53,7 @@ class Dataset:
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "predictions", _frozen(preds))
-        object.__setattr__(self, "labels", _frozen(labels.astype(np.int64)))
+        object.__setattr__(self, "labels", _frozen(labels.astype(np.int8)))
 
     @property
     def n(self) -> int:
@@ -61,40 +65,55 @@ class Dataset:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Record indices ascending by prediction, stable on ties.
-
-        numpy's default argsort (SIMD where the CPU allows) is several times
-        faster than its stable sort but may permute a tie group. Where ties
-        exist they are put back in index order by sorting the keys g*N + i,
-        g being the rank of record i's tie group among the distinct values:
-        keys stay below N**2, so N must stay below 3e9.
-        """
-        order = np.argsort(self.predictions)
-        values = self.predictions[order]
-        group = np.zeros(order.size, dtype=np.int64)
-        np.cumsum(values[1:] != values[:-1], out=group[1:])
-        del values
-        if group[-1] < order.size - 1:  # some value is tied
-            group *= order.size
-            order += group
-            order.sort()
-            order -= group
-        return _frozen(order)
+        """Record indices ascending by prediction, stable on ties."""
+        return _frozen(_sort(self.predictions)[0])
 
     @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        order, preds = _sort(self.predictions)
+        return _frozen(preds), _frozen(self.labels[order])
+
+    @property
     def sorted_predictions(self) -> np.ndarray:
-        return _frozen(self.predictions[self.order])
+        return self._sorted[0]
 
-    @cached_property
+    @property
     def sorted_labels(self) -> np.ndarray:
-        return _frozen(self.labels[self.order])
+        return self._sorted[1]
 
     @cached_property
     def label_prefix(self) -> np.ndarray:
         """Exact integer label sums of the sorted prefixes: entry i covers the first i records."""
         prefix = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.sorted_labels, out=prefix[1:])
+        np.cumsum(self.sorted_labels, dtype=np.int64, out=prefix[1:])
         return _frozen(prefix)
+
+
+def _sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices that sort values ascending, stable on ties, and the sorted values.
+
+    numpy's default argsort (SIMD where the CPU allows) is several times
+    faster than its stable sort but may permute a tie group. Where ties exist
+    they are put back in index order by sorting the keys g*N + i, g being the
+    rank of record i's tie group among the distinct values: keys stay below
+    N**2, so N must stay below 3e9. The values are then gathered again, since
+    -0.0 and 0.0 tie but differ in their bits.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    opens = ordered[1:] != ordered[:-1]  # where a tie group opens
+    if not opens.all():  # some value is tied
+        del ordered
+        group = np.zeros(order.size, dtype=np.int64)
+        np.cumsum(opens, out=group[1:])
+        del opens
+        group *= order.size
+        order += group
+        order.sort()
+        order -= group
+        del group
+        ordered = values[order]
+    return order, ordered
 
 
 def sorted_view(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -179,8 +179,8 @@ def _sweep_point(parameter: str, value, pair, n_test: int, base: BatteryConfig):
     (train_prev, test_prev), noise, size, cfg = pair, 0.0, n_test, base
     if parameter == "noise":
         noise = float(value)
-        if noise < 0.0:
-            raise ValueError("noise scale must be non-negative")
+        if not noise >= 0.0:  # NaN too
+            raise ValueError(f"noise scale must be a number >= 0, got {noise}")
     elif parameter == "data_size":
         size = _whole(parameter, value)
         if size < 1:

@@ -247,7 +247,7 @@ def tce_classwise(
         raise ValueError("labels must be class indices in [0, K)")
     values = []
     for c in range(k):
-        binary = Dataset(probs[:, c], (labels == c).astype(np.int64))
+        binary = Dataset(probs[:, c], labels == c)
         bins = build_bins(binary, strategy)
         values.append(tce(binary, bins, cfg, norm=norm).value)
     return float(np.mean(values))

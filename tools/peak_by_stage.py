@@ -1,0 +1,82 @@
+"""Print the peak memory of one process after each stage of scoring a CSV file.
+
+    PYTHONPATH=src python3 tools/peak_by_stage.py scores.csv
+
+The stages run in one process, in the order a ``caltest compute`` call and
+then a ``caltest diagram --kind test-based`` call run them, each with the
+CLI defaults: import ``caltest.cli``; ingest the file; build the dataset's
+sorted view; each TCE variant, its bins and its tests; the whole metric
+battery; and the diagram, built and rendered. After each stage it prints,
+as a markdown table, ``ru_maxrss`` (the peak resident set so far, in MiB),
+its rise over the stage, and the stage's wall seconds. The peak only rises,
+so a stage shows its memory only where it goes above every stage before it.
+Last it prints the bytes of the numpy arrays that the dataset holds, cached
+values included, and those bytes per record.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import resource
+import time
+from contextlib import contextmanager
+
+
+def peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def held_bytes(obj) -> int:
+    """Bytes of the numpy arrays among an object's attributes, arrays in a tuple included."""
+    total = 0
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            total += getattr(item, "nbytes", 0)
+    return total
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("csv", help="a prediction,label file, as caltest compute reads it")
+    path = parser.parse_args(argv).csv
+
+    print("| stage | peak MiB | rise MiB | seconds |")
+    print("|---|---|---|---|")
+    print(f"| interpreter | {peak_mib():.1f} | | |")
+
+    @contextmanager
+    def stage(name: str):
+        before, start = peak_mib(), time.perf_counter()
+        yield
+        seconds, peak = time.perf_counter() - start, peak_mib()
+        print(f"| {name} | {peak:.1f} | {peak - before:+.1f} | {seconds:.3f} |", flush=True)
+
+    with stage("import caltest.cli"):
+        cli = importlib.import_module("caltest.cli")
+    from caltest import binning, core, diagram, experiments, metrics, stattest
+
+    with stage("ingest"):
+        dataset = cli.ingest(path)
+    with stage("sorted view"):
+        core.sorted_view(dataset)
+        dataset.label_prefix
+    strategies = {"TCE(P)": "pava_bc", "TCE(Q)": "quantile", "TCE(V)": "pava"}
+    for name, kind in strategies.items():
+        with stage(name):
+            bins = binning.build_bins(dataset, binning.BinStrategy(kind))
+            metrics.tce(dataset, bins, stattest.TestConfig(), name=name)
+    with stage("metric_battery"):
+        experiments.metric_battery(dataset)
+    with stage("build_diagram + render_svg"):
+        bins = binning.build_bins(dataset, binning.BinStrategy())
+        spec = diagram.build_diagram(dataset, bins, stattest.TestConfig(), "test_based")
+        diagram.render_svg(spec)
+
+    held = held_bytes(dataset)
+    print(f"\ndataset arrays: {held} bytes for {dataset.n} records,"
+          f" {held / dataset.n:.2f} bytes per record")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
