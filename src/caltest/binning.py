@@ -109,8 +109,8 @@ def pava(labels_sorted) -> IsotonicFit:
 
 
 def _pava_blocks(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block label sums and lengths of :func:`pava` for int64 labels y in
-    {0, 1} and their prefix sums s."""
+    """Block label sums and lengths of :func:`pava` for integer labels y in
+    {0, 1}, such as a dataset's int8 sorted labels, and their int64 prefix sums s."""
     pts = np.concatenate(([0], np.flatnonzero((y[:-1] == 0) & (y[1:] == 1)) + 1, [y.size]))
     for _ in range(_HULL_PASSES):
         dx, ds = np.diff(pts), np.diff(s[pts])
@@ -244,8 +244,8 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
 
 def _pava_bc_blocks(y: np.ndarray, s: np.ndarray, n_min: int,
                     n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block label sums and lengths of :func:`pava_bc` for int64 labels y in
-    {0, 1} and their prefix sums s."""
+    """Block label sums and lengths of :func:`pava_bc` for integer labels y in
+    {0, 1}, such as a dataset's int8 sorted labels, and their int64 prefix sums s."""
     n = y.size
     n_min, n_max = int(n_min), int(n_max)
     if not (0 <= n_min <= n_max <= n):

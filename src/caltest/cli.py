@@ -215,7 +215,7 @@ def _block_columns(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]
         preds, labels = table["f0"], table["f1"]
         # NaN fails both comparisons, so it is caught along with out-of-range values.
         if np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0)):
-            return preds, labels.astype(np.int8)  # Dataset widens the 0/1 labels
+            return preds, labels.astype(np.int8)  # one byte per label, as Dataset keeps them
     return _csv_rows([ln for ln in lines if ln.strip()], rows)
 
 
@@ -455,15 +455,6 @@ class _Given(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
 
 
-def _idle_flags(args) -> list[str]:
-    """Flags given to ``diagram`` that its ``--bins`` and ``--kind`` do not apply."""
-    if args.command != "diagram":
-        return []
-    given = getattr(args, "given", frozenset())
-    return [flag for flag, (setting, values) in _DIAGRAM_CONTEXT.items()
-            if flag in given and getattr(args, setting) not in values]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caltest",
@@ -567,10 +558,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         merged = _merge_config_argv(sys.argv[1:] if argv is None else list(argv))
         args = parser.parse_args(merged)
-        idle = _idle_flags(args)
-        if idle:
-            parser.error(f"{', '.join(idle)}: not applied by diagram"
-                         f" --bins {args.bins} --kind {args.kind}")
+        if args.command == "diagram":
+            given = getattr(args, "given", frozenset())
+            idle = [flag for flag, (setting, values) in _DIAGRAM_CONTEXT.items()
+                    if flag in given and getattr(args, setting) not in values]
+            if idle:
+                parser.error(f"{', '.join(idle)}: not applied by diagram"
+                             f" --bins {args.bins} --kind {args.kind}")
         return args.func(args)
     except (IngestError, FileExistsError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
