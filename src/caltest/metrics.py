@@ -92,9 +92,9 @@ def gce(
 ) -> MetricReport:
     """Generic per-bin-loss metric: ``norm`` applied to ``loss(labels_b, preds_b)``.
 
-    The loss receives each non-empty bin's labels and predictions as
-    read-only arrays in ascending-prediction order; empty bins are skipped
-    with zero weight.
+    The loss receives each non-empty bin's labels (int8) and predictions
+    (float64) as read-only arrays in ascending-prediction order; empty bins
+    are skipped with zero weight.
     """
     binned = partition(dataset, bins)
     losses = np.full(len(bins), np.nan)
