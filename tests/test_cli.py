@@ -448,6 +448,27 @@ def test_diagram_svg_byte_stable_across_runs(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("context, flag, value", [
+    ([], "--B", "10"),  # the default value of a flag is refused too
+    (["--bins", "pava"], "--B", "7"),
+    (["--bins", "quantile"], "--nmin-frac", "0.05"),
+    (["--bins", "equispaced", "--B", "5"], "--nmax-frac", "0.3"),
+    (["--kind", "standard"], "--alpha", "0.05"),
+    (["--kind", "standard"], "--test", "t"),
+])
+def test_diagram_refuses_a_flag_its_bins_or_kind_does_not_apply(
+        tmp_path, capsys, context, flag, value):
+    data = write(tmp_path, "four.csv", FOUR_POINT_CSV)
+    config = write(tmp_path, "run.cfg", f"{flag[2:]} = {value}\n")
+    out = tmp_path / "out"
+    for setting in ([flag, value], ["--config", str(config)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagram", str(data), *context, *setting, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"error: {flag}: not applied by diagram" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_command_small(tmp_path):
     out = tmp_path / "sim"
     code = main(
@@ -492,6 +513,15 @@ def test_sweep_command_with_invalid_point_continues(tmp_path):
     assert "summary" in points[0]
     assert "error" in points[1]
     assert "summary" in points[2]
+
+
+def test_sweep_command_reports_a_nan_noise_point_as_an_error(tmp_path):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--parameter", "noise", "--grid", "nan", "--pairs", "0.5:0.4",
+            "--n-train", "600", "--n-test", "300", "--n-seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    (point,) = json.loads((out / "sweep.json").read_text())["results"][0]["points"]
+    assert "noise scale" in point["error"]
 
 
 def test_sweep_command_takes_test_kinds(tmp_path):

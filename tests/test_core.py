@@ -122,6 +122,18 @@ def test_dataset_arrays_are_read_only():
         ds.predictions[0] = 0.9
 
 
+def test_dataset_copies_the_callers_predictions():
+    p = np.array([0.1, 0.9])
+    Dataset(p, np.array([0, 1]))
+    assert p.flags.writeable
+    q = np.array([0.1, 0.9, 0.5])
+    ds = Dataset(q[:2], np.array([0, 1]))
+    sorted_before = ds.sorted_predictions.tolist()
+    q[0] = 0.95
+    assert ds.predictions.tolist() == [0.1, 0.9]
+    assert ds.sorted_predictions.tolist() == sorted_before == [0.1, 0.9]
+
+
 def test_bin_and_binset_validation():
     with pytest.raises(ValueError):
         Bin(0.5, 0.5)

@@ -117,6 +117,14 @@ def test_sweep_point_is_a_summary_or_an_error(parameter):
             assert point["error"].endswith(f"got {crossed}")
 
 
+def test_a_nan_noise_point_is_an_error():
+    (block,) = run_sweep("noise", [float("nan")], scenarios=[(0.5, 0.4)], n_seeds=1,
+                         n_train=600, n_test=300)
+    (point,) = block["points"]
+    assert set(point) == {"value", "error"}
+    assert "noise scale" in point["error"]
+
+
 def test_sweep_test_kind_runs_both_tests():
     rows = run_sweep(
         "test_kind",

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from caltest.binning import BinStrategy, build_bins, total_error, within_bin_error_avg
 from caltest.core import BinSet, Dataset, partition
+from caltest.diagram import build_diagram
 from caltest.experiments import metric_battery
+from caltest.stattest import TestConfig
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -141,3 +143,29 @@ def test_sorted_view_matches_stable_sort(case):
     assert ds.sorted_predictions.tobytes() == ds.predictions[order].tobytes()
     assert np.array_equal(ds.sorted_labels, ds.labels[order])
     assert np.array_equal(ds.label_prefix, np.concatenate(([0], np.cumsum(ds.sorted_labels))))
+
+
+def held_bytes(ds):
+    """Bytes of the numpy arrays a dataset holds: its fields and cached values, tuples included."""
+    values = [v for value in vars(ds).values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
+
+
+def test_a_scored_dataset_keeps_26_bytes_per_record():
+    """Predictions and their sorted copy 8 bytes each, labels and theirs 1, prefix sums 8."""
+    rng = np.random.default_rng(16)
+    n = 20_000
+    preds = rng.random(n)
+    preds[::5] = np.round(preds[::5], 2)  # some ties
+    labels = (rng.random(n) < preds).astype(np.int64)
+
+    def diagram(ds):
+        return build_diagram(ds, build_bins(ds, BinStrategy()), TestConfig(), "test_based")
+    for score in (metric_battery, diagram):
+        ds = Dataset(preds, labels)
+        score(ds)
+        assert "order" not in vars(ds)
+        assert ds.labels.dtype == np.int8
+        assert held_bytes(ds) == 26 * n + 8
+        assert np.array_equal(ds.order, np.argsort(preds, kind="stable"))
