@@ -15,7 +15,6 @@ from caltest import (
     pava,
     pava_bc,
     quantile_bins,
-    sorted_view,
     total_error,
     within_bin_error_avg,
 )
@@ -39,7 +38,7 @@ n = 3000
 preds = np.sort(rng.beta(1.3, 3.5, n))
 labels = (rng.random(n) < preds).astype(int)
 ds = Dataset(preds, labels)
-labels_s, preds_s = sorted_view(ds)
+labels_s, preds_s = ds.sorted_labels, ds.sorted_predictions
 
 strategies = {
     "pooled (unconstrained)": bins_from_fit(pava(labels_s), preds_s),

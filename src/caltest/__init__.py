@@ -20,11 +20,11 @@ from .binning import (
     total_error,
     within_bin_error_avg,
 )
-from .core import Bin, BinnedData, BinSet, Dataset, partition, sorted_view
+from .core import Bin, BinnedData, BinSet, Dataset, partition
 from .diagram import DiagramSpec, build_diagram, render_svg
 from .experiments import BatteryConfig, metric_battery, run_scenario, run_sweep, simulate
 from .metrics import MetricReport, ace, ece, gce, mce, tce, tce_classwise, tce_variants
-from .stattest import TestConfig, TestOutcome, binom_pvalue, reject, t_pvalue
+from .stattest import TestConfig
 from .synthdata import (
     GdaConfig,
     fit_logistic,
@@ -48,9 +48,7 @@ __all__ = [
     "IsotonicFit",
     "MetricReport",
     "TestConfig",
-    "TestOutcome",
     "ace",
-    "binom_pvalue",
     "bins_from_fit",
     "brute_force_optimal",
     "build_bins",
@@ -68,14 +66,11 @@ __all__ = [
     "perturb_logit_normal",
     "predict_logistic",
     "quantile_bins",
-    "reject",
     "render_svg",
     "run_scenario",
     "run_sweep",
     "sample",
     "simulate",
-    "sorted_view",
-    "t_pvalue",
     "tce",
     "tce_classwise",
     "tce_variants",

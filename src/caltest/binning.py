@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinSet, Dataset, partition, sorted_view
+from .core import BinSet, Dataset, partition
 
 __all__ = [
     "BinStrategy",
@@ -31,13 +31,13 @@ __all__ = [
 STRATEGY_KINDS = ("equispaced", "quantile", "pava", "pava_bc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotonicFit:
     """Piecewise-constant fit to a binary sequence, with its block structure.
 
     ``blocks`` holds (start index, length, mean) triples; ``block_label_sums``
     keeps the integer label sum per block so order comparisons between block
-    means can be done exactly.
+    means can be done exactly. Fits compare and hash by identity.
     """
 
     fitted: np.ndarray
@@ -316,7 +316,7 @@ def quantile_bins(dataset: Dataset, num_bins: int) -> BinSet:
     """
     if num_bins < 1:
         raise ValueError("need at least one bin")
-    _, preds = sorted_view(dataset)
+    preds = dataset.sorted_predictions
     n = preds.size
     # More than N bins cut at every position 1..N-1, as N bins do.
     num_bins = min(num_bins, n)

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Dataset", "Bin", "BinSet", "BinnedData", "partition", "sorted_view"]
+__all__ = ["Dataset", "Bin", "BinSet", "BinnedData", "partition"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -14,7 +14,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Paired model predictions in [0, 1] and binary labels.
 
@@ -28,8 +28,8 @@ class Dataset:
     ``sorted_labels``, ``label_prefix``) is built on first use and kept, so each
     dataset is sorted at most once: 26 bytes per record with the arrays above.
     It is not built in the constructor, where the sort would overlap the
-    caller's peak memory (ingest's parsed table). The sort permutation
-    ``order`` is not kept with it; it is computed when asked for.
+    caller's peak memory (ingest's parsed table); the sort permutation is
+    not kept with it. Datasets compare and hash by identity.
     """
 
     predictions: np.ndarray
@@ -62,11 +62,6 @@ class Dataset:
     @property
     def prevalence(self) -> float:
         return float(self.labels.mean())
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Record indices ascending by prediction, stable on ties."""
-        return _frozen(_sort(self.predictions)[0])
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +111,6 @@ def _sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ordered
 
 
-def sorted_view(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and predictions co-sorted ascending by prediction, stable on ties."""
-    return dataset.sorted_labels, dataset.sorted_predictions
-
-
 @dataclass(frozen=True)
 class Bin:
     """One interval of prediction values: [lower, upper), or [lower, upper] when closed."""
@@ -132,11 +122,6 @@ class Bin:
     def __post_init__(self) -> None:
         if not (0.0 <= self.lower < self.upper <= 1.0):
             raise ValueError(f"invalid bin interval [{self.lower}, {self.upper}]")
-
-    def contains(self, value: float) -> bool:
-        if self.closed_upper:
-            return self.lower <= value <= self.upper
-        return self.lower <= value < self.upper
 
     def __str__(self) -> str:
         right = "]" if self.closed_upper else ")"
@@ -187,20 +172,14 @@ class BinSet:
     def __len__(self) -> int:
         return len(self.bins)
 
-    def assign(self, predictions: np.ndarray) -> np.ndarray:
-        """Bin index for each prediction; boundary values go to the right bin."""
-        interior = self.edges[1:-1]
-        return np.searchsorted(interior, predictions, side="right")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedData:
     """Per-bin segments and summary statistics for one (dataset, bins) pair.
 
     Bin b holds the records at positions ``cuts[b]:cuts[b + 1]`` of the
     dataset's sorted view. Empty bins are retained with count 0 and NaN
-    statistics; ``is_empty`` flags them so callers can define their own
-    handling.
+    statistics. Instances compare and hash by identity.
     """
 
     dataset: Dataset
@@ -210,20 +189,6 @@ class BinnedData:
     label_sums: np.ndarray
     empirical_prob: np.ndarray
     mean_prediction: np.ndarray
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Each bin's share of the dataset's records."""
-        return self.counts / self.dataset.n
-
-    @property
-    def is_empty(self) -> np.ndarray:
-        return self.counts == 0
-
-    @property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """Original record indices of each bin, in ascending-prediction order."""
-        return tuple(np.split(self.dataset.order, self.cuts[1:-1]))
 
     def labels_in(self, b: int) -> np.ndarray:
         return self.dataset.sorted_labels[self.cuts[b] : self.cuts[b + 1]]
@@ -235,9 +200,10 @@ class BinnedData:
 def partition(dataset: Dataset, bins: BinSet) -> BinnedData:
     """Split a dataset into per-bin segments with counts, label means, and prediction means.
 
-    Every record lands in exactly one bin, with boundary values going to the
-    right bin as in :meth:`BinSet.assign`. The per-bin label mean is the
-    estimated probability of the positive class for predictions in that bin.
+    Every record lands in exactly one bin; a prediction on an interior edge
+    goes to the bin above it, since bins are closed below. The per-bin label
+    mean is the estimated probability of the positive class for predictions
+    in that bin.
     """
     preds = dataset.sorted_predictions
     interior = np.searchsorted(preds, bins.edges[1:-1], side="left")

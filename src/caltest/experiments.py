@@ -99,7 +99,7 @@ def scenario_dataset(
     test_x, test_y = sample(GdaConfig(prevalence=test_prevalence, seed=2 * seed + 1), n_test)
     b0, b1 = fit_logistic(train_x, train_y)
     preds = predict_logistic(test_x, b0, b1)
-    if noise_sigma > 0.0:
+    if noise_sigma != 0.0:  # perturb_logit_normal refuses a negative or NaN sigma
         preds = perturb_logit_normal(preds, noise_sigma, seed=3 * seed + 1)
     return Dataset(preds, test_y)
 

@@ -13,17 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln, stdtr
 
-__all__ = [
-    "TestConfig",
-    "TestOutcome",
-    "binom_pvalue",
-    "binom_pvalues_for_counts",
-    "binom_pvalues_sweep",
-    "binom_rejections",
-    "t_pvalue",
-    "t_pvalues_sweep",
-    "reject",
-]
+__all__ = ["TestConfig", "binom_pvalues_sweep", "binom_rejections", "t_pvalues_sweep"]
 
 # Relative slack when comparing outcome masses against the observed mass.
 MASS_SLACK = 1e-7
@@ -46,14 +36,6 @@ class TestConfig:
             raise ValueError(f"unknown test kind {self.kind!r}; expected one of {TEST_KINDS}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    __test__ = False
-
-    p_value: float
-    rejected: bool
 
 
 def _log_binom_coeffs(n: int) -> np.ndarray:
@@ -152,19 +134,6 @@ def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
     return lo
 
 
-def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:
-    """Exact two-sided binomial p-values for every count k = 0..n at once."""
-    _validate_nk(n, 0)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    return _binom_pvalues(n, np.arange(n + 1), q)
-
-
-def binom_pvalue(n: int, k: int, q: float) -> float:
-    """Exact two-sided binomial p-value of H0: P(Y=1) = q given k successes in n trials."""
-    return float(binom_pvalues_sweep(n, k, np.array([q]))[0])
-
-
 def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
     """Two-sided binomial p-values for fixed (n, k) over an array of probabilities."""
     _validate_nk(n, k)
@@ -198,21 +167,13 @@ def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray
     return rejected
 
 
-def t_pvalue(labels: np.ndarray, q: float) -> float:
-    """Two-sided one-sample t-test p-value of H0: mean(labels) = q.
+def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Two-sided one-sample t-test p-values of H0: mean(labels) = q, for each q in qs.
 
     Uses the n-1 sample standard deviation and the Student-t distribution with
     n-1 degrees of freedom. A zero-variance sample gives p = 1 when q equals
     the common value and p = 0 otherwise, matching the limiting t statistic.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size < 2:
-        raise ValueError("t-test requires at least two observations")
-    return float(t_pvalues_sweep(labels, np.array([q]))[0])
-
-
-def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`t_pvalue` over an array of hypothesized probabilities."""
     labels = np.asarray(labels, dtype=np.float64)
     qs = np.asarray(qs, dtype=np.float64)
     n = labels.size
@@ -224,15 +185,3 @@ def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
         return np.where(qs == mean, 1.0, 0.0)
     t = (mean - qs) / (sd / math.sqrt(n))
     return 2.0 * stdtr(n - 1, -np.abs(t))
-
-
-def reject(labels: np.ndarray, q: float, cfg: TestConfig) -> TestOutcome:
-    """Test whether the labels are consistent with probability q at level cfg.alpha."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("cannot test an empty label set")
-    if cfg.kind == "binomial":
-        p = binom_pvalue(int(labels.size), int(labels.sum()), q)
-    else:
-        p = t_pvalue(labels, q)
-    return TestOutcome(p_value=p, rejected=p < cfg.alpha)

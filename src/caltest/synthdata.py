@@ -87,8 +87,8 @@ def perturb_logit_normal(preds, sigma: float, seed: int = 0) -> np.ndarray:
     the clamped input unchanged.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    if sigma < 0.0:
-        raise ValueError("sigma must be non-negative")
+    if not sigma >= 0.0:  # NaN too
+        raise ValueError(f"sigma must be a number >= 0, got {sigma}")
     clamped = np.clip(preds, _CLAMP, 1.0 - _CLAMP)
     if sigma == 0.0:
         return clamped

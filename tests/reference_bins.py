@@ -1,17 +1,26 @@
-"""The per-boundary loops that ``caltest.binning`` replaced.
+"""The per-boundary loops that ``caltest.binning`` replaced, and per-record binning.
 
 ``quantile_bins`` and ``bins_from_fit`` here place one boundary at a time
 with ``_shifted_boundary``. They plainly follow their docstrings, so the
 tests hold the vectorized boundary placement in ``caltest.binning`` to them
 edge for edge. They are kept verbatim except for ``_edge``, the rounding
 rule that ``caltest.binning`` follows too.
+
+``assign`` places each record in its bin independently of any sort, so the
+tests hold the sorted-segment ``partition`` to it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from caltest.binning import IsotonicFit
-from caltest.core import BinSet, Dataset, sorted_view
+from caltest.core import BinSet, Dataset
+
+
+def assign(bins: BinSet, predictions: np.ndarray) -> np.ndarray:
+    """Bin index for each prediction; boundary values go to the right bin."""
+    interior = bins.edges[1:-1]
+    return np.searchsorted(interior, predictions, side="right")
 
 
 def _edge(low: float, high: float) -> float:
@@ -58,7 +67,7 @@ def quantile_bins(dataset: Dataset, num_bins: int) -> BinSet:
     """
     if num_bins < 1:
         raise ValueError("need at least one bin")
-    _, preds = sorted_view(dataset)
+    preds = dataset.sorted_predictions
     n = preds.size
     boundaries = []
     for j in range(1, num_bins):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_tests import binom_pvalue, binom_pvalues_for_counts
 from scipy import stats
 
 from caltest.binning import (
@@ -21,14 +22,12 @@ from caltest.binning import (
     total_error,
     within_bin_error_avg,
 )
-from caltest.core import BinSet, Dataset, partition, sorted_view
+from caltest.core import BinSet, Dataset, partition
 from caltest.diagram import build_diagram, render_svg
 from caltest.metrics import ece, tce, tce_variants
 from caltest.stattest import (
     MASS_SLACK,
     TestConfig,
-    binom_pvalue,
-    binom_pvalues_for_counts,
     binom_pvalues_sweep,
 )
 from caltest.synthdata import GdaConfig, sample, true_posterior
@@ -235,7 +234,7 @@ def test_criterion_6_alpha_monotonicity():
         elif kind == "quantile":
             bins = quantile_bins(ds, int(rng.integers(1, 12)))
         else:
-            labels, preds = sorted_view(ds)
+            labels, preds = ds.sorted_labels, ds.sorted_predictions
             bins = bins_from_fit(pava(labels), preds)
         values = [tce(ds, bins, TestConfig(alpha=a)).value for a in alphas]
         assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
@@ -274,7 +273,7 @@ def test_criterion_8_report_format_fixtures():
 
     # binning comparison table shape: rows = strategy, cols = both objectives
     rows = {}
-    labels_s, preds_s = sorted_view(ds)
+    labels_s, preds_s = ds.sorted_labels, ds.sorted_predictions
     strategies = {
         "pooled": bins_from_fit(pava(labels_s), preds_s),
         "pooled+constraints": bins_from_fit(pava_bc(labels_s, 30, 120), preds_s),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_bins import assign
 from reference_bins import bins_from_fit as loop_bins_from_fit
 from reference_bins import quantile_bins as loop_quantile_bins
 from reference_pava import pava as loop_pava
@@ -27,7 +28,7 @@ from caltest.binning import (
     total_error,
     within_bin_error_avg,
 )
-from caltest.core import BinSet, Dataset, partition, sorted_view
+from caltest.core import BinSet, Dataset, partition
 
 
 def make_fit(sums, lengths):
@@ -70,7 +71,7 @@ def test_quantile_never_splits_ties():
         preds = rng.integers(0, 6, n) / 6 + 1 / 12  # heavy ties
         ds = Dataset(preds, rng.integers(0, 2, n))
         bins = quantile_bins(ds, int(rng.integers(1, 12)))
-        idx = bins.assign(ds.predictions)
+        idx = assign(bins, ds.predictions)
         for value in np.unique(ds.predictions):
             assert len(np.unique(idx[ds.predictions == value])) == 1
 
@@ -192,7 +193,7 @@ def test_fit_bins_never_split_ties():
         preds = np.sort(rng.integers(0, 5, n) / 5 + 0.1)
         labels = rng.integers(0, 2, n)
         bins = bins_from_fit(pava(labels), preds)
-        idx = bins.assign(preds)
+        idx = assign(bins, preds)
         for value in np.unique(preds):
             assert len(np.unique(idx[preds == value])) == 1
 
@@ -354,7 +355,7 @@ def test_build_bins_matches_fit_blocks_on_distinct_predictions():
     # with all-distinct predictions the bins reproduce the fit blocks exactly
     rng = np.random.default_rng(20)
     ds = Dataset(np.sort(rng.random(120)), rng.integers(0, 2, 120))
-    labels, preds = sorted_view(ds)
+    labels, preds = ds.sorted_labels, ds.sorted_predictions
     fit = pava_bc(labels, 10, 40)
     bins = bins_from_fit(fit, preds)
     counts = partition(ds, bins).counts
@@ -496,7 +497,7 @@ def test_bins_cover_unit_interval_and_keep_ties_together(ds, kind, num_bins):
     edges = bins.edges
     assert edges[0] == 0.0 and edges[-1] == 1.0
     assert np.all(np.diff(edges) > 0)
-    idx = bins.assign(ds.predictions)
+    idx = assign(bins, ds.predictions)
     assert np.all((idx >= 0) & (idx < len(bins)))
     assert int(partition(ds, bins).counts.sum()) == ds.n
     for value in np.unique(ds.predictions):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from caltest.core import Bin, BinSet, Dataset, partition, sorted_view
+from caltest.binning import pava
+from caltest.core import Bin, BinSet, Dataset, partition
 
 
 def random_binset(rng, max_interior=6):
@@ -36,7 +37,6 @@ def test_partition_keeps_empty_bins_flagged():
     ds = Dataset(np.zeros(5), np.zeros(5, dtype=int))
     binned = partition(ds, BinSet.from_edges([0.0, 0.4, 1.0]))
     assert binned.counts.tolist() == [5, 0]
-    assert binned.is_empty.tolist() == [False, True]
     assert np.isnan(binned.empirical_prob[1])
 
 
@@ -52,8 +52,6 @@ def test_partition_is_exhaustive_and_exclusive():
         ds = random_dataset(rng)
         binned = partition(ds, random_binset(rng))
         assert int(binned.counts.sum()) == ds.n
-        together = np.sort(np.concatenate(binned.members))
-        assert together.tolist() == list(range(ds.n))
 
 
 def test_partition_invariant_under_permutation():
@@ -80,23 +78,27 @@ def test_mean_prediction_stays_inside_its_bin():
                 assert interval.lower <= binned.mean_prediction[b] <= interval.upper
 
 
-def test_weights_sum_to_one():
-    rng = np.random.default_rng(17)
-    ds = random_dataset(rng, 77)
-    binned = partition(ds, random_binset(rng))
-    assert binned.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_sorted_view_examples():
-    labels, preds = sorted_view(Dataset(np.array([0.9, 0.1]), np.array([1, 0])))
+    ds = Dataset(np.array([0.9, 0.1]), np.array([1, 0]))
+    labels, preds = ds.sorted_labels, ds.sorted_predictions
     assert labels.tolist() == [0, 1]
     assert preds.tolist() == [0.1, 0.9]
 
-    labels, _ = sorted_view(Dataset(np.array([0.5, 0.5]), np.array([1, 0])))
+    labels = Dataset(np.array([0.5, 0.5]), np.array([1, 0])).sorted_labels
     assert labels.tolist() == [1, 0]  # stable on ties
 
-    labels, _ = sorted_view(Dataset(np.array([0.3, 0.1, 0.2]), np.array([1, 0, 1])))
+    labels = Dataset(np.array([0.3, 0.1, 0.2]), np.array([1, 0, 1])).sorted_labels
     assert labels.tolist() == [0, 1, 1]
+
+
+def test_data_holders_compare_and_hash_by_identity():
+    def holders():
+        ds = Dataset(np.array([0.2, 0.7]), np.array([0, 1]))
+        return ds, partition(ds, BinSet.from_edges([0.0, 0.5, 1.0])), pava(np.array([0, 1]))
+
+    for one, twin in zip(holders(), holders()):
+        assert one == one and one != twin
+        assert len({one, one, twin}) == 2
 
 
 def test_dataset_validation():
@@ -160,5 +162,3 @@ def test_bin_and_binset_validation():
     assert not bs.bins[0].closed_upper
     assert bs.bins[1].closed_upper
     assert [str(b) for b in bs.bins] == ["[0, 0.4)", "[0.4, 1]"]
-    assert bs.bins[0].contains(0.0) and not bs.bins[0].contains(0.4)
-    assert bs.bins[1].contains(1.0)

@@ -9,8 +9,10 @@ from caltest.experiments import (
     metric_battery,
     run_scenario,
     run_sweep,
+    scenario_dataset,
     simulate,
 )
+from caltest.synthdata import perturb_logit_normal
 from caltest.core import Dataset
 from caltest.stattest import TestConfig
 
@@ -123,6 +125,20 @@ def test_a_nan_noise_point_is_an_error():
     (point,) = block["points"]
     assert set(point) == {"value", "error"}
     assert "noise scale" in point["error"]
+
+
+def test_scenario_dataset_refuses_a_negative_or_nan_noise():
+    for sigma in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="sigma must be a number >= 0"):
+            scenario_dataset(0.5, 0.4, n_train=600, n_test=300, seed=2, noise_sigma=sigma)
+
+
+def test_scenario_dataset_noise_is_the_logit_normal_perturbation():
+    clean = scenario_dataset(0.5, 0.4, n_train=600, n_test=300, seed=2)
+    noisy = scenario_dataset(0.5, 0.4, n_train=600, n_test=300, seed=2, noise_sigma=0.3)
+    assert np.array_equal(noisy.labels, clean.labels)
+    want = perturb_logit_normal(clean.predictions, 0.3, seed=3 * 2 + 1)
+    assert noisy.predictions.tobytes() == want.tobytes()
 
 
 def test_sweep_test_kind_runs_both_tests():

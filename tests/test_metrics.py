@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_bins import assign
+from reference_tests import reject
 
 from caltest import metrics
 from caltest.binning import BinStrategy, equispaced_bins, quantile_bins
@@ -95,9 +97,7 @@ def test_tce_weighted_l1_counts_rejections():
         report = tce(ds, bins, cfg)
         # under the weighted 1-norm the value is 100 * rejected / N
         rejected = 0
-        from caltest.stattest import reject
-
-        idx = bins.assign(ds.predictions)
+        idx = assign(bins, ds.predictions)
         for b in range(len(bins)):
             members = idx == b
             if not members.any():

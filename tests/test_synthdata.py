@@ -79,6 +79,8 @@ def test_perturb_median_tracks_location():
 def test_perturb_validation():
     with pytest.raises(ValueError):
         perturb_logit_normal(np.array([0.5]), -0.1)
+    with pytest.raises(ValueError, match="sigma must be a number >= 0, got nan"):
+        perturb_logit_normal(np.array([0.5]), math.nan)
 
 
 def test_fit_logistic_recovers_parameters():

@@ -53,13 +53,12 @@ def main(argv: list[str] | None = None) -> int:
 
     with stage("import caltest.cli"):
         cli = importlib.import_module("caltest.cli")
-    from caltest import binning, core, diagram, experiments, metrics, stattest
+    from caltest import binning, diagram, experiments, metrics, stattest
 
     with stage("ingest"):
         dataset = cli.ingest(path)
     with stage("sorted view"):
-        core.sorted_view(dataset)
-        dataset.label_prefix
+        dataset.label_prefix  # sorts the dataset first
     strategies = {"TCE(P)": "pava_bc", "TCE(Q)": "quantile", "TCE(V)": "pava"}
     for name, kind in strategies.items():
         with stage(name):
