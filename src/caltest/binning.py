@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinSet, Dataset, partition
+from .core import BinSet, Dataset, _prefix_sums, partition
 
 __all__ = [
     "BinStrategy",
@@ -85,8 +85,10 @@ def _settle(sums: list[int], lengths: list[int], n_min: int, n_max: int) -> None
     _push(sums, lengths, [sums.pop()], n_min, n_max, lengths.pop())
 
 
-# Vectorized pruning passes before `pava` finishes the hull with a stack.
+# Vectorized pruning passes before `pava` finishes the hull with a stack, and
+# the records per chunk of the first pass.
 _HULL_PASSES = 64
+_HULL_CHUNK = 1 << 15
 
 
 def pava(labels_sorted) -> IsotonicFit:
@@ -99,26 +101,43 @@ def pava(labels_sorted) -> IsotonicFit:
     are 0 and N and some of the "0-to-1 corners" i with y[i-1] = 0 and
     y[i] = 1. Each numpy pass drops every candidate that lies on or above the
     chord of its two neighbours; such a point is no strict vertex, so one
-    pass may drop many. After ``_HULL_PASSES`` passes a stack finishes the
-    hull over the survivors. Chord tests use the same integer
-    cross-multiplication as a pooling loop, so the blocks equal the loop's.
+    pass may drop many. The passes run first on each chunk of
+    ``_HULL_CHUNK`` records, with its corners and its two ends as
+    candidates, so their arrays do not grow with N; the chunk ends are
+    prefix points too, and a strict vertex of the hull of all prefix points
+    is one of the hull of any subset that holds it. Then they run over the
+    survivors of all chunks, and after ``_HULL_PASSES`` passes a stack
+    finishes the hull. Chord tests use the same integer cross-multiplication
+    as a pooling loop, so the blocks equal the loop's.
     """
     y = _as_binary(labels_sorted)
-    s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
+    s = _prefix_sums(y)
     return _make_fit(*_pava_blocks(y, s))
+
+
+def _hull_prune(s: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Up to ``_HULL_PASSES`` pruning passes over candidate points of the
+    prefix sums s; the survivors, and whether they form a convex chain."""
+    for _ in range(_HULL_PASSES):
+        dx, ds = np.diff(pts), np.diff(s[pts])
+        above = ds[:-1] * dx[1:] >= ds[1:] * dx[:-1]
+        if not above.any():
+            return pts, True
+        pts = pts[np.concatenate(([True], ~above, [True]))]
+    return pts, False
 
 
 def _pava_blocks(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block label sums and lengths of :func:`pava` for integer labels y in
     {0, 1}, such as a dataset's int8 sorted labels, and their int64 prefix sums s."""
-    pts = np.concatenate(([0], np.flatnonzero((y[:-1] == 0) & (y[1:] == 1)) + 1, [y.size]))
-    for _ in range(_HULL_PASSES):
-        dx, ds = np.diff(pts), np.diff(s[pts])
-        above = ds[:-1] * dx[1:] >= ds[1:] * dx[:-1]
-        if not above.any():
-            break
-        pts = pts[np.concatenate(([True], ~above, [True]))]
-    else:  # passes ran out: pool the surviving segments on a stack
+    survivors = [np.zeros(1, dtype=np.int64)]
+    for a in range(0, y.size, _HULL_CHUNK):
+        b = min(a + _HULL_CHUNK, y.size)
+        corners = np.flatnonzero((y[a : b - 1] == 0) & (y[a + 1 : b] == 1)) + (a + 1)
+        pts, _ = _hull_prune(s, np.concatenate(([a], corners, [b])))
+        survivors.append(pts[1:])
+    pts, convex = _hull_prune(s, np.concatenate(survivors))
+    if not convex:  # passes ran out: pool the surviving segments on a stack
         sums: list[int] = []
         lengths: list[int] = []
         for v, w in zip(np.diff(s[pts]).tolist(), np.diff(pts).tolist()):
@@ -238,7 +257,7 @@ def pava_bc(labels_sorted, n_min: int, n_max: int) -> IsotonicFit:
     time.
     """
     y = _as_binary(labels_sorted)
-    s = np.concatenate(([0], np.cumsum(y)))  # label prefix sums
+    s = _prefix_sums(y)
     return _make_fit(*_pava_bc_blocks(y, s, n_min, n_max))
 
 
@@ -386,7 +405,7 @@ def brute_force_optimal(labels_sorted) -> tuple[tuple[tuple[int, int], ...], flo
     n = y.size
     if n > 16:
         raise ValueError("brute force enumeration is limited to N <= 16")
-    prefix = np.concatenate(([0], np.cumsum(y)))
+    prefix = _prefix_sums(y)
     best_obj = None
     best_blocks = None
     for mask in range(1 << (n - 1)):

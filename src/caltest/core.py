@@ -79,9 +79,20 @@ class Dataset:
     @cached_property
     def label_prefix(self) -> np.ndarray:
         """Exact integer label sums of the sorted prefixes: entry i covers the first i records."""
-        prefix = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.sorted_labels, dtype=np.int64, out=prefix[1:])
-        return _frozen(prefix)
+        return _frozen(_prefix_sums(self.sorted_labels))
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """[0, v[0], v[0] + v[1], ...] as int64, for integer or boolean values.
+
+    The values are copied into the output and summed there in place: a
+    cumsum with ``dtype=np.int64`` would first cast its whole input.
+    """
+    out = np.empty(values.size + 1, dtype=np.int64)
+    out[0] = 0
+    out[1:] = values
+    np.cumsum(out, out=out)
+    return out
 
 
 def _sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +110,7 @@ def _sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     opens = ordered[1:] != ordered[:-1]  # where a tie group opens
     if not opens.all():  # some value is tied
         del ordered
-        group = np.zeros(order.size, dtype=np.int64)
-        np.cumsum(opens, out=group[1:])
+        group = _prefix_sums(opens)
         del opens
         group *= order.size
         order += group

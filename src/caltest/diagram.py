@@ -91,9 +91,7 @@ def build_diagram(
             preds_b = binned.predictions_in(b)
             if preds_b.size > 0:
                 quartiles = tuple(float(v) for v in np.percentile(preds_b, [25, 50, 75]))
-                counts, _ = np.histogram(
-                    preds_b, bins=VIOLIN_BUCKETS, range=(interval.lower, interval.upper)
-                )
+                counts, _ = _sorted_histogram(preds_b, VIOLIN_BUCKETS, interval.lower, interval.upper)
                 density = tuple(int(c) for c in counts)
         entries.append(
             DiagramBin(
@@ -107,8 +105,8 @@ def build_diagram(
             )
         )
 
-    hist_counts, hist_edges = np.histogram(
-        dataset.predictions, bins=GLOBAL_HIST_BUCKETS, range=(0.0, 1.0)
+    hist_counts, hist_edges = _sorted_histogram(
+        dataset.sorted_predictions, GLOBAL_HIST_BUCKETS, 0.0, 1.0
     )
     config: dict = {"num_bins": len(bins)}
     if kind == "test_based":
@@ -121,6 +119,22 @@ def build_diagram(
         histogram_counts=tuple(int(c) for c in hist_counts),
         config=config,
     )
+
+
+def _sorted_histogram(
+    values: np.ndarray, buckets: int, lower: float, upper: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram(values, buckets, (lower, upper))`` of ascending values, by binary search.
+
+    The edges are numpy's own. numpy puts each value in the bucket those
+    edges bound, [e_i, e_i+1) and the last closed, so the counts are the
+    gaps between the edges' positions in the values and no per-value array
+    is made.
+    """
+    edges = np.histogram_bin_edges(values, buckets, (lower, upper))
+    ends = np.searchsorted(values, edges, side="left")
+    ends[-1] = np.searchsorted(values, edges[-1], side="right")
+    return np.diff(ends), edges
 
 
 def _f(v: float) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .binning import BinStrategy, build_bins, quantile_bins, equispaced_bins
 from .core import Bin, BinSet, Dataset, partition
-from .stattest import TestConfig, binom_rejections, t_pvalues_sweep
+from .stattest import TestConfig, binom_rejections, binom_undecided, t_pvalues_sweep
 
 __all__ = [
     "BinMetric",
@@ -150,27 +150,58 @@ def mce(
     return _gap_metric(dataset, bins, "sup", name, {"bins": bins_kind, "num_bins": num_bins})
 
 
+# Records per chunk of a bin's walk over its runs of equal predictions.
+_RUN_CHUNK = 1 << 13
+
+
+def _runs(preds: np.ndarray):
+    """The distinct values of ascending predictions and their run lengths, in chunks.
+
+    Each chunk looks at up to ``_RUN_CHUNK`` records and ends where the run
+    of its last value ends, found by binary search, so its arrays stay that
+    small however long the runs are. Each value is its run's first record.
+    """
+    start = 0
+    while start < preds.size:
+        part = preds[start : start + _RUN_CHUNK]
+        firsts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        values = part[firsts]
+        end = start + int(np.searchsorted(preds[start:], values[-1], side="right"))
+        yield values, np.diff(np.r_[firsts, end - start])
+        start = end
+
+
 def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -> float:
     """Percentage of a bin's predictions rejected against the bin's labels.
 
     Each prediction is tested as the hypothesized probability for the full
     label set of its bin, own outcome included. Tests within a bin share
     (n, k), so each distinct prediction value is tested once; ``preds`` is in
-    ascending order (as ``gce`` passes it), so equal values are adjacent runs.
+    ascending order (as ``gce`` passes it), so equal values are adjacent runs,
+    walked in chunks (:func:`_runs`). The binomial screen decides most values
+    chunk by chunk. The rest go to the test in one call per bin; the binomial
+    one screens them again and finds them all undecided.
     """
     n = int(labels.size)
-    starts = np.flatnonzero(np.r_[True, preds[1:] != preds[:-1]])
-    uniq = preds[starts]
-    counts = np.diff(np.r_[starts, preds.size])
+    k = int(labels.sum())
+    rejected, kept_values, kept_counts = 0, [], []
+    for values, counts in _runs(preds):
+        if cfg.kind == "binomial":
+            undecided = binom_undecided(n, k, values, cfg.alpha)
+            rejected += int(counts[~undecided].sum())
+            values, counts = values[undecided], counts[undecided]
+        kept_values.append(values)
+        kept_counts.append(counts)
+    values, counts = np.concatenate(kept_values), np.concatenate(kept_counts)
     if cfg.kind == "binomial":
-        rejected = binom_rejections(n, int(labels.sum()), uniq, cfg.alpha)
+        tested = binom_rejections(n, k, values, cfg.alpha)
     elif n >= 2:
-        rejected = t_pvalues_sweep(labels, uniq) < cfg.alpha
+        tested = t_pvalues_sweep(labels, values) < cfg.alpha
     else:
         # Degenerate single-record bin under the t-test: apply the same
         # limiting rule as a zero-variance sample.
-        rejected = uniq != float(labels[0])
-    return 100.0 * (int(counts[rejected].sum()) / n)
+        tested = values != float(labels[0])
+    return 100.0 * ((rejected + int(counts[tested].sum())) / n)
 
 
 def tce(

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln, stdtr
 
-__all__ = ["TestConfig", "binom_pvalues_sweep", "binom_rejections", "t_pvalues_sweep"]
+__all__ = [
+    "TestConfig",
+    "binom_pvalues_sweep",
+    "binom_rejections",
+    "binom_undecided",
+    "t_pvalues_sweep",
+]
 
 # Relative slack when comparing outcome masses against the observed mass.
 MASS_SLACK = 1e-7
@@ -39,9 +45,16 @@ class TestConfig:
 
 
 def _log_binom_coeffs(n: int) -> np.ndarray:
-    """log C(n, j) for j = 0..n, from one gammaln evaluation per index."""
-    log_fact = gammaln(np.arange(n + 1) + 1.0)  # log j!
-    return log_fact[n] - log_fact - log_fact[::-1]
+    """log C(n, j) for j = 0..n, from one gammaln evaluation per index.
+
+    The table of log j! is the only scratch array: it is evaluated in place
+    and freed when the table of coefficients is done.
+    """
+    log_fact = np.arange(1.0, n + 2.0)  # j + 1
+    gammaln(log_fact, out=log_fact)  # log j!
+    coeffs = log_fact[n] - log_fact
+    coeffs -= log_fact[::-1]
+    return coeffs
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -67,8 +80,9 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
     return lower + upper
 
 
-# Pairs per pass of the exact kernel, which holds about twenty arrays of that length.
-_KERNEL_CHUNK = 1 << 14
+# Pairs per pass of the exact kernel, which holds about twenty arrays of that
+# length: about 115 bytes a pair, so under 0.5 MiB a pass.
+_KERNEL_CHUNK = 1 << 12
 
 
 def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -143,15 +157,14 @@ def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
     return _binom_pvalues(n, k, qs)
 
 
-def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
-    """Whether the exact two-sided binomial test rejects each q at level alpha.
+def binom_undecided(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether each q needs the exact kernel to decide the binomial test at level alpha.
 
-    Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The p-value sums at
-    most n + 1 outcome masses, each no larger than pmf(k) * (1 + slack), so
-    p <= (n + 1) * pmf(k) * (1 + slack). A q in (0, 1) whose bound lies below
-    alpha / 2 is rejected on that bound alone; the factor 2 is a margin far
-    above the float error of the bound and of the exact kernel. Only the
-    remaining q (0, 1 and those near k / n) go to the exact kernel.
+    The p-value sums at most n + 1 outcome masses, each no larger than
+    pmf(k) * (1 + slack), so p <= (n + 1) * pmf(k) * (1 + slack). A q in
+    (0, 1) whose bound lies below alpha / 2 is rejected on that bound alone;
+    the factor 2 is a margin far above the float error of the bound and of
+    the exact kernel. The rest (0, 1 and the q near k / n) are undecided.
     """
     _validate_nk(n, k)
     qs = np.asarray(qs, dtype=np.float64)
@@ -159,9 +172,20 @@ def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray
     q = qs[interior]
     log_coeff = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
     log_bound = log_coeff + k * np.log(q) + (n - k) * np.log1p(-q) + _LOG_SLACK + math.log(n + 1)
-    exact = ~interior
-    exact[interior] = log_bound >= math.log(alpha / 2)
-    del q, log_bound  # the exact kernel's own arrays peak next
+    undecided = ~interior
+    undecided[interior] = log_bound >= math.log(alpha / 2)
+    return undecided
+
+
+def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether the exact two-sided binomial test rejects each q at level alpha.
+
+    Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The q that
+    :func:`binom_undecided` decides are rejected on its bound; only the
+    others go to the exact kernel.
+    """
+    qs = np.asarray(qs, dtype=np.float64)
+    exact = binom_undecided(n, k, qs, alpha)
     rejected = np.ones(qs.shape, dtype=bool)
     rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
     return rejected

@@ -1,13 +1,14 @@
-"""The two-loop exact binomial kernel that ``caltest.stattest`` replaced, kept verbatim.
+"""Parts of the exact binomial kernel that ``caltest.stattest`` replaced, kept verbatim.
 
 ``_interior_pvalues`` here finds the lower edge of the excluded block with a
 left-leaning binary search and the upper edge with a right-leaning one. The
 tests hold the single mirrored search in ``caltest.stattest`` to it byte for
-byte.
+byte, and its table of log binomial coefficients to ``log_binom_coeffs``.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammaln
 
 from caltest.stattest import _LOG_SLACK, _binom_tails
 
@@ -57,3 +58,12 @@ def _interior_pvalues(n: int, coeffs: np.ndarray, k: np.ndarray, q: np.ndarray) 
 
     p = np.where(flat, 1.0, _binom_tails(n, first_above, last_above, q))
     return np.clip(p, 0.0, 1.0)
+
+
+def log_binom_coeffs(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, from one gammaln evaluation per index.
+
+    Three arrays of n + 1 values are alive at its peak.
+    """
+    log_fact = gammaln(np.arange(n + 1) + 1.0)  # log j!
+    return log_fact[n] - log_fact - log_fact[::-1]

@@ -377,6 +377,7 @@ TUNINGS = {
     "default": {},
     "tiny": {"_WINDOW": 1, "_JUMP_COST": 4, "_HULL_PASSES": 1},
     "scalar": {"_WINDOW": 2, "_JUMP_COST": 64, "_HULL_PASSES": 0},
+    "hull_chunks": {"_HULL_CHUNK": 3, "_HULL_PASSES": 2},
 }
 
 

@@ -3,10 +3,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from caltest.binning import quantile_bins
 from caltest.core import BinSet, Dataset
-from caltest.diagram import build_diagram, render_svg
+from caltest.diagram import _sorted_histogram, build_diagram, render_svg
 from caltest.metrics import tce
 from caltest.stattest import TestConfig
 
@@ -123,3 +125,37 @@ def test_golden_svg(tmp_path):
     svg = render_svg(spec)
     golden = pathlib.Path(__file__).parent / "data" / "golden_diagram.svg"
     assert svg == golden.read_text(encoding="utf-8")
+
+
+@st.composite
+def histogram_cases(draw):
+    """Ascending values on the bucket edges, next to them, at both ends of the
+    range and outside it, in ties, and a range and bucket count."""
+    lower = draw(st.floats(0.0, 1.0, exclude_max=True))
+    upper = draw(st.floats(lower, 1.0, exclude_min=True))
+    buckets = draw(st.integers(1, 60))
+    try:
+        edges = np.histogram_bin_edges(np.zeros(0), buckets, (lower, upper)).tolist()
+    except ValueError:  # too many buckets for the range: both sides raise
+        edges = [lower, upper]
+    near = [float(np.nextafter(e, d)) for e in edges for d in (0.0, 1.0)]
+    pool = edges + near + draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), max_size=80))
+    return np.sort(np.array(values, dtype=np.float64)), buckets, lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(histogram_cases())
+@example((np.sort(np.r_[np.linspace(0.0, 1.0, 51), 0.5, 1.0, 0.0]), 50, 0.0, 1.0))
+@example((np.array([0.25, 0.25, 0.5]), 20, 0.25, 0.5))
+def test_sorted_histogram_matches_numpy(case):
+    values, buckets, lower, upper = case
+    try:
+        want = np.histogram(values, buckets, (lower, upper))
+    except ValueError:
+        with pytest.raises(ValueError):
+            _sorted_histogram(values, buckets, lower, upper)
+        return
+    counts, edges = _sorted_histogram(values, buckets, lower, upper)
+    assert counts.tolist() == want[0].tolist()
+    assert edges.tobytes() == want[1].tobytes()

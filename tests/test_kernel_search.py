@@ -2,6 +2,7 @@
 import numpy as np
 from hypothesis import example, given, settings
 from reference_kernel import _interior_pvalues as two_loop_pvalues
+from reference_kernel import log_binom_coeffs
 from test_stattest import tail_cases
 
 from caltest import stattest
@@ -26,3 +27,8 @@ def test_single_search_matches_two_loops(case):
     ks = np.concatenate([np.full(qs.shape, k), modes, [k]])
     q = np.concatenate([qs, qs, [(k + 0.5) / (n + 1)]])
     assert kernel_bytes(stattest._interior_pvalues, n, ks, q) == kernel_bytes(two_loop_pvalues, n, ks, q)
+
+
+def test_log_binom_coeffs_match_the_three_array_expression():
+    for n in [*range(1, 3001), 10**5, 10**6]:
+        assert stattest._log_binom_coeffs(n).tobytes() == log_binom_coeffs(n).tobytes(), n

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from reference_bins import assign
 from reference_tests import reject
 
-from caltest import metrics
+from caltest import metrics, stattest
 from caltest.binning import BinStrategy, equispaced_bins, quantile_bins
 from caltest.core import BinSet, Dataset
 from caltest.metrics import ace, ece, gce, mce, tce, tce_classwise, tce_variants
@@ -256,3 +258,43 @@ def test_tce_rejecting_every_record_is_exactly_100():
     ds = Dataset(np.array([0.25] * 112 + [0.75] * 13), np.ones(125, dtype=int))
     bins = quantile_bins(ds, 10)
     assert tce(ds, bins, TestConfig(alpha=0.05)).value == 100.0
+
+
+@st.composite
+def tie_runs(draw):
+    """Predictions from a few values, 0, -0.0 and 1 among them, so runs of ties
+    straddle chunk ends."""
+    pool = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]),
+                         min_size=1, max_size=6))
+    preds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(preds), max_size=len(preds)))
+    return Dataset(np.array(preds), np.array(labels))
+
+
+def tce_and_test_calls(ds, cfg):
+    """The three TCE values, and the arguments of every binomial kernel and t-test call."""
+    calls = []
+    sweep, t_sweep = stattest.binom_pvalues_sweep, metrics.t_pvalues_sweep
+
+    def spy_sweep(n, k, qs):
+        calls.append((n, k, np.asarray(qs).tobytes()))
+        return sweep(n, k, qs)
+
+    def spy_t(labels, qs):
+        calls.append((labels.tobytes(), qs.tobytes()))
+        return t_sweep(labels, qs)
+
+    with mock.patch.object(stattest, "binom_pvalues_sweep", spy_sweep), \
+            mock.patch.object(metrics, "t_pvalues_sweep", spy_t):
+        values = {name: report.value for name, report in tce_variants(ds, cfg).items()}
+    return values, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=tie_runs(), chunk=st.integers(1, 5), kind=st.sampled_from(["binomial", "t"]),
+       alpha=st.sampled_from([0.05, 0.5]))
+def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha):
+    cfg = TestConfig(kind, alpha)
+    values, calls = tce_and_test_calls(ds, cfg)
+    with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
+        assert tce_and_test_calls(ds, cfg) == (values, calls)
