@@ -88,7 +88,7 @@ def _settle(sums: list[int], lengths: list[int], n_min: int, n_max: int) -> None
 # Vectorized pruning passes before `pava` finishes the hull with a stack, and
 # the records per chunk of the first pass.
 _HULL_PASSES = 64
-_HULL_CHUNK = 1 << 15
+_HULL_CHUNK = 1 << 16
 
 
 def pava(labels_sorted) -> IsotonicFit:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .binning import BinStrategy, build_bins, quantile_bins, equispaced_bins
 from .core import Bin, BinSet, Dataset, partition
-from .stattest import TestConfig, binom_rejections, binom_undecided, t_pvalues_sweep
+from .stattest import TestConfig, binom_pvalues_sweep, binom_undecided, t_pvalues_sweep
 
 __all__ = [
     "BinMetric",
@@ -151,7 +151,7 @@ def mce(
 
 
 # Records per chunk of a bin's walk over its runs of equal predictions.
-_RUN_CHUNK = 1 << 13
+_RUN_CHUNK = 1 << 14
 
 
 def _runs(preds: np.ndarray):
@@ -164,10 +164,10 @@ def _runs(preds: np.ndarray):
     start = 0
     while start < preds.size:
         part = preds[start : start + _RUN_CHUNK]
-        firsts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        firsts = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
         values = part[firsts]
         end = start + int(np.searchsorted(preds[start:], values[-1], side="right"))
-        yield values, np.diff(np.r_[firsts, end - start])
+        yield values, np.diff(firsts, append=end - start)
         start = end
 
 
@@ -178,30 +178,29 @@ def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -
     label set of its bin, own outcome included. Tests within a bin share
     (n, k), so each distinct prediction value is tested once; ``preds`` is in
     ascending order (as ``gce`` passes it), so equal values are adjacent runs,
-    walked in chunks (:func:`_runs`). The binomial screen decides most values
-    chunk by chunk. The rest go to the test in one call per bin; the binomial
-    one screens them again and finds them all undecided.
+    walked in chunks (:func:`_runs`). The binomial screen rejects most values
+    chunk by chunk; the rest go to the test in one call per bin.
     """
     n = int(labels.size)
     k = int(labels.sum())
-    rejected, kept_values, kept_counts = 0, [], []
+    kept_values, kept_counts = [], []
     for values, counts in _runs(preds):
         if cfg.kind == "binomial":
             undecided = binom_undecided(n, k, values, cfg.alpha)
-            rejected += int(counts[~undecided].sum())
             values, counts = values[undecided], counts[undecided]
         kept_values.append(values)
         kept_counts.append(counts)
     values, counts = np.concatenate(kept_values), np.concatenate(kept_counts)
+    screened = n - int(counts.sum())  # rejected by the screen
     if cfg.kind == "binomial":
-        tested = binom_rejections(n, k, values, cfg.alpha)
+        tested = binom_pvalues_sweep(n, k, values) < cfg.alpha
     elif n >= 2:
         tested = t_pvalues_sweep(labels, values) < cfg.alpha
     else:
         # Degenerate single-record bin under the t-test: apply the same
         # limiting rule as a zero-variance sample.
         tested = values != float(labels[0])
-    return 100.0 * ((rejected + int(counts[tested].sum())) / n)
+    return 100.0 * ((screened + int(counts[tested].sum())) / n)
 
 
 def tce(

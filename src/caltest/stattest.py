@@ -16,7 +16,6 @@ from scipy.special import betainc, gammaln, stdtr
 __all__ = [
     "TestConfig",
     "binom_pvalues_sweep",
-    "binom_rejections",
     "binom_undecided",
     "t_pvalues_sweep",
 ]
@@ -162,9 +161,10 @@ def binom_undecided(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
 
     The p-value sums at most n + 1 outcome masses, each no larger than
     pmf(k) * (1 + slack), so p <= (n + 1) * pmf(k) * (1 + slack). A q in
-    (0, 1) whose bound lies below alpha / 2 is rejected on that bound alone;
-    the factor 2 is a margin far above the float error of the bound and of
-    the exact kernel. The rest (0, 1 and the q near k / n) are undecided.
+    (0, 1) whose bound lies below alpha / 2 is rejected on that bound alone,
+    so ``binom_pvalues_sweep(n, k, q) < alpha`` for it; the factor 2 is a
+    margin far above the float error of the bound and of the exact kernel.
+    The rest (0, 1 and the q near k / n) are undecided.
     """
     _validate_nk(n, k)
     qs = np.asarray(qs, dtype=np.float64)
@@ -175,20 +175,6 @@ def binom_undecided(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
     undecided = ~interior
     undecided[interior] = log_bound >= math.log(alpha / 2)
     return undecided
-
-
-def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
-    """Whether the exact two-sided binomial test rejects each q at level alpha.
-
-    Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The q that
-    :func:`binom_undecided` decides are rejected on its bound; only the
-    others go to the exact kernel.
-    """
-    qs = np.asarray(qs, dtype=np.float64)
-    exact = binom_undecided(n, k, qs, alpha)
-    rejected = np.ones(qs.shape, dtype=bool)
-    rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
-    return rejected
 
 
 def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@
 defines TCE; the tests hold ``caltest.metrics.tce`` to a loop over it. The
 scalar p-value functions and ``binom_pvalues_for_counts`` (one q, every k)
 call the same kernel as ``binom_pvalues_sweep``, so the tests check that
-kernel against independent enumerations through them.
+kernel against independent enumerations through them. ``binom_rejections``
+decides q the way ``caltest.metrics`` does, screen first, so the tests can
+hold the screen to the exact kernel.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from caltest.stattest import (
     _binom_pvalues,
     _validate_nk,
     binom_pvalues_sweep,
+    binom_undecided,
     t_pvalues_sweep,
 )
 
@@ -35,6 +38,20 @@ def binom_pvalues_for_counts(n: int, q: float) -> np.ndarray:
     if not (0.0 <= q <= 1.0):
         raise ValueError("q must lie in [0, 1]")
     return _binom_pvalues(n, np.arange(n + 1), q)
+
+
+def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether the exact two-sided binomial test rejects each q at level alpha.
+
+    Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The q that
+    ``binom_undecided`` decides are rejected on its bound; only the others
+    go to the exact kernel.
+    """
+    qs = np.asarray(qs, dtype=np.float64)
+    exact = binom_undecided(n, k, qs, alpha)
+    rejected = np.ones(qs.shape, dtype=bool)
+    rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
+    return rejected
 
 
 def binom_pvalue(n: int, k: int, q: float) -> float:

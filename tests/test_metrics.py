@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from reference_bins import assign
 from reference_tests import reject
 
-from caltest import metrics, stattest
+from caltest import metrics
 from caltest.binning import BinStrategy, equispaced_bins, quantile_bins
 from caltest.core import BinSet, Dataset
 from caltest.metrics import ace, ece, gce, mce, tce, tce_classwise, tce_variants
@@ -274,7 +274,7 @@ def tie_runs(draw):
 def tce_and_test_calls(ds, cfg):
     """The three TCE values, and the arguments of every binomial kernel and t-test call."""
     calls = []
-    sweep, t_sweep = stattest.binom_pvalues_sweep, metrics.t_pvalues_sweep
+    sweep, t_sweep = metrics.binom_pvalues_sweep, metrics.t_pvalues_sweep
 
     def spy_sweep(n, k, qs):
         calls.append((n, k, np.asarray(qs).tobytes()))
@@ -284,7 +284,7 @@ def tce_and_test_calls(ds, cfg):
         calls.append((labels.tobytes(), qs.tobytes()))
         return t_sweep(labels, qs)
 
-    with mock.patch.object(stattest, "binom_pvalues_sweep", spy_sweep), \
+    with mock.patch.object(metrics, "binom_pvalues_sweep", spy_sweep), \
             mock.patch.object(metrics, "t_pvalues_sweep", spy_t):
         values = {name: report.value for name, report in tce_variants(ds, cfg).items()}
     return values, calls

@@ -1,10 +1,11 @@
 """Scoring and diagrams run in the arrays a dataset holds plus scratch that does not grow with N.
 
 tracemalloc counts numpy's buffers, so the peaks below are the arrays alive
-at once. The one scratch allowed to grow is the exact binomial kernel's
-table of log binomial coefficients for the bin it tests, and the table of
-log factorials it is built from: 16 bytes per record of the bin, and a bin
-of ``pava_bc`` holds at most n_max records.
+at once. The scratch allowed to grow is the exact binomial kernel's table
+of log binomial coefficients for the bin it tests, with the table of log
+factorials it is built from: 16 bytes per record of the bin. (A diagram's
+``np.percentile`` copies one bin at a time too, at a different moment.) A
+bin of ``pava_bc`` holds at most n_max records.
 """
 import tracemalloc
 

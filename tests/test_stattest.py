@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_tests import binom_pvalue, binom_pvalues_for_counts, reject, t_pvalue
+from reference_tests import (
+    binom_pvalue,
+    binom_pvalues_for_counts,
+    binom_rejections,
+    reject,
+    t_pvalue,
+)
 from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -17,7 +23,6 @@ from caltest.stattest import (
     _binom_tails,
     TestConfig,
     binom_pvalues_sweep,
-    binom_rejections,
     t_pvalues_sweep,
 )
 
