@@ -11,6 +11,8 @@ import argparse
 import codecs
 import itertools
 import json
+import os
+import stat
 import sys
 import warnings
 from collections.abc import Iterator
@@ -102,9 +104,10 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 def ingest(path: str | Path) -> Dataset:
     """Load and validate a prediction/label file, naming the offending row on error.
 
-    A CSV file is read in blocks by ``np.loadtxt``; only a block that loadtxt
-    turns down goes to the per-row parser, which gives the same columns or
-    names the first bad row.
+    A plain ``.csv`` file is read by ``np.loadtxt`` given its path. Any other
+    CSV file, and every file that reader refuses, is read in blocks by
+    ``np.loadtxt``; only a block that loadtxt turns down goes to the per-row
+    parser, which gives the same columns or names the first bad row.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
@@ -142,22 +145,36 @@ def ingest(path: str | Path) -> Dataset:
 
 # Bytes read at a time; a block runs on to the end of a line longer than this.
 _SCAN_BLOCK = 1 << 14
+# Bytes read at a time by the scan that decides whether loadtxt may read the file by path.
+_PATH_SCAN = 1 << 16
+# Bytes that can end a line for str.splitlines but not under universal newlines:
+# VT, FF, FS, GS, RS, and the last bytes of U+0085, U+2028 and U+2029 (which other
+# characters end in too; a file holding one is read by the block reader, correctly).
+_SPLITLINES_ONLY = b"\x0b\x0c\x1c\x1d\x1e\x85\xa8\xa9"
 
 
 def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of a ``prediction,label`` file, read block by block; the first bad row raises.
+    """The columns of a ``prediction,label`` file; the first bad row raises.
 
     Rows are the non-blank lines after the header, as ``str.splitlines`` cuts
     them, numbered from 1. A byte that is not UTF-8 makes its row bad.
+
+    A regular ``.csv`` file whose lines both readers cut alike goes first to
+    ``np.loadtxt`` given its path, which reads it in C chunks but names no bad
+    row; whatever that reader refuses is read from the start block by block.
     """
     with path.open("rb") as fh:
+        if path.suffix.lower() == ".csv" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if _lines_cut_alike(fh) and (columns := _path_columns(path)) is not None:
+                return columns
+            fh.seek(0)
         blocks = _line_blocks(fh)
         lines, bad = next(blocks)
         if bad is not None and not lines:
             raise MalformedRowError(f"{path}: header: byte {bad} is not UTF-8")
         header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
         blocks = itertools.chain([(lines[1:], bad)], blocks)
-        if header.strip().lower().replace(" ", "") != "prediction,label":
+        if not _is_header(header):
             if not header.strip() and all(
                 b is None and not any(map(str.strip, ls)) for ls, b in blocks
             ):  # a blank first line, and only blank text after it
@@ -175,6 +192,50 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if not labels:
         raise EmptyInputError(f"{path}: no data rows")
     return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
+
+
+def _lines_cut_alike(fh) -> bool:
+    """Whether the file's first line passes as the header and no byte ends a line for splitlines alone.
+
+    Only then do loadtxt's universal newlines cut the rows ``str.splitlines`` cuts.
+    """
+    first = fh.read(_PATH_SCAN)
+    ends = [i for i in (first.find(b"\n"), first.find(b"\r")) if i >= 0]
+    try:
+        if not ends or not _is_header(first[: min(ends)].decode().removeprefix("\ufeff")):
+            return False
+    except UnicodeDecodeError:
+        return False
+    chunks = itertools.chain([first], iter(lambda: fh.read(_PATH_SCAN), b""))
+    return not any(byte in chunk for chunk in chunks for byte in _SPLITLINES_ONLY)
+
+
+def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns as ``np.loadtxt`` reads them from the path, or None if it or a check refuses.
+
+    ``.csv`` keeps numpy from opening the file through a decompressor. Labels
+    parse straight to int8, so one written ``1.0`` refuses the file.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                str(path), dtype="f8,i1", delimiter=",", comments=None,
+                skiprows=1, encoding="utf-8", ndmin=1,
+            )
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+    preds, labels = table["f0"], table["f1"]
+    return (preds, labels) if table.size and _in_range(preds, labels) else None
+
+
+def _is_header(line: str) -> bool:
+    return line.strip().lower().replace(" ", "") == "prediction,label"
+
+
+def _in_range(preds: np.ndarray, labels: np.ndarray) -> bool:
+    # NaN fails both comparisons, so it is caught along with out-of-range values.
+    return bool(np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0) | (labels == 1)))
 
 
 def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
@@ -213,8 +274,7 @@ def _block_columns(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]
         pass
     else:
         preds, labels = table["f0"], table["f1"]
-        # NaN fails both comparisons, so it is caught along with out-of-range values.
-        if np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0)):
+        if _in_range(preds, labels):
             return preds, labels.astype(np.int8)  # one byte per label, as Dataset keeps them
     return _csv_rows([ln for ln in lines if ln.strip()], rows)
 

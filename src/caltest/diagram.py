@@ -21,6 +21,7 @@ __all__ = ["DiagramBin", "DiagramSpec", "build_diagram", "render_svg"]
 
 GLOBAL_HIST_BUCKETS = 50
 VIOLIN_BUCKETS = 20
+_QUARTILES = np.array([0.25, 0.5, 0.75])  # np.percentile's [25, 50, 75] over 100
 
 
 def json_safe(obj):
@@ -90,7 +91,7 @@ def build_diagram(
             rejection = report.per_bin[b].loss
             preds_b = binned.predictions_in(b)
             if preds_b.size > 0:
-                quartiles = tuple(float(v) for v in np.percentile(preds_b, [25, 50, 75]))
+                quartiles = tuple(float(v) for v in _sorted_quartiles(preds_b))
                 counts, _ = _sorted_histogram(preds_b, VIOLIN_BUCKETS, interval.lower, interval.upper)
                 density = tuple(int(c) for c in counts)
         entries.append(
@@ -135,6 +136,32 @@ def _sorted_histogram(
     ends = np.searchsorted(values, edges, side="left")
     ends[-1] = np.searchsorted(values, edges[-1], side="right")
     return np.diff(ends), edges
+
+
+def _sorted_quartiles(values: np.ndarray) -> np.ndarray:
+    """``np.percentile(values, [25, 50, 75])`` of ascending values in [0, 1], read in place.
+
+    numpy's linear rule: the virtual index (n - 1)·q, the values at its floor
+    and one above (both the last where the index reaches it), and numpy's
+    ``_lerp``, which steps back from the upper value when t >= 0.5.
+    np.percentile partitions a copy, which may swap -0.0 and 0.0, so values
+    holding a negative zero are left to it.
+    """
+    if np.signbit(values[: np.searchsorted(values, 0.0, side="right")]).any():
+        return np.percentile(values, [25, 50, 75])
+    n = values.size
+    virtual = (n - 1) * _QUARTILES
+    lower = np.floor(virtual)
+    upper = lower + 1
+    last = virtual >= n - 1
+    lower[last] = upper[last] = -1
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    t = virtual - lower
+    a, b = values[lower], values[upper]
+    diff = b - a
+    quartiles = a + diff * t
+    np.subtract(b, diff * (1 - t), out=quartiles, where=t >= 0.5)
+    return quartiles
 
 
 def _f(v: float) -> str:
