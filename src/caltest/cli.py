@@ -162,6 +162,8 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
     A regular ``.csv`` file whose lines both readers cut alike goes first to
     ``np.loadtxt`` given its path, which reads it in C chunks but names no bad
     row; whatever that reader refuses is read from the start block by block.
+    numpy opens other names, such as ``.gz``, through a decompressor, and a
+    pipe cannot be read twice.
     """
     with path.open("rb") as fh:
         if path.suffix.lower() == ".csv" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -213,8 +215,7 @@ def _lines_cut_alike(fh) -> bool:
 def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     """The columns as ``np.loadtxt`` reads them from the path, or None if it or a check refuses.
 
-    ``.csv`` keeps numpy from opening the file through a decompressor. Labels
-    parse straight to int8, so one written ``1.0`` refuses the file.
+    Labels parse straight to int8, so one written ``1.0`` refuses the file.
     """
     try:
         with warnings.catch_warnings():

@@ -141,23 +141,18 @@ def _sorted_histogram(
 def _sorted_quartiles(values: np.ndarray) -> np.ndarray:
     """``np.percentile(values, [25, 50, 75])`` of ascending values in [0, 1], read in place.
 
-    numpy's linear rule: the virtual index (n - 1)·q, the values at its floor
-    and one above (both the last where the index reaches it), and numpy's
-    ``_lerp``, which steps back from the upper value when t >= 0.5.
-    np.percentile partitions a copy, which may swap -0.0 and 0.0, so values
-    holding a negative zero are left to it.
+    numpy's linear rule: the values at the floor of the virtual index
+    (n - 1)·q and one above, joined by numpy's ``_lerp``, which steps back
+    from the upper value when t >= 0.5. np.percentile partitions a copy,
+    which may swap -0.0 and 0.0, so values holding a -0.0 are left to it.
     """
     if np.signbit(values[: np.searchsorted(values, 0.0, side="right")]).any():
         return np.percentile(values, [25, 50, 75])
-    n = values.size
-    virtual = (n - 1) * _QUARTILES
+    virtual = (values.size - 1) * _QUARTILES
     lower = np.floor(virtual)
-    upper = lower + 1
-    last = virtual >= n - 1
-    lower[last] = upper[last] = -1
-    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
     t = virtual - lower
-    a, b = values[lower], values[upper]
+    lower = lower.astype(np.intp)
+    a, b = values[lower], values[np.minimum(lower + 1, values.size - 1)]
     diff = b - a
     quartiles = a + diff * t
     np.subtract(b, diff * (1 - t), out=quartiles, where=t >= 0.5)
