@@ -1,5 +1,8 @@
+import gzip
 import json
+import os
 import re
+import threading
 import warnings
 from unittest import mock
 
@@ -335,6 +338,147 @@ def test_header_only_csv_is_empty_input_without_warning(tmp_path, text):
         warnings.simplefilter("error")  # loadtxt warns "input contained no data"
         with pytest.raises(EmptyInputError, match="no data rows"):
             ingest(path)
+
+
+# Since .csv files go to the path reader first, the tests above reach the
+# block reader only with the files that reader refuses. The tests below hold
+# each reader to the per-row reference on its own.
+
+
+def refuse(*args):
+    raise AssertionError("this reader must not run")
+
+
+def assert_each_reader_matches_reference(path):
+    """The block reader alone, and the path reader wherever it accepts, give the reference's outcome."""
+    block_only = path.with_suffix(".txt")  # a suffix the path reader refuses
+    block_only.write_bytes(path.read_bytes())
+    assert_ingest_matches_reference(block_only)
+    with path.open("rb") as fh:
+        columns = cli._path_columns(path) if cli._lines_cut_alike(fh) else None
+    if columns is not None:
+        assert ingest_outcome(lambda _: Dataset(*columns), path) == ingest_outcome(
+            reference_ingest_csv, path
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts())
+@example("prediction,label\n0.5,1,1\n0\n")
+def test_each_reader_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "each.csv"
+    path.write_text(text, encoding="utf-8")
+    assert_each_reader_matches_reference(path)
+
+
+@pytest.mark.parametrize("text", BOUNDARY_CSV_TEXTS.values(), ids=BOUNDARY_CSV_TEXTS.keys())
+def test_each_reader_matches_per_row_reference_at_boundaries(tmp_path, text):
+    path = tmp_path / "boundary.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_each_reader_matches_reference(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_csv_texts())
+def test_each_reader_matches_per_row_reference_on_odd_texts(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "each_odd.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_each_reader_matches_reference(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "header",
+    ["prediction,label", "﻿prediction,label", " Prediction , Label "],
+    ids=["plain", "byte-order-mark", "capitals-and-spaces"],
+)
+def test_benchmark_shaped_csv_takes_the_path_reader(tmp_path, monkeypatch, newline, header):
+    rng = np.random.default_rng(3)
+    preds = [0.0, 1.0, *rng.random(5000).tolist(), *np.round(rng.random(5000), 2).tolist()]
+    labels = rng.integers(0, 2, len(preds)).tolist()
+    path = tmp_path / "scores.csv"
+    rows = [f"{p!r},{y}" for p, y in zip(preds, labels)]
+    path.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
+    want = ingest_outcome(reference_ingest_csv, path)
+    monkeypatch.setattr(cli, "_line_blocks", refuse)
+    assert ingest_outcome(ingest, path) == want
+    assert ingest(path).n == len(preds)
+
+
+def test_plain_text_named_csv_gz_reads_through_the_block_reader(tmp_path, monkeypatch):
+    """numpy would open a path ending in .gz through gzip, so that name never takes the path reader."""
+    path = write(tmp_path, "x.csv.gz", FOUR_POINT_CSV)
+    with pytest.raises(OSError):  # not a gzip file
+        np.loadtxt(str(path), delimiter=",", skiprows=1)
+    want = ingest_outcome(ingest, write(tmp_path, "x.csv", FOUR_POINT_CSV))
+    monkeypatch.setattr(cli, "_path_columns", refuse)
+    assert ingest_outcome(ingest, path) == want
+
+
+def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
+    path = tmp_path / "x.csv.gz"
+    path.write_bytes(gzip.compress(FOUR_POINT_CSV.encode(), mtime=0))
+    with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(path))}: header: byte 1 is not UTF-8$"):
+        ingest(path)
+
+
+# A file the path reader refuses, and whether it refuses before or after np.loadtxt reads the path.
+PATH_READER_REFUSALS = {
+    "suffix": ("x.txt", b"prediction,label\n0.5,1\n", False),
+    "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", False),
+    "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\xe2\x80\xa8", False),
+    "header": ("x.csv", b"pred,y\n0.5,1\n", False),
+    "header-not-utf8": ("x.csv", b"pr\xe9diction,label\n0.5,1\n", False),
+    "no-line-end-in-first-read": ("x.csv", b"prediction,label", False),
+    "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,1.0\n", True),
+    "unicode-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,\xff\n", True),
+    "empty-table": ("x.csv", b"prediction,label\n\r\n", True),
+    "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", True),
+    "label-check": ("x.csv", b"prediction,label\n0.5,1\n0.5,2\n", True),
+}
+
+
+@pytest.mark.parametrize(
+    "name, data, reads_path", PATH_READER_REFUSALS.values(), ids=PATH_READER_REFUSALS.keys()
+)
+def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name, data, reads_path):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_lines_cut_alike", lambda fh: False)  # the block reader alone
+        want = ingest_outcome(ingest, path)
+    path_reads, block_reads = [], []
+    loadtxt, line_blocks = np.loadtxt, cli._line_blocks
+
+    def spy_loadtxt(fname, *args, **kwargs):
+        if isinstance(fname, str):
+            path_reads.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    def spy_line_blocks(fh):
+        block_reads.append(fh)
+        return line_blocks(fh)
+
+    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+    monkeypatch.setattr(cli, "_line_blocks", spy_line_blocks)
+    assert ingest_outcome(ingest, path) == want
+    assert len(path_reads) == reads_path
+    assert len(block_reads) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_named_pipe_csv_is_read_once_by_the_block_reader(tmp_path):
+    """A pipe cannot be read twice, so only a regular file takes the path reader."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(FOUR_POINT_CSV,), daemon=True)
+    writer.start()
+    try:
+        ds = ingest(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert ds.predictions.tolist() == [0.2, 0.3, 0.7, 0.9]
 
 
 SPECIAL_PREDICTIONS = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, float(np.nextafter(1.0, 0.0))]

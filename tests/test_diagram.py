@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from caltest.binning import quantile_bins
 from caltest.core import BinSet, Dataset
-from caltest.diagram import _sorted_histogram, build_diagram, render_svg
+from caltest.diagram import _sorted_histogram, _sorted_quartiles, build_diagram, render_svg
 from caltest.metrics import tce
 from caltest.stattest import TestConfig
 
@@ -159,3 +159,30 @@ def test_sorted_histogram_matches_numpy(case):
     counts, edges = _sorted_histogram(values, buckets, lower, upper)
     assert counts.tolist() == want[0].tolist()
     assert edges.tobytes() == want[1].tobytes()
+
+
+QUARTILE_VALUES = st.sampled_from([0.0, 1.0, 0.5, 0.25, 5e-324, 1.0 - 2**-53]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def quartile_cases(draw):
+    """Ascending values: sizes 1-4 most often, ties, 0.0 and 1.0, and some with -0.0 among the zeros."""
+    size = draw(st.integers(1, 4) | st.integers(5, 60))
+    pool = draw(st.lists(QUARTILE_VALUES, min_size=1, max_size=size))
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        values = [-0.0 if v == 0.0 and draw(st.booleans()) else v for v in values]
+    values = np.sort(np.array(values), kind="stable")
+    values.flags.writeable = False  # as the sorted view is
+    return values
+
+
+@settings(max_examples=500, deadline=None)
+@given(quartile_cases())
+@example(np.array([0.3]))
+@example(np.array([0.0, 1.0]))
+@example(np.array([0.0, 0.0, 1.0]))
+@example(np.array([0.1, 0.2, 0.2, 0.9]))
+@example(np.array([-0.0, 0.0, 0.0, 1.0]))
+def test_sorted_quartiles_match_numpy_percentile(values):
+    assert _sorted_quartiles(values).tobytes() == np.percentile(values, [25, 50, 75]).tobytes()

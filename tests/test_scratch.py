@@ -1,18 +1,21 @@
-"""Scoring and diagrams run in the arrays a dataset holds plus scratch that does not grow with N.
+"""Ingest, scoring and diagrams run in the arrays a dataset holds plus scratch that does not grow with N.
 
 tracemalloc counts numpy's buffers, so the peaks below are the arrays alive
-at once. The scratch allowed to grow is the exact binomial kernel's table
-of log binomial coefficients for the bin it tests, with the table of log
-factorials it is built from: 16 bytes per record of the bin. (A diagram's
-``np.percentile`` copies one bin at a time too, at a different moment.) A
-bin of ``pava_bc`` holds at most n_max records.
+at once. Ingest holds no more than the 26 bytes per record that the scored
+dataset will hold. After it, the scratch allowed to grow is the exact
+binomial kernel's table of log binomial coefficients for the bin it tests,
+with the table of log factorials it is built from: 16 bytes per record of
+the bin. A diagram reads each bin's quartiles from the sorted view in
+place. A bin of ``pava_bc`` holds at most n_max records.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from caltest import cli
 from caltest.binning import BinStrategy, build_bins
+from caltest.cli import ingest, write_dataset_csv
 from caltest.core import Dataset
 from caltest.diagram import build_diagram, render_svg
 from caltest.experiments import metric_battery, scenario_dataset
@@ -21,6 +24,7 @@ from caltest.stattest import TestConfig
 SIZES = (100_000, 400_000)
 SORT_SLACK = 64 * 1024  # bytes above 26 per record while the sorted view is built
 SCORING_SLACK = 256 * 1024  # bytes of growth from the smaller size to the larger
+INGEST_SLACK = 512 * 1024  # bytes above 26 per record: the reads of the file and loadtxt's buffers
 
 
 def scenario(n: int, tied: bool) -> Dataset:
@@ -62,3 +66,22 @@ def test_scoring_scratch_grows_only_with_the_kernel_tables(tied):
     n_max = {n: BinStrategy().resolve_sizes(n)[1] for n in SIZES}
     table_growth = 16 * ((n_max[SIZES[1]] + 1) - (n_max[SIZES[0]] + 1))
     assert scratch[SIZES[1]] - scratch[SIZES[0]] <= table_growth + SCORING_SLACK
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_ingest_holds_no_more_than_the_scored_dataset(tmp_path, monkeypatch, tied):
+    for n in SIZES:
+        path = tmp_path / "scores.csv"
+        write_dataset_csv(scenario(n, tied), path)
+        block_only = tmp_path / "scores.txt"  # a suffix the path reader refuses
+        block_only.write_bytes(path.read_bytes())
+        tracemalloc.start()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_line_blocks", None)  # the .csv is read by the path reader
+                path_peak = traced_peak(lambda: ingest(path))
+            block_peak = traced_peak(lambda: ingest(block_only))
+        finally:
+            tracemalloc.stop()
+        assert path_peak <= 26 * n + INGEST_SLACK
+        assert block_peak <= 26 * n + INGEST_SLACK
