@@ -145,12 +145,10 @@ def ingest(path: str | Path) -> Dataset:
 
 # Bytes read at a time; a block runs on to the end of a line longer than this.
 _SCAN_BLOCK = 1 << 14
-# Bytes read at a time by the scan that decides whether loadtxt may read the file by path.
-_PATH_SCAN = 1 << 16
-# Bytes that can end a line for str.splitlines but not under universal newlines:
-# VT, FF, FS, GS, RS, and the last bytes of U+0085, U+2028 and U+2029 (which other
-# characters end in too; a file holding one is read by the block reader, correctly).
-_SPLITLINES_ONLY = b"\x0b\x0c\x1c\x1d\x1e\x85\xa8\xa9"
+# ASCII bytes that bar the path reader: VT, FF, FS, GS and RS end a line for
+# str.splitlines but not under universal newlines; tab, US and the underscore
+# can make a line or a field that float() reads and loadtxt turns down late.
+_NOT_FOR_PATH_READER = b"\x0b\x0c\x1c\x1d\x1e\t\x1f_"
 
 
 def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -197,19 +195,33 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lines_cut_alike(fh) -> bool:
-    """Whether the file's first line passes as the header and no byte ends a line for splitlines alone.
+    """Whether the path reader may read the file: it gives the block reader's rows, or it refuses early.
 
-    Only then do loadtxt's universal newlines cut the rows ``str.splitlines`` cuts.
+    The first line, read in the first block, must pass as the header. After a
+    leading byte-order mark the file must be ASCII and hold none of
+    ``_NOT_FOR_PATH_READER``; then universal newlines cut the rows that
+    ``str.splitlines`` cuts, and the text that loadtxt turns down but ``float()``
+    reads is a line or field ending in a space. No line after the header may.
     """
-    first = fh.read(_PATH_SCAN)
+    first = fh.read(_SCAN_BLOCK)
     ends = [i for i in (first.find(b"\n"), first.find(b"\r")) if i >= 0]
-    try:
-        if not ends or not _is_header(first[: min(ends)].decode().removeprefix("\ufeff")):
-            return False
-    except UnicodeDecodeError:
+    if not ends:
         return False
-    chunks = itertools.chain([first], iter(lambda: fh.read(_PATH_SCAN), b""))
-    return not any(byte in chunk for chunk in chunks for byte in _SPLITLINES_ONLY)
+    header, first = first[: min(ends)].removeprefix(codecs.BOM_UTF8), first[min(ends) :]
+    if not (_plain(header) and _is_header(header.decode())):
+        return False
+    last = b""
+    for chunk in itertools.chain([first], iter(lambda: fh.read(_SCAN_BLOCK), b""), [b"\n"]):
+        if not _plain(chunk) or b" " in chunk and (b" \n" in chunk or b" \r" in chunk):
+            return False  # the two-byte searches are slow, so only a read holding a space runs them
+        if last.endswith(b" ") and chunk.startswith((b"\n", b"\r")):  # cut between the reads
+            return False
+        last = chunk
+    return True
+
+
+def _plain(chunk: bytes) -> bool:
+    return chunk.isascii() and not any(byte in chunk for byte in _NOT_FOR_PATH_READER)
 
 
 def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
@@ -220,11 +232,14 @@ def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # From numpy 1.23 until that deprecation ends, an integer field such as
+            # 0.5 is parsed through float and truncated, with only this warning.
+            warnings.filterwarnings("error", category=DeprecationWarning)
             table = np.loadtxt(
                 str(path), dtype="f8,i1", delimiter=",", comments=None,
                 skiprows=1, encoding="utf-8", ndmin=1,
             )
-    except ValueError:  # a UnicodeDecodeError too
+    except (ValueError, DeprecationWarning):  # numpy raises the warning as a ValueError's cause
         return None
     preds, labels = table["f0"], table["f1"]
     return (preds, labels) if table.size and _in_range(preds, labels) else None

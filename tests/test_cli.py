@@ -426,12 +426,22 @@ def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
 PATH_READER_REFUSALS = {
     "suffix": ("x.txt", b"prediction,label\n0.5,1\n", False),
     "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", False),
-    "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\xe2\x80\xa8", False),
+    "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\x1e", False),
+    "underscore": ("x.csv", b"prediction,label\n0.5,1\n0.2_5,1\n", False),
+    "not-ascii": ("x.csv", b"prediction,label\n0.5,1\n0.5,1\xe2\x80\xa8", False),
+    "not-utf8": ("x.csv", b"prediction,label\n0.5,1\n0.5,\xff\n", False),
+    "space-line": ("x.csv", b"prediction,label\n0.5,1\n  \r\n0.25,0\n", False),
+    "space-line-at-end": ("x.csv", b"prediction,label\n0.5,1\n  ", False),
+    "space-line-cut-between-reads": (
+        "x.csv",
+        b"prediction,label\n" + b"0.5,1\n" * 2720 + b"0." + b"5" * 41 + b",1\n \n0.25,0\n",  # the space is byte 16383
+        False,
+    ),
     "header": ("x.csv", b"pred,y\n0.5,1\n", False),
     "header-not-utf8": ("x.csv", b"pr\xe9diction,label\n0.5,1\n", False),
     "no-line-end-in-first-read": ("x.csv", b"prediction,label", False),
     "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,1.0\n", True),
-    "unicode-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,\xff\n", True),
+    "fractional-label": ("x.csv", b"prediction,label\n0.5,1\n0.5,0.5\n", True),
     "empty-table": ("x.csv", b"prediction,label\n\r\n", True),
     "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", True),
     "label-check": ("x.csv", b"prediction,label\n0.5,1\n0.5,2\n", True),
@@ -464,6 +474,58 @@ def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name
     assert ingest_outcome(ingest, path) == want
     assert len(path_reads) == reads_path
     assert len(block_reads) == 1
+
+
+def test_space_line_cut_between_reads_straddles_the_first_read():
+    data = PATH_READER_REFUSALS["space-line-cut-between-reads"][1]
+    assert data[cli._SCAN_BLOCK - 2 : cli._SCAN_BLOCK + 1] == b"\n \n"
+
+
+def test_float_parsed_label_warning_refuses_the_path_reader(tmp_path, monkeypatch):
+    """numpy 1.23 and later, until that deprecation ends, read the label 0.5 as 0 with a DeprecationWarning."""
+    path = write(tmp_path, "x.csv", "prediction,label\n0.5,1\n0.5,0.5\n")
+
+    def truncating_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(0.5, 1), (0.5, 0)], dtype="f8,i1")
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    assert cli._path_columns(path) is None
+    monkeypatch.undo()
+    with pytest.raises(LabelValueError, match=r"^row 2: label '0.5' must be 0 or 1$"):
+        ingest(path)
+
+
+def label_fields(text):
+    """The label field of each non-blank line after the header, as the per-row reference cuts them."""
+    return [ln.split(",")[-1].strip() for ln in text.removeprefix("\ufeff").splitlines()[1:] if ln.strip()]
+
+
+def assert_path_reader_refuses_late_only_float_labels(path):
+    """A file the scan passes and the block reader reads is refused by loadtxt only for a label like 1.0."""
+    with path.open("rb") as fh:
+        if not cli._lines_cut_alike(fh):
+            return
+    if not isinstance(ingest_outcome(reference_ingest_csv, path)[0], np.dtype):
+        return  # an error, named by the block reader
+    if cli._path_columns(path) is None:
+        labels = label_fields(path.read_text(encoding="utf-8"))
+        assert any(c in label for label in labels for c in ".eE")
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts() | odd_csv_texts())
+def test_path_reader_refuses_a_readable_file_late_only_for_float_labels(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "late.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_path_reader_refuses_late_only_float_labels(path)
+
+
+@pytest.mark.parametrize("text", BOUNDARY_CSV_TEXTS.values(), ids=BOUNDARY_CSV_TEXTS.keys())
+def test_path_reader_refuses_a_readable_boundary_file_late_only_for_float_labels(tmp_path, text):
+    path = tmp_path / "late.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_path_reader_refuses_late_only_float_labels(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
