@@ -195,13 +195,13 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lines_cut_alike(fh) -> bool:
-    """Whether the path reader may read the file: it gives the block reader's rows, or it refuses early.
+    """Whether the path reader may read the file: then it cuts the block reader's rows, and
+    turns down no file that the block reader reads but one with a label written like ``1.0``.
 
-    The first line, read in the first block, must pass as the header. After a
-    leading byte-order mark the file must be ASCII and hold none of
-    ``_NOT_FOR_PATH_READER``; then universal newlines cut the rows that
-    ``str.splitlines`` cuts, and the text that loadtxt turns down but ``float()``
-    reads is a line or field ending in a space. No line after the header may.
+    The first line, within the first read, must pass as the header. After a
+    leading byte-order mark the file must be ASCII and hold no byte of
+    ``_NOT_FOR_PATH_READER``, and no line after the header may end in a space,
+    as a line of spaces does.
     """
     first = fh.read(_SCAN_BLOCK)
     ends = [i for i in (first.find(b"\n"), first.find(b"\r")) if i >= 0]
@@ -233,13 +233,14 @@ def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # From numpy 1.23 until that deprecation ends, an integer field such as
-            # 0.5 is parsed through float and truncated, with only this warning.
+            # 0.5 is parsed through float and truncated, with only this warning;
+            # as an error it fails the field, which loadtxt raises as a ValueError.
             warnings.filterwarnings("error", category=DeprecationWarning)
             table = np.loadtxt(
                 str(path), dtype="f8,i1", delimiter=",", comments=None,
                 skiprows=1, encoding="utf-8", ndmin=1,
             )
-    except (ValueError, DeprecationWarning):  # numpy raises the warning as a ValueError's cause
+    except ValueError:
         return None
     preds, labels = table["f0"], table["f1"]
     return (preds, labels) if table.size and _in_range(preds, labels) else None

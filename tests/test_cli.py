@@ -486,7 +486,10 @@ def test_float_parsed_label_warning_refuses_the_path_reader(tmp_path, monkeypatc
     path = write(tmp_path, "x.csv", "prediction,label\n0.5,1\n0.5,0.5\n")
 
     def truncating_loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:  # as numpy does when the warning is an error
+            raise ValueError("could not convert string '0.5' to int8 at row 1, column 2.") from exc
         return np.array([(0.5, 1), (0.5, 0)], dtype="f8,i1")
 
     monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
