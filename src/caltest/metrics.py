@@ -16,7 +16,7 @@ import numpy as np
 
 from .binning import BinStrategy, build_bins, quantile_bins, equispaced_bins
 from .core import Bin, BinSet, Dataset, partition
-from .stattest import TestConfig, binom_pvalues_sweep, binom_undecided, t_pvalues_sweep
+from .stattest import TestConfig, binom_pvalues_sweep, binom_screen, t_pvalues_sweep
 
 __all__ = [
     "BinMetric",
@@ -178,20 +178,21 @@ def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -
     label set of its bin, own outcome included. Tests within a bin share
     (n, k), so each distinct prediction value is tested once; ``preds`` is in
     ascending order (as ``gce`` passes it), so equal values are adjacent runs,
-    walked in chunks (:func:`_runs`). The binomial screen rejects most values
-    chunk by chunk; the rest go to the test in one call per bin.
+    walked in chunks (:func:`_runs`). The binomial screen decides almost every
+    value chunk by chunk; the rest go to the test in one call per bin.
     """
     n = int(labels.size)
     k = int(labels.sum())
+    screened = 0  # records rejected by the screen
     kept_values, kept_counts = [], []
     for values, counts in _runs(preds):
         if cfg.kind == "binomial":
-            undecided = binom_undecided(n, k, values, cfg.alpha)
+            rejected, undecided = binom_screen(n, k, values, cfg.alpha)
+            screened += int(counts[rejected].sum())
             values, counts = values[undecided], counts[undecided]
         kept_values.append(values)
         kept_counts.append(counts)
     values, counts = np.concatenate(kept_values), np.concatenate(kept_counts)
-    screened = n - int(counts.sum())  # rejected by the screen
     if cfg.kind == "binomial":
         tested = binom_pvalues_sweep(n, k, values) < cfg.alpha
     elif n >= 2:

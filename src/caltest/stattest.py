@@ -4,19 +4,23 @@ The default test is the exact binomial test: the p-value is the total mass of
 all outcomes no more probable than the observed count, with a small relative
 slack so float-equal masses are treated as ties. All binomial mass arithmetic
 happens in log space.
+
+Most tests are settled in numpy (``binom_screen``); ``scipy.special`` is
+imported only by the exact kernel, for the tests the screen leaves, and by
+the t-test.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import betainc, gammaln, stdtr
 
 __all__ = [
     "TestConfig",
     "binom_pvalues_sweep",
-    "binom_undecided",
+    "binom_screen",
     "t_pvalues_sweep",
 ]
 
@@ -49,6 +53,8 @@ def _log_binom_coeffs(n: int) -> np.ndarray:
     The table of log j! is the only scratch array: it is evaluated in place
     and freed when the table of coefficients is done.
     """
+    from scipy.special import gammaln
+
     log_fact = np.arange(1.0, n + 2.0)  # j + 1
     gammaln(log_fact, out=log_fact)  # log j!
     coeffs = log_fact[n] - log_fact
@@ -74,6 +80,8 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
     ``binom.cdf`` in the last bits on most inputs, and ``binomtest``, the
     oracle this kernel is held to, sums ``binom.cdf``.
     """
+    from scipy.special import betainc
+
     lower = np.where(below > 0, betainc(n - below + 1, below, 1.0 - q), 0.0)
     upper = np.where(above < n, betainc(above + 1, n - above, q), 0.0)
     return lower + upper
@@ -136,6 +144,7 @@ def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
     ``above`` must be false and then true on [0, hi], with hi <= n; every
     pair's search ends within bit_length(n) halvings.
     """
+    last = hi
     lo = np.zeros_like(hi)
     for _ in range(int(n).bit_length() + 1):
         mid = (lo + hi) // 2
@@ -144,7 +153,7 @@ def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
         lo = np.where(up, lo, mid + 1)
         if np.all(lo >= hi):
             break
-    return lo
+    return np.minimum(lo, last)
 
 
 def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
@@ -156,25 +165,204 @@ def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
     return _binom_pvalues(n, k, qs)
 
 
-def binom_undecided(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray:
-    """Whether each q needs the exact kernel to decide the binomial test at level alpha.
+# Settling most tests in numpy (binom_screen). _EPS is float64's machine epsilon.
+_EPS = float(np.finfo(np.float64).eps)
+# Relative margin of every numpy decision over the exact kernel's own
+# rounding: its tails are held to 50-digit sums within 1e-9 relative.
+_KERNEL_MARGIN = 1e-8
+# Below this alpha the kernel's p-values near alpha lose their precision to
+# subnormal rounding, so the screen leaves every q in (0, 1) to the kernel.
+_LEAST_ALPHA = 1e-300
+# log j! comes from math.lgamma for j below this, from Stirling's series above.
+_STIRLING_FROM = 256
+_LOG_FACT_HEAD = np.array([math.lgamma(j + 1.0) for j in range(_STIRLING_FROM)])
+_LOG_FACT_HEAD.flags.writeable = False
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# q per pass of the tail sums; terms per tail per step, which settle almost
+# every q in one step; steps before a q is left to the exact kernel.
+_SCREEN_GROUP = 1 << 10
+_TAIL_TERMS = 16
+_TAIL_STEPS = 128
 
-    The p-value sums at most n + 1 outcome masses, each no larger than
-    pmf(k) * (1 + slack), so p <= (n + 1) * pmf(k) * (1 + slack). A q in
-    (0, 1) whose bound lies below alpha / 2 is rejected on that bound alone,
-    so ``binom_pvalues_sweep(n, k, q) < alpha`` for it; the factor 2 is a
-    margin far above the float error of the bound and of the exact kernel.
-    The rest (0, 1 and the q near k / n) are undecided.
+
+def binom_screen(n: int, k: int, qs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Settle ``binom_pvalues_sweep(n, k, qs) < alpha`` in numpy wherever a float margin allows.
+
+    Returns ``(rejected, undecided)``, two boolean arrays shaped like qs; a q
+    in neither is accepted, and only the undecided q need the exact kernel.
+    q = 0 and q = 1 put all mass on one outcome, so p is 0 or 1. Each q in
+    (0, 1) meets three steps; a step decides only beyond its margin.
+
+    1. Reject bound. p sums at most n + 1 outcome masses, each at most
+       pmf(k) * (1 + slack), so q is rejected when (n + 1) * pmf(k) *
+       (1 + slack) < alpha / 2. The factor 2 is the margin.
+    2. Accept certificate. If k <= nq, every j < k is less probable than k,
+       so p >= P(X <= k) >= Phi(-sqrt(2n H(k/n, q))), H the Bernoulli
+       relative entropy (Zubkov & Serov 2013, Theory Probab. Appl. 57(3));
+       k >= nq is the mirror image. q is accepted when that bound is at least
+       alpha * (1 + 1e-8 + 4 (n + 1) eps), with 2nH taken up by its float error.
+    3. Tail sums, for the q still open, in groups of ``_SCREEN_GROUP``. The
+       block of outcomes more probable than k is found as the exact kernel
+       finds it (``_first_above``), from a table of log C(n, j)
+       (``_log_binom_table``). Each tail is summed outward from the block,
+       ``_TAIL_TERMS`` terms a step. q is accepted once the sum exceeds
+       alpha * (1 + tol), and rejected once the sum plus a bound on each
+       tail's rest stays below alpha * (1 - tol). A tail's rest is at most
+       its next term / (1 - r), r the ratio of that term's successor to it,
+       since the ratio shrinks outward. A q stays undecided when the mode or
+       an edge of its block lies within ``err`` of the threshold, or when
+       ``_TAIL_STEPS`` steps do not settle it.
+
+    Error bound. Let L = log n! and M = max(|log q|, |log(1 - q)|). Every
+    log-mass this screen or the exact kernel forms, log C(n, j) + j log q +
+    (n - j) log(1 - q) or the threshold, is a handful of operations on
+    numbers of magnitude at most L + nM. With each of lgamma, gammaln, log,
+    log1p and exp within 4 ulp, it lies within 16 eps (L + nM + 1) of its
+    exact value; the Stirling remainder, below 1 / (1680 j^7) < 1e-20 for
+    j >= 256, adds nothing at that scale. So err = 64 eps (L + nM + 1)
+    bounds the difference of any such mass minus the threshold between the
+    two codes, twice over. Hence a block whose edges clear the threshold by
+    err is the kernel's block: the true pmf rises to the mode and falls
+    after it, so the kernel's comparisons are monotone too, and its search
+    ends at the same edges. Each summed term is then within a relative err
+    of its exact value. tol = 1e-8 + err covers that, the rounding of at
+    most 2 * _TAIL_TERMS * _TAIL_STEPS additions and of the scaling by
+    alpha (alpha >= 1e-300, so |log alpha| < 691), and the kernel's own
+    error: its incomplete beta values agree with 50-digit sums within 1e-9,
+    and its lower tail may carry (n + 1) eps more from rounding 1 - q, which
+    err exceeds.
     """
     _validate_nk(n, k)
     qs = np.asarray(qs, dtype=np.float64)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise ValueError("q must lie in [0, 1]")
     interior = (qs > 0.0) & (qs < 1.0)
+    rejected = ~interior & np.where(qs == 0.0, k != 0, k != n)
+    undecided = np.zeros(qs.shape, dtype=bool)
+    if alpha < _LEAST_ALPHA:
+        return rejected, interior
+    if not np.any(interior):
+        return rejected, undecided
     q = qs[interior]
-    log_coeff = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    log_bound = log_coeff + k * np.log(q) + (n - k) * np.log1p(-q) + _LOG_SLACK + math.log(n + 1)
-    undecided = ~interior
-    undecided[interior] = log_bound >= math.log(alpha / 2)
-    return undecided
+    logq, log1mq = np.log(q), np.log1p(-q)
+    log_qk = k * logq + (n - k) * log1mq  # log q^k (1 - q)^(n - k)
+    log_coeff = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    reject = log_qk < math.log(alpha) - math.log(2.0) - log_coeff - _LOG_SLACK - math.log(n + 1)
+    open_ = ~reject & (log_qk < _accept_floor(n, k, alpha))
+    if np.any(open_):
+        tail_rejected, tail_undecided = _tail_screen(n, k, q[open_], logq[open_], log1mq[open_], alpha)
+        reject[open_] = tail_rejected
+        left = np.zeros(q.shape, dtype=bool)
+        left[open_] = tail_undecided
+        undecided[interior] = left
+    rejected[interior] = reject
+    return rejected, undecided
+
+
+def _accept_floor(n: int, k: int, alpha: float) -> float:
+    """The least log q^k (1 - q)^(n - k) that the accept certificate accepts.
+
+    2nH(k/n, q) = 2 (c - log q^k (1 - q)^(n - k)) with c = k log(k/n) +
+    (n - k) log(1 - k/n). Its float error is below 32 eps (|c| + |log
+    q^k (1 - q)^(n - k)| + 1), which is added to it before it is held to
+    z^2, z the alpha * (1 + margin) quantile of the standard normal.
+    """
+    target = alpha * (1.0 + _KERNEL_MARGIN + 4 * (n + 1) * _EPS)
+    if target >= 0.5:  # Phi(-sqrt(2nH)) <= 1/2: the certificate cannot accept
+        return math.inf
+    z = NormalDist().inv_cdf(target)
+    c = (k * math.log(k / n) if k else 0.0) + ((n - k) * math.log1p(-k / n) if k < n else 0.0)
+    kappa = 32 * _EPS
+    return (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa)
+
+
+def _log_binom_table(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, then ``_TAIL_TERMS`` entries of -inf.
+
+    8 bytes per entry, with 4 more per entry while it is built. log j! is
+    ``math.lgamma`` below 256 and Stirling's series up to its 1/(1260 j^5)
+    term from there, evaluated in chunks of ``_KERNEL_CHUNK``; C(n, j) =
+    C(n, n - j) fills the upper half from the lower. The -inf entries are
+    the mass of every j in [-_TAIL_TERMS, -1] and [n + 1, n + _TAIL_TERMS],
+    since a negative index counts from the end.
+    """
+    table = np.full(n + 1 + _TAIL_TERMS, -np.inf)  # log j! first
+    head = min(n + 1, _STIRLING_FROM)
+    table[:head] = _LOG_FACT_HEAD[:head]
+    for start in range(head, n + 1, _KERNEL_CHUNK):
+        j = np.arange(float(start), float(min(start + _KERNEL_CHUNK, n + 1)))
+        inv = 1.0 / j
+        inv2 = inv * inv
+        series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+        table[start : start + j.size] = (j + 0.5) * np.log(j) - j + _HALF_LOG_2PI + series
+    half = n // 2 + 1  # j = 0..n/2, whose mirrors n - j cover the rest
+    low = table[n] - table[:half]
+    low -= table[n - half + 1 : n + 1][::-1]
+    table[:half] = low
+    table[n - half + 1 : n + 1] = low[::-1]
+    return table
+
+
+def _tail_screen(n, k, q, logq, log1mq, alpha):
+    """Step 3 of ``binom_screen`` for q in (0, 1): (rejected, undecided)."""
+    rejected = np.zeros(q.shape, dtype=bool)
+    undecided = np.zeros(q.shape, dtype=bool)
+    table = _log_binom_table(n)
+    log_alpha = math.log(alpha)  # terms are summed in units of alpha
+    log_n_fact = math.lgamma(n + 1.0)
+    # Column 0 is the lower tail, which steps down; column 1 the upper.
+    ways = np.array([-1, 1])
+    steps = ways[:, None] * np.arange(_TAIL_TERMS)
+    for start in range(0, q.size, _SCREEN_GROUP):
+        part = slice(start, start + _SCREEN_GROUP)
+        qg, slope, base = q[part], logq[part] - log1mq[part], n * log1mq[part]
+
+        def logpmf(j, slope=slope, base=base):
+            return table[j] + (base + j * slope)
+
+        err = 64 * _EPS * (log_n_fact + n * np.maximum(-logq[part], -log1mq[part]) + 1.0)
+        thresh = logpmf(k) + _LOG_SLACK
+        mode = np.minimum(np.floor((n + 1) * qg).astype(np.int64), n)
+        lo = _first_above(lambda j: logpmf(j) > thresh, mode, n)
+        hi = n - _first_above(lambda j: logpmf(n - j) > thresh, n - mode, n)
+        peak = logpmf(mode) - thresh
+        inside = np.minimum(logpmf(lo), logpmf(hi)) - thresh
+        outside = np.maximum(logpmf(lo - 1), logpmf(hi + 1)) - thresh  # -inf past 0 and n
+        sure = (peak > err) & (inside > err) & (outside < -err)
+        undecided[part] = ~sure & (peak >= -err)  # a flat q, p = 1, is accepted
+        # The q being summed: the next index of each tail, the sum so far, and
+        # the levels that settle them.
+        at = np.flatnonzero(sure)
+        nxt = np.stack([lo[at] - 1, hi[at] + 1], axis=1)
+        total = np.zeros(at.size)
+        tol = _KERNEL_MARGIN + err[at]
+        accept_above, reject_below = 1.0 + tol, 1.0 - tol
+        # pmf(j -/+ 1) / pmf(j) = m / (n + 1 - m) times these, m = j or n - j;
+        # rounded up past their error.
+        odds = qg[at] / (1.0 - qg[at])
+        odds = np.stack([1.0 / odds, odds], axis=1) * (1.0 + err[at, None])
+        slope, base = slope[at, None], base[at, None] - log_alpha
+        for _ in range(_TAIL_STEPS):
+            if not at.size:
+                break
+            j = (nxt[:, :, None] + steps).reshape(at.size, -1)
+            total += np.exp(logpmf(j, slope, base)).sum(axis=1)
+            nxt += ways * _TAIL_TERMS
+            np.maximum(nxt, -1, out=nxt)
+            np.minimum(nxt, n + 1, out=nxt)
+            m = n * (ways > 0) - nxt * ways
+            ratio = m / (n + 1.0 - m) * odds
+            rest = np.exp(logpmf(nxt, slope, base))
+            np.divide(rest, 1.0 - ratio, out=rest, where=ratio < 1.0)
+            rest[~(ratio < 1.0)] = np.inf
+            accept = total > accept_above
+            reject = total + rest.sum(axis=1) < reject_below
+            rejected[start + at[reject]] = True
+            keep = ~(accept | reject)
+            at, nxt, total, slope, base = at[keep], nxt[keep], total[keep], slope[keep], base[keep]
+            accept_above, reject_below, odds = accept_above[keep], reject_below[keep], odds[keep]
+        undecided[start + at] = True
+    return rejected, undecided
 
 
 def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -184,6 +372,8 @@ def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
     n-1 degrees of freedom. A zero-variance sample gives p = 1 when q equals
     the common value and p = 0 otherwise, matching the limiting t statistic.
     """
+    from scipy.special import stdtr
+
     labels = np.asarray(labels, dtype=np.float64)
     qs = np.asarray(qs, dtype=np.float64)
     n = labels.size

@@ -19,7 +19,7 @@ from caltest.stattest import (
     _binom_pvalues,
     _validate_nk,
     binom_pvalues_sweep,
-    binom_undecided,
+    binom_screen,
     t_pvalues_sweep,
 )
 
@@ -44,12 +44,11 @@ def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray
     """Whether the exact two-sided binomial test rejects each q at level alpha.
 
     Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The q that
-    ``binom_undecided`` decides are rejected on its bound; only the others
-    go to the exact kernel.
+    ``binom_screen`` decides keep its decision; only the others go to the
+    exact kernel.
     """
     qs = np.asarray(qs, dtype=np.float64)
-    exact = binom_undecided(n, k, qs, alpha)
-    rejected = np.ones(qs.shape, dtype=bool)
+    rejected, exact = binom_screen(n, k, qs, alpha)
     rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
     return rejected
 

@@ -1,11 +1,22 @@
-"""Importing caltest loads scipy.special only; scipy.stats and scipy.optimize cost ~1 s per CLI call."""
+"""Importing caltest loads no scipy module that a default call does not need.
+
+scipy.stats and scipy.optimize cost ~1 s per CLI call, and scipy.special
+≈0.2 s and ≈25 MiB. A default binomial call settles its tests in numpy, so
+only a q the screen leaves to the exact kernel, or ``--test t``, loads
+scipy.special.
+"""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from caltest import cli
+from caltest.core import Dataset
+from caltest.experiments import scenario_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -15,7 +26,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCH = """
 import importlib, json, sys, traceback
 
-GUARDED = ("scipy.stats", "scipy.optimize")
+GUARDED = ("scipy.stats", "scipy.optimize", "scipy.special")
 pulled = {}
 
 class Watch:
@@ -46,3 +57,47 @@ def test_import_leaves_out_scipy_stats_and_optimize(module):
     assert pulled == {}, "; ".join(
         f"import {module} loads {name} via {' <- '.join(stack)}" for name, stack in pulled.items()
     )
+
+
+# Runs one CLI call in a fresh interpreter, then reports its exit code and
+# whether it loaded scipy.special.
+CALL = """
+import json, sys
+from caltest.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "special": "scipy.special" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def benchmark_inputs(tmp_path_factory):
+    """The benchmark's 500k-record scenario at seed 0, and its copy rounded to 2 decimals."""
+    ds = scenario_dataset(0.5, 0.4, 14000, 500_000, 0)
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {"distinct": root / "scores.csv", "rounded": root / "rounded.csv"}
+    cli.write_dataset_csv(ds, paths["distinct"])
+    cli.write_dataset_csv(Dataset(np.round(ds.predictions, 2), ds.labels), paths["rounded"])
+    return paths
+
+
+def fresh_call(args, out):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", CALL, *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("data", ["distinct", "rounded"])
+@pytest.mark.parametrize("command", [["compute"], ["diagram", "--kind", "test-based"]], ids=["compute", "diagram"])
+def test_a_default_call_imports_no_scipy_special(benchmark_inputs, data, command, tmp_path):
+    args = [command[0], str(benchmark_inputs[data]), *command[1:]]
+    assert fresh_call(args, tmp_path / "out") == {"exit": 0, "special": False}
+
+
+@pytest.mark.parametrize("data", ["distinct", "rounded"])
+def test_the_t_test_imports_scipy_special(benchmark_inputs, data, tmp_path):
+    args = ["compute", str(benchmark_inputs[data]), "--test", "t"]
+    assert fresh_call(args, tmp_path / "out") == {"exit": 0, "special": True}

@@ -1,10 +1,11 @@
 import math
+from statistics import NormalDist
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from reference_tests import (
     binom_pvalue,
@@ -23,6 +24,7 @@ from caltest.stattest import (
     _binom_tails,
     TestConfig,
     binom_pvalues_sweep,
+    binom_screen,
     t_pvalues_sweep,
 )
 
@@ -351,3 +353,94 @@ def test_binom_entry_points_reject_nan_probability():
     ):
         with pytest.raises(ValueError, match="q must lie"):
             call()
+
+
+def test_first_above_returns_hi_when_no_index_qualifies():
+    # The second pair's range [0, 2] holds no j >= 3.
+    assert stattest._first_above(lambda j: j >= 3, np.array([5, 2]), 48).tolist() == [3, 2]
+
+
+def test_log_binom_table_is_within_its_error_bound():
+    eps = np.finfo(np.float64).eps
+    for n in [1, 2, 254, 255, 256, 257, 1000, 12_345, 10**6]:
+        table = stattest._log_binom_table(n)
+        assert table.size == n + 1 + stattest._TAIL_TERMS
+        assert np.all(table[n + 1 :] == -np.inf)
+        # Each code is within 16 eps (log n! + 1) of the exact value.
+        gap = np.max(np.abs(table[: n + 1] - stattest._log_binom_coeffs(n)))
+        assert gap <= 32 * eps * (math.lgamma(n + 1.0) + 1.0), n
+
+
+def _certificate_edges(n, k, alpha):
+    """The q on each side of k/n at which 2n H(k/n, q) equals z^2, z the alpha-quantile of the normal."""
+    if alpha >= 0.5:
+        return []
+    z2 = NormalDist().inv_cdf(alpha) ** 2
+    x = k / n
+
+    def excess(q):
+        h = (x * (math.log(x) - math.log(q)) if k else 0.0) + (
+            (1 - x) * (math.log1p(-x) - math.log1p(-q)) if k < n else 0.0
+        )
+        return 2 * n * h - z2
+
+    ends = [e for e in (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)) if (e < x) == (e < 0.5)]
+    return [brentq(excess, end, x, xtol=1e-300, rtol=1e-15) for end in ends if excess(end) > 0]
+
+
+@st.composite
+def screen_edge_cases(draw):
+    n = draw(st.floats(0.0, 6.0).map(lambda e: max(1, round(10.0**e))))
+    k = draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(0, n))
+    alpha = draw(st.sampled_from([0.001, 0.05, 0.2, 0.5]))
+    zs = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=10))
+    nudges = draw(st.lists(st.floats(-1e-6, 1e-6), max_size=6))
+    at_p_value = draw(st.none() | st.integers(0, 20))
+    return n, k, alpha, zs, nudges, at_p_value
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_edge_cases())
+@example((10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1))
+@example((10**6, 3, 0.05, [0.5, 4.0], [1e-7], None))
+@example((999_999, 999_999, 0.001, [-3.0], [], 0))
+@example((1, 0, 0.5, [0.0], [], None))  # q = 0 and 1 and no interior q
+def test_binom_screen_settles_only_what_the_exact_kernel_decides(case):
+    """Every q the screen settles is settled as ``binom_pvalues_sweep(n, k, q) < alpha``.
+
+    The q sit around k/n, at the accept certificate's edges, and, with alpha
+    set to the exact p-value of one of them, at the edge of the tail sums,
+    where the screen must leave q undecided rather than guess.
+    """
+    n, k, alpha, zs, nudges, at_p_value = case
+    x = k / n
+    spread = math.sqrt(max(k * (n - k), 1) / n**3)
+    qs = np.clip([x + spread * z for z in zs], 0.0, 1.0)
+    if at_p_value is not None:
+        p = binom_pvalues_sweep(n, k, qs)
+        inner = np.flatnonzero((p > 0.0) & (p < 1.0))
+        if inner.size:
+            pick = inner[at_p_value % inner.size]
+            alpha = float(p[pick])
+            qs = np.append(qs, [qs[pick] * (1.0 + d) for d in nudges])
+    edges = _certificate_edges(n, k, alpha)
+    qs = np.clip(np.concatenate([[0.0, 1.0, x], qs, [e * (1.0 + d) for e in edges for d in [0.0, *nudges]]]), 0.0, 1.0)
+    rejected, undecided = binom_screen(n, k, qs, alpha)
+    event("some q undecided" if undecided.any() else "every q settled")
+    settled = ~undecided
+    assert np.array_equal(rejected[settled], (binom_pvalues_sweep(n, k, qs) < alpha)[settled])
+
+
+def test_binom_screen_rejects_nan_probability():
+    with pytest.raises(ValueError, match="q must lie"):
+        binom_screen(5, 2, np.array([math.nan, 0.5]), 0.05)
+
+
+def test_binom_screen_leaves_a_subnormal_alpha_to_the_kernel():
+    # The exact p-value of q here is 1.76e-320, a subnormal with a few bits left.
+    n, k, qs = 2012, 0, np.array([0.0, 0.30664352463535827, 1.0])
+    alpha = float(binom_pvalues_sweep(n, k, qs)[1])
+    assert 0.0 < alpha < stattest._LEAST_ALPHA
+    rejected, undecided = binom_screen(n, k, qs, alpha)
+    assert undecided.tolist() == [False, True, False]
+    assert rejected.tolist() == [False, False, True]
