@@ -142,12 +142,14 @@ def fit_logistic(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
             if cand >= current:
                 break
             scale *= 0.5
+        else:  # no halving improved: the step taken is half the last one tried
+            cand = loglik(b0 + scale * step0, b1 + scale * step1)
         state = struct.pack("2d", b0, b1)
         b0 += scale * step0
         b1 += scale * step1
         if struct.pack("2d", b0, b1) == state:
             break
-        current = loglik(b0, b1)
+        current = cand  # the log-likelihood at the new (b0, b1), bit for bit
     return float(b0), float(b1)
 
 

@@ -34,3 +34,20 @@ def test_fit_stops_at_its_fixed_point(prevalence, seed):
     want, loop_calls = fit_and_count(loop_fit_logistic, x, y)
     assert struct.pack("2d", *got) == struct.pack("2d", *want)
     assert calls < loop_calls
+
+
+def test_fit_matches_the_loop_when_no_halving_improves():
+    # A penalty on the linear predictor that the Newton step does not see:
+    # nearly every step lowers this log-likelihood, so the line searches run
+    # out of halvings and take their smallest step.
+    logaddexp = np.logaddexp
+
+    def penalized(zero, eta):
+        return logaddexp(zero, eta) + 100.0 * eta * eta
+
+    x, y = sample(GdaConfig(prevalence=0.3, seed=0), 500)
+    with mock.patch.object(np, "logaddexp", penalized):
+        got = fit_logistic(x, y)
+        want = loop_fit_logistic(x, y)
+    assert struct.pack("2d", *got) == struct.pack("2d", *want)
+    assert got != (0.0, 0.0)
