@@ -331,12 +331,11 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
         sure = (peak > err) & (inside > err) & (outside < -err)
         undecided[part] = ~sure & (peak >= -err)  # a flat q, p = 1, is accepted
         # The q being summed: the next index of each tail, the sum so far, and
-        # the levels that settle them.
+        # the margin that settles it.
         at = np.flatnonzero(sure)
         nxt = np.stack([lo[at] - 1, hi[at] + 1], axis=1)
         total = np.zeros(at.size)
         tol = _KERNEL_MARGIN + err[at]
-        accept_above, reject_below = 1.0 + tol, 1.0 - tol
         # pmf(j -/+ 1) / pmf(j) = m / (n + 1 - m) times these, m = j or n - j;
         # rounded up past their error.
         odds = qg[at] / (1.0 - qg[at])
@@ -355,12 +354,12 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
             rest = np.exp(logpmf(nxt, slope, base))
             np.divide(rest, 1.0 - ratio, out=rest, where=ratio < 1.0)
             rest[~(ratio < 1.0)] = np.inf
-            accept = total > accept_above
-            reject = total + rest.sum(axis=1) < reject_below
+            accept = total > 1.0 + tol
+            reject = total + rest.sum(axis=1) < 1.0 - tol
             rejected[start + at[reject]] = True
             keep = ~(accept | reject)
-            at, nxt, total, slope, base = at[keep], nxt[keep], total[keep], slope[keep], base[keep]
-            accept_above, reject_below, odds = accept_above[keep], reject_below[keep], odds[keep]
+            at, nxt, total, tol = at[keep], nxt[keep], total[keep], tol[keep]
+            slope, base, odds = slope[keep], base[keep], odds[keep]
         undecided[start + at] = True
     return rejected, undecided
 
