@@ -304,7 +304,8 @@ def _bins_at_cuts(preds_sorted: np.ndarray, cuts: np.ndarray) -> BinSet:
     midpoint of p[c - 1] and p[c], or p[c] when the midpoint rounds onto
     p[c - 1], so it lies in (p[c - 1], p[c]] and :func:`partition` cuts at c.
     c = 0 (all predictions tie) and an edge of 1.0 (the last bin is closed at
-    1) give no boundary. Duplicate boundaries collapse.
+    1) give no boundary. The cuts must ascend; then c never decreases, the
+    edges rise with c, and duplicate boundaries collapse by dropping repeats.
     """
     n = preds_sorted.size
     value = preds_sorted[cuts]
@@ -315,7 +316,9 @@ def _bins_at_cuts(preds_sorted: np.ndarray, cuts: np.ndarray) -> BinSet:
     low, high = preds_sorted[c - 1], preds_sorted[c]
     mids = (low + high) / 2.0
     edges = np.where(mids > low, mids, high)
-    return BinSet.from_edges(np.concatenate(([0.0], np.unique(edges[edges < 1.0]), [1.0])))
+    edges = edges[edges < 1.0]
+    edges = edges[np.diff(edges, prepend=-1.0) > 0.0]
+    return BinSet.from_edges(np.concatenate(([0.0], edges, [1.0])))
 
 
 def equispaced_bins(num_bins: int) -> BinSet:

@@ -5,9 +5,12 @@ all outcomes no more probable than the observed count, with a small relative
 slack so float-equal masses are treated as ties. All binomial mass arithmetic
 happens in log space.
 
-Most tests are settled in numpy (``binom_screen``); ``scipy.special`` is
-imported only by the exact kernel, for the tests the screen leaves, and by
-the t-test.
+Most tests are settled in numpy (``binom_screen``); the exact kernel
+(``binom_pvalues_sweep``) takes the tests the screen leaves. Both read log
+C(n, j) from one table (``_log_binom_table``, from ``math.lgamma`` and
+Stirling's series) and find the block of outcomes more probable than the
+observed count with one search (``_excluded_block``). ``scipy.special`` is
+imported only for the kernel's incomplete beta tails and by the t-test.
 """
 from __future__ import annotations
 
@@ -47,21 +50,6 @@ class TestConfig:
             raise ValueError("alpha must lie in (0, 1)")
 
 
-def _log_binom_coeffs(n: int) -> np.ndarray:
-    """log C(n, j) for j = 0..n, from one gammaln evaluation per index.
-
-    The table of log j! is the only scratch array: it is evaluated in place
-    and freed when the table of coefficients is done.
-    """
-    from scipy.special import gammaln
-
-    log_fact = np.arange(1.0, n + 2.0)  # j + 1
-    gammaln(log_fact, out=log_fact)  # log j!
-    coeffs = log_fact[n] - log_fact
-    coeffs -= log_fact[::-1]
-    return coeffs
-
-
 def _validate_nk(n: int, k: int) -> None:
     if n != int(n) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -92,13 +80,50 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
 _KERNEL_CHUNK = 1 << 12
 
 
+# log j! comes from math.lgamma for j below this, from Stirling's series above.
+_STIRLING_FROM = 256
+_LOG_FACT_HEAD = np.array([math.lgamma(j + 1.0) for j in range(_STIRLING_FROM)])
+_LOG_FACT_HEAD.flags.writeable = False
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_binom_table(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, then ``_TAIL_TERMS`` entries of -inf.
+
+    8 bytes per entry, with 4 more per entry while it is built. log j! is
+    ``math.lgamma`` below 256 and Stirling's series up to its 1/(1260 j^5)
+    term from there, evaluated in chunks of ``_KERNEL_CHUNK``; C(n, j) =
+    C(n, n - j) fills the upper half from the lower. The -inf entries are
+    the mass of every j in [-_TAIL_TERMS, -1] and [n + 1, n + _TAIL_TERMS],
+    since a negative index counts from the end.
+    """
+    table = np.full(n + 1 + _TAIL_TERMS, -np.inf)  # log j! first
+    head = min(n + 1, _STIRLING_FROM)
+    table[:head] = _LOG_FACT_HEAD[:head]
+    for start in range(head, n + 1, _KERNEL_CHUNK):
+        j = np.arange(float(start), float(min(start + _KERNEL_CHUNK, n + 1)))
+        inv = 1.0 / j
+        inv2 = inv * inv
+        series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+        table[start : start + j.size] = (j + 0.5) * np.log(j) - j + _HALF_LOG_2PI + series
+    half = n // 2 + 1  # j = 0..n/2, whose mirrors n - j cover the rest
+    low = table[n] - table[:half]
+    low -= table[n - half + 1 : n + 1][::-1]
+    table[:half] = low
+    table[n - half + 1 : n + 1] = low[::-1]
+    return table
+
+
 def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Two-sided binomial p-values for counts k against probabilities q, elementwise.
 
     For each (k, q) the p-value sums the masses of all outcomes j with
     pmf(j) <= pmf(k) * (1 + slack). q = 0 and q = 1 put all mass on one
-    outcome. The other pairs go through ``_interior_pvalues`` in chunks of
-    ``_KERNEL_CHUNK``, so its memory does not grow with their number.
+    outcome. The other pairs are taken ``_KERNEL_CHUNK`` at a time, so the
+    memory does not grow with their number. The outcomes outside the block
+    of ``_excluded_block`` form two tails, each one regularized incomplete
+    beta value; a pair whose mode is no more probable than k, within the
+    slack, has p = 1.
     """
     k, q = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(q, dtype=np.float64))
     out = np.where(q == 0.0, k == 0, k == n).astype(np.float64)
@@ -106,36 +131,40 @@ def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     if not np.any(interior):
         return out
 
-    coeffs = _log_binom_coeffs(n)
+    table = _log_binom_table(n)
     pairs = np.flatnonzero(interior)
     for start in range(0, pairs.size, _KERNEL_CHUNK):
         chunk = pairs[start : start + _KERNEL_CHUNK]
-        out[chunk] = _interior_pvalues(n, coeffs, k[chunk], q[chunk])
+        logpmf, thresh, mode, lo, hi = _excluded_block(n, table, k[chunk], q[chunk])
+        p = np.where(logpmf(mode) <= thresh, 1.0, _binom_tails(n, lo, hi, q[chunk]))
+        out[chunk] = np.clip(p, 0.0, 1.0)
     return out
 
 
-def _interior_pvalues(n: int, coeffs: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The p-values of pairs with 0 < q < 1, given ``coeffs = _log_binom_coeffs(n)``.
+def _excluded_block(n: int, table: np.ndarray, k, q: np.ndarray):
+    """The outcomes more probable than k under Binomial(n, q), for each q in (0, 1).
 
-    The pmf is unimodal, so the excluded outcomes form a contiguous block
-    around the mode. One binary search finds its lower edge on [0, mode],
-    where the mass rises with j, and its upper edge on the mirrored pmf
-    j -> n - j over [0, n - mode], so the cost per pair is logarithmic in n.
-    The two tails outside it are each one regularized incomplete beta value.
+    Returns ``(logpmf, thresh, mode, lo, hi)``. ``logpmf(j, at, shift)`` is
+    the log mass of outcome j, less shift, under the q picked by at (all of
+    them by default), from ``table = _log_binom_table(n)``; thresh is the
+    log mass of k plus the slack, mode the pmf's mode. The pmf is unimodal,
+    so the outcomes above thresh form a block [lo, hi] around the mode. One
+    binary search finds its lower edge on [0, mode], where the mass rises
+    with j, and its upper edge on the mirrored pmf j -> n - j over
+    [0, n - mode], so the cost per q is logarithmic in n. When no outcome
+    lies above thresh, lo = hi = mode.
     """
-    logq = np.log(q)
-    log1mq = np.log1p(-q)
+    logq, log1mq = np.log(q), np.log1p(-q)
+    slope, base = logq - log1mq, n * log1mq
 
-    def logpmf_at(idx: np.ndarray) -> np.ndarray:
-        return coeffs[idx] + idx * logq + (n - idx) * log1mq
+    def logpmf(j, at=slice(None), shift=0.0):
+        return table[j] + ((base[at] - shift) + j * slope[at])
 
-    thresh = coeffs[k] + k * logq + (n - k) * log1mq + _LOG_SLACK
+    thresh = logpmf(k) + _LOG_SLACK
     mode = np.minimum(np.floor((n + 1) * q).astype(np.int64), n)
-    flat = logpmf_at(mode) <= thresh  # observed count is effectively the mode
-    first_above = _first_above(lambda j: logpmf_at(j) > thresh, mode, n)
-    last_above = n - _first_above(lambda j: logpmf_at(n - j) > thresh, n - mode, n)
-    p = np.where(flat, 1.0, _binom_tails(n, first_above, last_above, q))
-    return np.clip(p, 0.0, 1.0)
+    lo = _first_above(lambda j: logpmf(j) > thresh, mode, n)
+    hi = n - _first_above(lambda j: logpmf(n - j) > thresh, n - mode, n)
+    return logpmf, thresh, mode, lo, hi
 
 
 def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
@@ -173,11 +202,6 @@ _KERNEL_MARGIN = 1e-8
 # Below this alpha the kernel's p-values near alpha lose their precision to
 # subnormal rounding, so the screen leaves every q in (0, 1) to the kernel.
 _LEAST_ALPHA = 1e-300
-# log j! comes from math.lgamma for j below this, from Stirling's series above.
-_STIRLING_FROM = 256
-_LOG_FACT_HEAD = np.array([math.lgamma(j + 1.0) for j in range(_STIRLING_FROM)])
-_LOG_FACT_HEAD.flags.writeable = False
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # q per pass of the tail sums; terms per tail per step, which settle almost
 # every q in one step; steps before a q is left to the exact kernel.
 _SCREEN_GROUP = 1 << 10
@@ -202,9 +226,9 @@ def binom_screen(n: int, k: int, qs: np.ndarray, alpha: float) -> tuple[np.ndarr
        k >= nq is the mirror image. q is accepted when that bound is at least
        alpha * (1 + 1e-8 + 4 (n + 1) eps), with 2nH taken up by its float error.
     3. Tail sums, for the q still open, in groups of ``_SCREEN_GROUP``. The
-       block of outcomes more probable than k is found as the exact kernel
-       finds it (``_first_above``), from a table of log C(n, j)
-       (``_log_binom_table``). Each tail is summed outward from the block,
+       block of outcomes more probable than k is the exact kernel's: the
+       same search (``_excluded_block``) finds it in the same table of
+       log C(n, j). Each tail is summed outward from the block,
        ``_TAIL_TERMS`` terms a step. q is accepted once the sum exceeds
        alpha * (1 + tol), and rejected once the sum plus a bound on each
        tail's rest stays below alpha * (1 - tol). A tail's rest is at most
@@ -214,18 +238,18 @@ def binom_screen(n: int, k: int, qs: np.ndarray, alpha: float) -> tuple[np.ndarr
        ``_TAIL_STEPS`` steps do not settle it.
 
     Error bound. Let L = log n! and M = max(|log q|, |log(1 - q)|). Every
-    log-mass this screen or the exact kernel forms, log C(n, j) + j log q +
+    log-mass the search or the sums form, log C(n, j) + j log q +
     (n - j) log(1 - q) or the threshold, is a handful of operations on
-    numbers of magnitude at most L + nM. With each of lgamma, gammaln, log,
-    log1p and exp within 4 ulp, it lies within 16 eps (L + nM + 1) of its
-    exact value; the Stirling remainder, below 1 / (1680 j^7) < 1e-20 for
+    numbers of magnitude at most L + nM. With each of lgamma, log, log1p
+    and exp within 4 ulp, it lies within 16 eps (L + nM + 1) of its exact
+    value; the Stirling remainder, below 1 / (1680 j^7) < 1e-20 for
     j >= 256, adds nothing at that scale. So err = 64 eps (L + nM + 1)
-    bounds the difference of any such mass minus the threshold between the
-    two codes, twice over. Hence a block whose edges clear the threshold by
-    err is the kernel's block: the true pmf rises to the mode and falls
-    after it, so the kernel's comparisons are monotone too, and its search
-    ends at the same edges. Each summed term is then within a relative err
-    of its exact value. tol = 1e-8 + err covers that, the rounding of at
+    bounds the error of any such mass minus the threshold, twice over.
+    Hence a block whose mode and edges clear the threshold by err is also
+    the block of exact arithmetic, since the true pmf rises to the mode
+    and falls after it; the kernel's two incomplete beta tails hold the
+    outcomes summed here. Each summed term is within a relative err of its
+    exact value. tol = 1e-8 + err covers that, the rounding of at
     most 2 * _TAIL_TERMS * _TAIL_STEPS additions and of the scaling by
     alpha (alpha >= 1e-300, so |log alpha| < 691), and the kernel's own
     error: its incomplete beta values agree with 50-digit sums within 1e-9,
@@ -276,33 +300,6 @@ def _accept_floor(n: int, k: int, alpha: float) -> float:
     return (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa)
 
 
-def _log_binom_table(n: int) -> np.ndarray:
-    """log C(n, j) for j = 0..n, then ``_TAIL_TERMS`` entries of -inf.
-
-    8 bytes per entry, with 4 more per entry while it is built. log j! is
-    ``math.lgamma`` below 256 and Stirling's series up to its 1/(1260 j^5)
-    term from there, evaluated in chunks of ``_KERNEL_CHUNK``; C(n, j) =
-    C(n, n - j) fills the upper half from the lower. The -inf entries are
-    the mass of every j in [-_TAIL_TERMS, -1] and [n + 1, n + _TAIL_TERMS],
-    since a negative index counts from the end.
-    """
-    table = np.full(n + 1 + _TAIL_TERMS, -np.inf)  # log j! first
-    head = min(n + 1, _STIRLING_FROM)
-    table[:head] = _LOG_FACT_HEAD[:head]
-    for start in range(head, n + 1, _KERNEL_CHUNK):
-        j = np.arange(float(start), float(min(start + _KERNEL_CHUNK, n + 1)))
-        inv = 1.0 / j
-        inv2 = inv * inv
-        series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
-        table[start : start + j.size] = (j + 0.5) * np.log(j) - j + _HALF_LOG_2PI + series
-    half = n // 2 + 1  # j = 0..n/2, whose mirrors n - j cover the rest
-    low = table[n] - table[:half]
-    low -= table[n - half + 1 : n + 1][::-1]
-    table[:half] = low
-    table[n - half + 1 : n + 1] = low[::-1]
-    return table
-
-
 def _tail_screen(n, k, q, logq, log1mq, alpha):
     """Step 3 of ``binom_screen`` for q in (0, 1): (rejected, undecided)."""
     rejected = np.zeros(q.shape, dtype=bool)
@@ -315,16 +312,9 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
     steps = ways[:, None] * np.arange(_TAIL_TERMS)
     for start in range(0, q.size, _SCREEN_GROUP):
         part = slice(start, start + _SCREEN_GROUP)
-        qg, slope, base = q[part], logq[part] - log1mq[part], n * log1mq[part]
-
-        def logpmf(j, slope=slope, base=base):
-            return table[j] + (base + j * slope)
-
+        qg = q[part]
+        logpmf, thresh, mode, lo, hi = _excluded_block(n, table, k, qg)
         err = 64 * _EPS * (log_n_fact + n * np.maximum(-logq[part], -log1mq[part]) + 1.0)
-        thresh = logpmf(k) + _LOG_SLACK
-        mode = np.minimum(np.floor((n + 1) * qg).astype(np.int64), n)
-        lo = _first_above(lambda j: logpmf(j) > thresh, mode, n)
-        hi = n - _first_above(lambda j: logpmf(n - j) > thresh, n - mode, n)
         peak = logpmf(mode) - thresh
         inside = np.minimum(logpmf(lo), logpmf(hi)) - thresh
         outside = np.maximum(logpmf(lo - 1), logpmf(hi + 1)) - thresh  # -inf past 0 and n
@@ -340,26 +330,24 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
         # rounded up past their error.
         odds = qg[at] / (1.0 - qg[at])
         odds = np.stack([1.0 / odds, odds], axis=1) * (1.0 + err[at, None])
-        slope, base = slope[at, None], base[at, None] - log_alpha
         for _ in range(_TAIL_STEPS):
             if not at.size:
                 break
             j = (nxt[:, :, None] + steps).reshape(at.size, -1)
-            total += np.exp(logpmf(j, slope, base)).sum(axis=1)
+            total += np.exp(logpmf(j, at[:, None], log_alpha)).sum(axis=1)
             nxt += ways * _TAIL_TERMS
             np.maximum(nxt, -1, out=nxt)
             np.minimum(nxt, n + 1, out=nxt)
             m = n * (ways > 0) - nxt * ways
             ratio = m / (n + 1.0 - m) * odds
-            rest = np.exp(logpmf(nxt, slope, base))
+            rest = np.exp(logpmf(nxt, at[:, None], log_alpha))
             np.divide(rest, 1.0 - ratio, out=rest, where=ratio < 1.0)
             rest[~(ratio < 1.0)] = np.inf
             accept = total > 1.0 + tol
             reject = total + rest.sum(axis=1) < 1.0 - tol
             rejected[start + at[reject]] = True
             keep = ~(accept | reject)
-            at, nxt, total, tol = at[keep], nxt[keep], total[keep], tol[keep]
-            slope, base, odds = slope[keep], base[keep], odds[keep]
+            at, nxt, total, tol, odds = at[keep], nxt[keep], total[keep], tol[keep], odds[keep]
         undecided[start + at] = True
     return rejected, undecided
 

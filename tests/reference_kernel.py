@@ -1,9 +1,11 @@
 """Parts of the exact binomial kernel that ``caltest.stattest`` replaced, kept verbatim.
 
 ``_interior_pvalues`` here finds the lower edge of the excluded block with a
-left-leaning binary search and the upper edge with a right-leaning one. The
-tests hold the single mirrored search in ``caltest.stattest`` to it byte for
-byte, and its table of log binomial coefficients to ``log_binom_coeffs``.
+left-leaning binary search and the upper edge with a right-leaning one, in a
+table of log binomial coefficients from ``gammaln`` (``_log_binom_coeffs``).
+The tests hold the kernel in ``caltest.stattest``, with its single mirrored
+search in its own table, to it byte for byte, and ``_log_binom_coeffs`` to
+the three-array expression ``log_binom_coeffs``.
 """
 from __future__ import annotations
 
@@ -67,3 +69,18 @@ def log_binom_coeffs(n: int) -> np.ndarray:
     """
     log_fact = gammaln(np.arange(n + 1) + 1.0)  # log j!
     return log_fact[n] - log_fact - log_fact[::-1]
+
+
+def _log_binom_coeffs(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, from one gammaln evaluation per index.
+
+    The table of log j! is the only scratch array: it is evaluated in place
+    and freed when the table of coefficients is done.
+    """
+    from scipy.special import gammaln
+
+    log_fact = np.arange(1.0, n + 2.0)  # j + 1
+    gammaln(log_fact, out=log_fact)  # log j!
+    coeffs = log_fact[n] - log_fact
+    coeffs -= log_fact[::-1]
+    return coeffs

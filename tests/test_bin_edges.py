@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caltest.binning import BinStrategy, build_bins, pava, pava_bc
+from caltest.binning import BinStrategy, _bins_at_cuts, build_bins, pava, pava_bc
 from caltest.core import Dataset, partition
 
 # Endpoints and their nearest floats; each drawn level also brings its two
@@ -65,3 +65,34 @@ def test_adjacent_float_groups_keep_their_bins(low):
     ds = Dataset(preds, np.array([0] * 5 + [1] * 5))
     for strategy in (BinStrategy("pava"), BinStrategy("quantile", num_bins=2)):
         assert partition(ds, build_bins(ds, strategy)).counts.tolist() == [5, 5]
+
+
+def unique_edges(preds: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The edges ``_bins_at_cuts`` gave when it collapsed duplicates with ``np.unique``."""
+    n = preds.size
+    left = np.searchsorted(preds, preds[cuts], side="left")
+    right = np.searchsorted(preds, preds[cuts], side="right")
+    c = np.where((left == cuts) | (right == n), left, right)
+    c = c[c > 0]
+    low, high = preds[c - 1], preds[c]
+    mids = (low + high) / 2.0
+    edges = np.where(mids > low, mids, high)
+    return np.concatenate(([0.0], np.unique(edges[edges < 1.0]), [1.0]))
+
+
+@st.composite
+def tied_cuts(draw):
+    """Sorted predictions over a few levels, 0.0 and 1.0 among them, and ascending cuts."""
+    levels = [0.0, 1.0, *draw(st.lists(st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0), max_size=4))]
+    n = draw(st.integers(1, 80))
+    preds = np.sort(np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))))
+    drawn = draw(st.lists(st.integers(1, n - 1), max_size=12)) if n > 1 else []
+    cuts = np.sort(np.array(drawn, dtype=np.int64))
+    return preds, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_cuts())
+def test_bins_at_cuts_matches_the_unique_formula(case):
+    preds, cuts = case
+    assert _bins_at_cuts(preds, cuts).edges.tobytes() == unique_edges(preds, cuts).tobytes()

@@ -1,15 +1,11 @@
-"""The exact binomial kernel's one mirrored search against the two loops it replaced."""
+"""The exact binomial kernel's one table and mirrored search against the gammaln table and two loops they replaced."""
 import numpy as np
 from hypothesis import example, given, settings
 from reference_kernel import _interior_pvalues as two_loop_pvalues
-from reference_kernel import log_binom_coeffs
+from reference_kernel import _log_binom_coeffs, log_binom_coeffs
 from test_stattest import tail_cases
 
 from caltest import stattest
-
-
-def kernel_bytes(kernel, n, k, q):
-    return kernel(n, stattest._log_binom_coeffs(n), k, q).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -26,9 +22,10 @@ def test_single_search_matches_two_loops(case):
     modes = np.minimum(np.floor((n + 1) * qs).astype(np.int64), n)
     ks = np.concatenate([np.full(qs.shape, k), modes, [k]])
     q = np.concatenate([qs, qs, [(k + 0.5) / (n + 1)]])
-    assert kernel_bytes(stattest._interior_pvalues, n, ks, q) == kernel_bytes(two_loop_pvalues, n, ks, q)
+    want = two_loop_pvalues(n, _log_binom_coeffs(n), ks, q)
+    assert stattest._binom_pvalues(n, ks, q).tobytes() == want.tobytes()
 
 
 def test_log_binom_coeffs_match_the_three_array_expression():
     for n in [*range(1, 3001), 10**5, 10**6]:
-        assert stattest._log_binom_coeffs(n).tobytes() == log_binom_coeffs(n).tobytes(), n
+        assert _log_binom_coeffs(n).tobytes() == log_binom_coeffs(n).tobytes(), n

@@ -2,10 +2,10 @@
 
 tracemalloc counts numpy's buffers, so the peaks below are the arrays alive
 at once. Ingest holds no more than the 26 bytes per record that the scored
-dataset will hold. After it, the scratch allowed to grow is the exact
-binomial kernel's table of log binomial coefficients for the bin it tests,
-with the table of log factorials it is built from: 16 bytes per record of
-the bin. A diagram reads each bin's quartiles from the sorted view in
+dataset will hold. After it, the scratch allowed to grow is the one table
+of log binomial coefficients for the bin being tested, which the binomial
+screen and the exact kernel each build: 8 bytes per record of the bin, 12
+while it is built. A diagram reads each bin's quartiles from the sorted view in
 place. A bin of ``pava_bc`` holds at most n_max records.
 """
 import tracemalloc
@@ -64,7 +64,7 @@ def test_scoring_scratch_grows_only_with_the_kernel_tables(tied):
     finally:
         tracemalloc.stop()
     n_max = {n: BinStrategy().resolve_sizes(n)[1] for n in SIZES}
-    table_growth = 16 * ((n_max[SIZES[1]] + 1) - (n_max[SIZES[0]] + 1))
+    table_growth = 12 * ((n_max[SIZES[1]] + 1) - (n_max[SIZES[0]] + 1))
     assert scratch[SIZES[1]] - scratch[SIZES[0]] <= table_growth + SCORING_SLACK
 
 

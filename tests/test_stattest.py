@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from reference_kernel import _log_binom_coeffs
 from reference_tests import (
     binom_pvalue,
     binom_pvalues_for_counts,
@@ -367,7 +368,7 @@ def test_log_binom_table_is_within_its_error_bound():
         assert table.size == n + 1 + stattest._TAIL_TERMS
         assert np.all(table[n + 1 :] == -np.inf)
         # Each code is within 16 eps (log n! + 1) of the exact value.
-        gap = np.max(np.abs(table[: n + 1] - stattest._log_binom_coeffs(n)))
+        gap = np.max(np.abs(table[: n + 1] - _log_binom_coeffs(n)))
         assert gap <= 32 * eps * (math.lgamma(n + 1.0) + 1.0), n
 
 
