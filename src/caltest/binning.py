@@ -461,6 +461,9 @@ class BinStrategy:
             raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
         if self.kind in ("equispaced", "quantile") and self.num_bins < 1:
             raise ValueError("need at least one bin")
+        for name in ("nmin_frac", "nmax_frac"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def resolve_sizes(self, n: int) -> tuple[int, int]:
         """(n_min, n_max) for n records, as asked; :func:`pava_bc` refuses an inverted pair."""

@@ -5,7 +5,9 @@ aggregate the per-bin losses with a norm. The absolute-gap metrics (ECE, ACE,
 MCE) use |label mean - prediction mean| per bin; the test-based metric uses
 the percentage of predictions in the bin rejected by a statistical test
 against the bin's labels, which keeps its value on a fixed [0, 100] scale
-regardless of class prevalence.
+regardless of class prevalence. Which predictions a test rejects is
+decided in ``stattest`` (``rejection_test``); this module walks each bin's
+distinct predictions and counts the rejected records.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .binning import BinStrategy, build_bins, quantile_bins, equispaced_bins
 from .core import Bin, BinSet, Dataset, partition
-from .stattest import TestConfig, binom_pvalues_sweep, binom_screen, t_pvalues_sweep
+from .stattest import TestConfig, rejection_test
 
 __all__ = [
     "BinMetric",
@@ -176,32 +178,14 @@ def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -
 
     Each prediction is tested as the hypothesized probability for the full
     label set of its bin, own outcome included. Tests within a bin share
-    (n, k), so each distinct prediction value is tested once; ``preds`` is in
-    ascending order (as ``gce`` passes it), so equal values are adjacent runs,
-    walked in chunks (:func:`_runs`). The binomial screen decides almost every
-    value chunk by chunk; the rest go to the test in one call per bin.
+    the labels, so each distinct prediction value is tested once; ``preds``
+    is in ascending order (as ``gce`` passes it), so equal values are
+    adjacent runs, walked in chunks (:func:`_runs`), and each chunk's values
+    are decided in one call of :func:`~caltest.stattest.rejection_test`.
     """
-    n = int(labels.size)
-    k = int(labels.sum())
-    screened = 0  # records rejected by the screen
-    kept_values, kept_counts = [], []
-    for values, counts in _runs(preds):
-        if cfg.kind == "binomial":
-            rejected, undecided = binom_screen(n, k, values, cfg.alpha)
-            screened += int(counts[rejected].sum())
-            values, counts = values[undecided], counts[undecided]
-        kept_values.append(values)
-        kept_counts.append(counts)
-    values, counts = np.concatenate(kept_values), np.concatenate(kept_counts)
-    if cfg.kind == "binomial":
-        tested = binom_pvalues_sweep(n, k, values) < cfg.alpha
-    elif n >= 2:
-        tested = t_pvalues_sweep(labels, values) < cfg.alpha
-    else:
-        # Degenerate single-record bin under the t-test: apply the same
-        # limiting rule as a zero-variance sample.
-        tested = values != float(labels[0])
-    return 100.0 * ((screened + int(counts[tested].sum())) / n)
+    rejects = rejection_test(cfg, labels)
+    rejected = sum(int(counts[rejects(values)].sum()) for values, counts in _runs(preds))
+    return 100.0 * (rejected / labels.size)
 
 
 def tce(

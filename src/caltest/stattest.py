@@ -11,12 +11,19 @@ C(n, j) from one table (``_log_binom_table``, from ``math.lgamma`` and
 Stirling's series) and find the block of outcomes more probable than the
 observed count with one search (``_excluded_block``). ``scipy.special`` is
 imported only for the kernel's incomplete beta tails and by the t-test.
+
+``rejection_test`` is the one decision the metrics ask for: given a bin's
+labels, whether the test rejects each q of an array. The metrics call it
+once per chunk of a bin's distinct predictions, so the exact kernel runs
+per chunk, only for the q that chunk's screen leaves undecided, and the
+t-test's scratch is the bin's labels as float64, once per bin.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +31,7 @@ __all__ = [
     "TestConfig",
     "binom_pvalues_sweep",
     "binom_screen",
-    "t_pvalues_sweep",
+    "rejection_test",
 ]
 
 # Relative slack when comparing outcome masses against the observed mass.
@@ -352,23 +359,33 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
     return rejected, undecided
 
 
-def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Two-sided one-sample t-test p-values of H0: mean(labels) = q, for each q in qs.
+def rejection_test(cfg: TestConfig, labels: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """For one bin's labels, the function that says whether cfg's test rejects each q of an array.
 
-    Uses the n-1 sample standard deviation and the Student-t distribution with
-    n-1 degrees of freedom. A zero-variance sample gives p = 1 when q equals
-    the common value and p = 0 otherwise, matching the limiting t statistic.
+    The binomial test takes (n, k) from the labels; each call settles what
+    ``binom_screen`` can and sends only the q it leaves undecided to the
+    exact kernel. The t-test takes the labels' mean and n-1 standard
+    deviation here, once, and each call their Student-t p-values with n-1
+    degrees of freedom. A sample of one record or of zero variance rejects
+    every q but its mean, the limit of the t statistic.
     """
+    n = int(labels.size)
+    if cfg.kind == "binomial":
+        k = int(labels.sum())
+
+        def binomial(qs: np.ndarray) -> np.ndarray:
+            rejected, undecided = binom_screen(n, k, qs, cfg.alpha)
+            if np.any(undecided):
+                rejected[undecided] = binom_pvalues_sweep(n, k, qs[undecided]) < cfg.alpha
+            return rejected
+
+        return binomial
+    labels = np.asarray(labels, dtype=np.float64)
+    mean = labels.mean()
+    sd = labels.std(ddof=1) if n > 1 else 0.0
+    if sd == 0.0:
+        return lambda qs: qs != mean
     from scipy.special import stdtr
 
-    labels = np.asarray(labels, dtype=np.float64)
-    qs = np.asarray(qs, dtype=np.float64)
-    n = labels.size
-    if n < 2:
-        raise ValueError("t-test requires at least two observations")
-    mean = labels.mean()
-    sd = labels.std(ddof=1)
-    if sd == 0.0:
-        return np.where(qs == mean, 1.0, 0.0)
-    t = (mean - qs) / (sd / math.sqrt(n))
-    return 2.0 * stdtr(n - 1, -np.abs(t))
+    scale = sd / math.sqrt(n)
+    return lambda qs: 2.0 * stdtr(n - 1, -np.abs((mean - qs) / scale)) < cfg.alpha

@@ -4,12 +4,15 @@
 defines TCE; the tests hold ``caltest.metrics.tce`` to a loop over it. The
 scalar p-value functions and ``binom_pvalues_for_counts`` (one q, every k)
 call the same kernel as ``binom_pvalues_sweep``, so the tests check that
-kernel against independent enumerations through them. ``binom_rejections``
-decides q the way ``caltest.metrics`` does, screen first, so the tests can
-hold the screen to the exact kernel.
+kernel against independent enumerations through them. ``t_pvalues_sweep``
+is the t-test's p-value over many q, the oracle of
+``caltest.stattest.rejection_test`` under the t-test. ``binom_rejections``
+decides q through ``rejection_test``, screen first, so the tests can hold
+the screen to the exact kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +22,7 @@ from caltest.stattest import (
     _binom_pvalues,
     _validate_nk,
     binom_pvalues_sweep,
-    binom_screen,
-    t_pvalues_sweep,
+    rejection_test,
 )
 
 
@@ -45,17 +47,38 @@ def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray
 
     Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The q that
     ``binom_screen`` decides keep its decision; only the others go to the
-    exact kernel.
+    exact kernel, as ``rejection_test`` decides them for n labels, k of them 1.
     """
-    qs = np.asarray(qs, dtype=np.float64)
-    rejected, exact = binom_screen(n, k, qs, alpha)
-    rejected[exact] = binom_pvalues_sweep(n, k, qs[exact]) < alpha
-    return rejected
+    labels = np.zeros(n, dtype=np.int8)
+    labels[:k] = 1
+    return rejection_test(TestConfig("binomial", alpha), labels)(np.asarray(qs, dtype=np.float64))
 
 
 def binom_pvalue(n: int, k: int, q: float) -> float:
     """Exact two-sided binomial p-value of H0: P(Y=1) = q given k successes in n trials."""
     return float(binom_pvalues_sweep(n, k, np.array([q]))[0])
+
+
+def t_pvalues_sweep(labels: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Two-sided one-sample t-test p-values of H0: mean(labels) = q, for each q in qs.
+
+    Uses the n-1 sample standard deviation and the Student-t distribution with
+    n-1 degrees of freedom. A zero-variance sample gives p = 1 when q equals
+    the common value and p = 0 otherwise, matching the limiting t statistic.
+    """
+    from scipy.special import stdtr
+
+    labels = np.asarray(labels, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.float64)
+    n = labels.size
+    if n < 2:
+        raise ValueError("t-test requires at least two observations")
+    mean = labels.mean()
+    sd = labels.std(ddof=1)
+    if sd == 0.0:
+        return np.where(qs == mean, 1.0, 0.0)
+    t = (mean - qs) / (sd / math.sqrt(n))
+    return 2.0 * stdtr(n - 1, -np.abs(t))
 
 
 def t_pvalue(labels: np.ndarray, q: float) -> float:

@@ -351,6 +351,13 @@ def test_build_bins_strategies():
         BinStrategy("quantile", num_bins=0)
 
 
+@pytest.mark.parametrize("field", ["nmin_frac", "nmax_frac"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_bin_strategy_refuses_a_non_finite_size_fraction(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BinStrategy("pava_bc", **{field: value})
+
+
 def test_build_bins_matches_fit_blocks_on_distinct_predictions():
     # with all-distinct predictions the bins reproduce the fit blocks exactly
     rng = np.random.default_rng(20)

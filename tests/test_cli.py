@@ -778,6 +778,16 @@ def test_inverted_block_sizes_fail(tmp_path, capsys):
     assert "got (2, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "diagram"])
+@pytest.mark.parametrize("flag", ["--nmin-frac", "--nmax-frac"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_size_fraction_is_an_error(tmp_path, capsys, command, flag, value):
+    data = write(tmp_path, "four.csv", FOUR_POINT_CSV)
+    assert main([command, str(data), flag, value, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{flag[2:].replace('-', '_')} must be finite" in err
+
+
 def test_sweep_alpha_is_monotone(tmp_path):
     rows = run_sweep(
         "alpha",

@@ -271,23 +271,25 @@ def tie_runs(draw):
     return Dataset(np.array(preds), np.array(labels))
 
 
-def tce_and_test_calls(ds, cfg):
-    """The three TCE values, and the arguments of every binomial kernel and t-test call."""
-    calls = []
-    sweep, t_sweep = metrics.binom_pvalues_sweep, metrics.t_pvalues_sweep
+def tce_and_tested_q(ds, cfg):
+    """The three TCE values, and each bin's labels with the q it tested, in order."""
+    tested = []
+    make = metrics.rejection_test
 
-    def spy_sweep(n, k, qs):
-        calls.append((n, k, np.asarray(qs).tobytes()))
-        return sweep(n, k, qs)
+    def spy(cfg, labels):
+        qs = []
+        tested.append((labels.tobytes(), qs))
+        rejects = make(cfg, labels)
 
-    def spy_t(labels, qs):
-        calls.append((labels.tobytes(), qs.tobytes()))
-        return t_sweep(labels, qs)
+        def spy_rejects(values):
+            qs.append(values.tobytes())
+            return rejects(values)
 
-    with mock.patch.object(metrics, "binom_pvalues_sweep", spy_sweep), \
-            mock.patch.object(metrics, "t_pvalues_sweep", spy_t):
+        return spy_rejects
+
+    with mock.patch.object(metrics, "rejection_test", spy):
         values = {name: report.value for name, report in tce_variants(ds, cfg).items()}
-    return values, calls
+    return values, [(labels, b"".join(qs)) for labels, qs in tested]
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,6 +297,6 @@ def tce_and_test_calls(ds, cfg):
        alpha=st.sampled_from([0.05, 0.5]))
 def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha):
     cfg = TestConfig(kind, alpha)
-    values, calls = tce_and_test_calls(ds, cfg)
+    values, tested = tce_and_tested_q(ds, cfg)
     with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
-        assert tce_and_test_calls(ds, cfg) == (values, calls)
+        assert tce_and_tested_q(ds, cfg) == (values, tested)

@@ -5,8 +5,10 @@ at once. Ingest holds no more than the 26 bytes per record that the scored
 dataset will hold. After it, the scratch allowed to grow is the one table
 of log binomial coefficients for the bin being tested, which the binomial
 screen and the exact kernel each build: 8 bytes per record of the bin, 12
-while it is built. A diagram reads each bin's quartiles from the sorted view in
-place. A bin of ``pava_bc`` holds at most n_max records.
+while it is built. Under the t-test it is the bin's labels as float64 and
+the temporary of their standard deviation, 16 bytes per record of the bin,
+taken once per bin. A diagram reads each bin's quartiles from the sorted
+view in place. A bin of ``pava_bc`` holds at most n_max records.
 """
 import tracemalloc
 
@@ -18,7 +20,7 @@ from caltest.binning import BinStrategy, build_bins
 from caltest.cli import ingest, write_dataset_csv
 from caltest.core import Dataset
 from caltest.diagram import build_diagram, render_svg
-from caltest.experiments import metric_battery, scenario_dataset
+from caltest.experiments import BatteryConfig, metric_battery, scenario_dataset
 from caltest.stattest import TestConfig
 
 SIZES = (100_000, 400_000)
@@ -41,14 +43,14 @@ def traced_peak(run) -> int:
     return tracemalloc.get_traced_memory()[1] - start
 
 
-def score(ds: Dataset) -> None:
-    metric_battery(ds)
+def score(ds: Dataset, cfg: TestConfig) -> None:
+    metric_battery(ds, BatteryConfig(test=cfg))
     bins = build_bins(ds, BinStrategy())
-    render_svg(build_diagram(ds, bins, TestConfig(), "test_based"))
+    render_svg(build_diagram(ds, bins, cfg, "test_based"))
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
-def test_scoring_scratch_grows_only_with_the_kernel_tables(tied):
+def scoring_scratch(tied: bool, cfg: TestConfig) -> dict[int, int]:
+    """The traced scratch of scoring the scenario at each size under cfg."""
     tracemalloc.start()
     try:
         scratch = {}
@@ -59,13 +61,33 @@ def test_scoring_scratch_grows_only_with_the_kernel_tables(tied):
             # held already; the view adds 17 and no more is ever alive.
             sort_peak = traced_peak(lambda: ds.label_prefix)
             assert 9 * n + sort_peak <= 26 * n + SORT_SLACK
-            scratch[n] = traced_peak(lambda: score(ds))
+            scratch[n] = traced_peak(lambda: score(ds, cfg))
             del ds
     finally:
         tracemalloc.stop()
+    return scratch
+
+
+def n_max_growth() -> int:
+    """Growth of the largest ``pava_bc`` bin from the smaller size to the larger."""
     n_max = {n: BinStrategy().resolve_sizes(n)[1] for n in SIZES}
-    table_growth = 12 * ((n_max[SIZES[1]] + 1) - (n_max[SIZES[0]] + 1))
+    return n_max[SIZES[1]] - n_max[SIZES[0]]
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_scoring_scratch_grows_only_with_the_kernel_tables(tied):
+    scratch = scoring_scratch(tied, TestConfig())
+    table_growth = 12 * n_max_growth()
     assert scratch[SIZES[1]] - scratch[SIZES[0]] <= table_growth + SCORING_SLACK
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_t_test_scratch_grows_only_with_one_bin_of_labels(tied):
+    import scipy.special  # noqa: F401  its first import traces about 14 MB
+
+    scratch = scoring_scratch(tied, TestConfig("t"))
+    labels_growth = 16 * n_max_growth()
+    assert scratch[SIZES[1]] - scratch[SIZES[0]] <= labels_growth + SCORING_SLACK
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])

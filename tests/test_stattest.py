@@ -14,6 +14,7 @@ from reference_tests import (
     binom_rejections,
     reject,
     t_pvalue,
+    t_pvalues_sweep,
 )
 from scipy import stats
 from scipy.integrate import quad
@@ -26,7 +27,7 @@ from caltest.stattest import (
     TestConfig,
     binom_pvalues_sweep,
     binom_screen,
-    t_pvalues_sweep,
+    rejection_test,
 )
 
 
@@ -400,18 +401,12 @@ def screen_edge_cases(draw):
     return n, k, alpha, zs, nudges, at_p_value
 
 
-@settings(max_examples=200, deadline=None)
-@given(screen_edge_cases())
-@example((10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1))
-@example((10**6, 3, 0.05, [0.5, 4.0], [1e-7], None))
-@example((999_999, 999_999, 0.001, [-3.0], [], 0))
-@example((1, 0, 0.5, [0.0], [], None))  # q = 0 and 1 and no interior q
-def test_binom_screen_settles_only_what_the_exact_kernel_decides(case):
-    """Every q the screen settles is settled as ``binom_pvalues_sweep(n, k, q) < alpha``.
+def screen_edge_probabilities(case):
+    """(n, k, alpha, qs) for a drawn screen edge case.
 
-    The q sit around k/n, at the accept certificate's edges, and, with alpha
-    set to the exact p-value of one of them, at the edge of the tail sums,
-    where the screen must leave q undecided rather than guess.
+    The q sit around k/n, at the accept certificate's edges, and, when
+    at_p_value is set, alpha is the exact p-value of one of them, with q
+    nudged around it.
     """
     n, k, alpha, zs, nudges, at_p_value = case
     x = k / n
@@ -426,6 +421,23 @@ def test_binom_screen_settles_only_what_the_exact_kernel_decides(case):
             qs = np.append(qs, [qs[pick] * (1.0 + d) for d in nudges])
     edges = _certificate_edges(n, k, alpha)
     qs = np.clip(np.concatenate([[0.0, 1.0, x], qs, [e * (1.0 + d) for e in edges for d in [0.0, *nudges]]]), 0.0, 1.0)
+    return n, k, alpha, qs
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_edge_cases())
+@example((10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1))
+@example((10**6, 3, 0.05, [0.5, 4.0], [1e-7], None))
+@example((999_999, 999_999, 0.001, [-3.0], [], 0))
+@example((1, 0, 0.5, [0.0], [], None))  # q = 0 and 1 and no interior q
+def test_binom_screen_settles_only_what_the_exact_kernel_decides(case):
+    """Every q the screen settles is settled as ``binom_pvalues_sweep(n, k, q) < alpha``.
+
+    The q sit around k/n, at the accept certificate's edges, and, with alpha
+    set to the exact p-value of one of them, at the edge of the tail sums,
+    where the screen must leave q undecided rather than guess.
+    """
+    n, k, alpha, qs = screen_edge_probabilities(case)
     rejected, undecided = binom_screen(n, k, qs, alpha)
     event("some q undecided" if undecided.any() else "every q settled")
     settled = ~undecided
@@ -445,3 +457,68 @@ def test_binom_screen_leaves_a_subnormal_alpha_to_the_kernel():
     rejected, undecided = binom_screen(n, k, qs, alpha)
     assert undecided.tolist() == [False, True, False]
     assert rejected.tolist() == [False, False, True]
+
+
+def shuffled_labels(n, k, seed):
+    """n int8 labels, k of them 1, in an order drawn from seed."""
+    labels = (np.arange(n) < k).astype(np.int8)
+    np.random.default_rng(seed).shuffle(labels)
+    return labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_edge_cases(), st.integers(0, 2**32 - 1))
+@example((10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1), 0)
+@example((1, 0, 0.5, [0.0], [], None), 0)
+def test_rejection_test_matches_the_binomial_kernel(case, seed):
+    n, k, alpha, qs = screen_edge_probabilities(case)
+    rejects = rejection_test(TestConfig("binomial", alpha), shuffled_labels(n, k, seed))
+    assert np.array_equal(rejects(qs), binom_pvalues_sweep(n, k, qs) < alpha)
+
+
+def test_rejection_test_sends_what_the_screen_leaves_to_the_kernel():
+    # The exact p-value of q here is 1.76e-320, a subnormal the screen leaves
+    # to the kernel; a q rejects at the next alpha up and not at its p-value.
+    n, k, qs = 2012, 0, np.array([0.0, 0.30664352463535827, 1.0])
+    alpha = float(binom_pvalues_sweep(n, k, qs)[1])
+    labels = np.zeros(n, dtype=np.int8)
+    for level, want in [(alpha, [False, False, True]), (np.nextafter(alpha, 1.0), [False, True, True])]:
+        sweep = mock.Mock(wraps=stattest.binom_pvalues_sweep)
+        with mock.patch.object(stattest, "binom_pvalues_sweep", sweep):
+            assert rejection_test(TestConfig("binomial", level), labels)(qs).tolist() == want
+        (args, _), = sweep.call_args_list
+        assert args[:2] == (n, k) and args[2].tolist() == [qs[1]]
+
+
+@st.composite
+def t_cases(draw):
+    n = draw(st.floats(0.0, 4.0).map(lambda e: max(1, round(10.0**e))))
+    k = draw(st.sampled_from([0, n]) | st.integers(0, n))
+    labels = shuffled_labels(n, k, draw(st.integers(0, 2**32 - 1)))
+    spread = math.sqrt(max(k * (n - k), 1) / n**3)
+    zs = draw(st.lists(st.floats(-8.0, 8.0), max_size=10))
+    uniform = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    qs = np.clip(np.r_[0.0, 1.0, k / n, [k / n + spread * z for z in zs], uniform], 0.0, 1.0)
+    alpha = draw(st.sampled_from([0.001, 0.05, 0.2, 0.5]))
+    if n > 1 and draw(st.booleans()):  # alpha at the exact p-value of one q
+        p = t_pvalues_sweep(labels, qs)
+        inner = p[(p > 0.0) & (p < 1.0)]
+        if inner.size:
+            alpha = float(draw(st.sampled_from(list(inner))))
+    return labels, qs, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_cases())
+@example((np.zeros(7, dtype=np.int8), np.array([0.0, 0.5, 1.0]), 0.05))
+@example((np.ones(7, dtype=np.int8), np.array([0.0, 0.5, 1.0]), 0.05))
+@example((np.zeros(1, dtype=np.int8), np.array([0.0, 0.5, 1.0]), 0.05))
+@example((np.ones(1, dtype=np.int8), np.array([0.0, 0.5, 1.0]), 0.05))
+def test_rejection_test_matches_the_t_test(case):
+    labels, qs, alpha = case
+    got = rejection_test(TestConfig("t", alpha), labels)(qs)
+    if labels.size == 1:  # one record rejects every q but its own label
+        want = qs != labels[0]
+    else:
+        want = t_pvalues_sweep(labels, qs) < alpha
+    assert np.array_equal(got, want)
