@@ -4,10 +4,8 @@ Every metric here is an instance of one scheme: compute a per-bin loss, then
 aggregate the per-bin losses with a norm. The absolute-gap metrics (ECE, ACE,
 MCE) use |label mean - prediction mean| per bin; the test-based metric uses
 the percentage of predictions in the bin rejected by a statistical test
-against the bin's labels, which keeps its value on a fixed [0, 100] scale
-regardless of class prevalence. Which predictions a test rejects is
-decided in ``stattest`` (``rejection_test``); this module walks each bin's
-distinct predictions and counts the rejected records.
+against the bin's labels (decided by ``stattest.rejection_test``), which
+keeps its value on a fixed [0, 100] scale regardless of class prevalence.
 """
 from __future__ import annotations
 

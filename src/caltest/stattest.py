@@ -12,11 +12,8 @@ Stirling's series) and find the block of outcomes more probable than the
 observed count with one search (``_excluded_block``). ``scipy.special`` is
 imported only for the kernel's incomplete beta tails and by the t-test.
 
-``rejection_test`` is the one decision the metrics ask for: given a bin's
-labels, whether the test rejects each q of an array. The metrics call it
-once per chunk of a bin's distinct predictions, so the exact kernel runs
-per chunk, only for the q that chunk's screen leaves undecided, and the
-t-test's scratch is the bin's labels as float64, once per bin.
+``rejection_test`` is the one decision the metrics ask for: for a bin's
+labels, which q of each chunk of predictions the test rejects.
 """
 from __future__ import annotations
 
@@ -362,12 +359,11 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
 def rejection_test(cfg: TestConfig, labels: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """For one bin's labels, the function that says whether cfg's test rejects each q of an array.
 
-    The binomial test takes (n, k) from the labels; each call settles what
-    ``binom_screen`` can and sends only the q it leaves undecided to the
-    exact kernel. The t-test takes the labels' mean and n-1 standard
-    deviation here, once, and each call their Student-t p-values with n-1
-    degrees of freedom. A sample of one record or of zero variance rejects
-    every q but its mean, the limit of the t statistic.
+    The binomial test screens each array (``binom_screen``) and sends only
+    the q it leaves undecided to the exact kernel. The t-test takes the
+    labels' mean and n-1 standard deviation once, here, and each array's
+    Student-t p-values from them. A sample of one record or of zero
+    variance rejects every q but its mean, the limit of the t statistic.
     """
     n = int(labels.size)
     if cfg.kind == "binomial":
