@@ -185,8 +185,8 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
         preds, labels = bytearray(), bytearray()  # float64 and int8 values
         for lines, bad in blocks:
             block_preds, block_labels = _block_columns(lines, len(labels))
-            preds += block_preds.tobytes()
-            labels += block_labels.tobytes()
+            preds += block_preds.data  # both are contiguous
+            labels += block_labels.data
             if bad is not None:
                 raise MalformedRowError(f"row {len(labels) + 1}: byte {bad} is not UTF-8")
     if not labels:
@@ -195,8 +195,8 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lines_cut_alike(fh) -> bool:
-    """Whether the path reader may read the file: then it cuts the block reader's rows, and
-    turns down no file that the block reader reads but one with a label written like ``1.0``.
+    """Whether the path reader may read the file: then it cuts the block reader's rows,
+    and it refuses only a file with a bad row or none, which the block reader then names.
 
     The first line, within the first read, must pass as the header. After a
     leading byte-order mark the file must be ASCII and hold no byte of
@@ -225,34 +225,35 @@ def _plain(chunk: bytes) -> bool:
 
 
 def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns as ``np.loadtxt`` reads them from the path, or None if it or a check refuses.
-
-    Labels parse straight to int8, so one written ``1.0`` refuses the file.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            # From numpy 1.23 until that deprecation ends, an integer field such as
-            # 0.5 is parsed through float and truncated, with only this warning;
-            # as an error it fails the field, which loadtxt raises as a ValueError.
-            warnings.filterwarnings("error", category=DeprecationWarning)
-            table = np.loadtxt(
-                str(path), dtype="f8,i1", delimiter=",", comments=None,
-                skiprows=1, encoding="utf-8", ndmin=1,
-            )
-    except ValueError:
-        return None
-    preds, labels = table["f0"], table["f1"]
-    return (preds, labels) if table.size and _in_range(preds, labels) else None
+    """The columns as ``np.loadtxt`` reads them from the path, or None if it or a check refuses."""
+    columns = _loadtxt_columns(str(path), skiprows=1, encoding="utf-8")
+    return columns if columns is not None and columns[1].size else None
 
 
 def _is_header(line: str) -> bool:
     return line.strip().lower().replace(" ", "") == "prediction,label"
 
 
-def _in_range(preds: np.ndarray, labels: np.ndarray) -> bool:
+def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
+    """Contiguous float64 predictions and int8 labels as ``np.loadtxt`` reads them, or None.
+
+    None if loadtxt turns ``source`` down, a prediction is NaN or outside
+    [0, 1], or a label is not 0 or 1. loadtxt converts a field as ``float()``
+    does, but turns down underscores, non-ASCII digits and whitespace-only
+    lines, and skips empty lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(source, dtype="f8,f8", delimiter=",", comments=None, ndmin=1, **options)
+    except ValueError:
+        return None
+    preds, labels = table["f0"], table["f1"]
     # NaN fails both comparisons, so it is caught along with out-of-range values.
-    return bool(np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0) | (labels == 1)))
+    if not (np.all((preds >= 0.0) & (preds <= 1.0)) and np.all((labels == 0.0) | (labels == 1.0))):
+        return None
+    # One byte per label, as Dataset keeps them; loadtxt's 16 bytes per record go on return.
+    return preds.copy(), labels.astype(np.int8)
 
 
 def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
@@ -278,22 +279,9 @@ def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
 
 
 def _block_columns(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of a block's lines, which follow ``rows`` rows, read by ``np.loadtxt`` if it can.
-
-    loadtxt converts a field as ``float()`` does, but turns down underscores,
-    non-ASCII digits and whitespace-only lines, and skips empty lines.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(lines, dtype="f8,f8", delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        pass
-    else:
-        preds, labels = table["f0"], table["f1"]
-        if _in_range(preds, labels):
-            return preds, labels.astype(np.int8)  # one byte per label, as Dataset keeps them
-    return _csv_rows([ln for ln in lines if ln.strip()], rows)
+    """The columns of a block's lines, which follow ``rows`` rows, read by ``np.loadtxt`` if it can."""
+    columns = _loadtxt_columns(lines)
+    return columns if columns is not None else _csv_rows([ln for ln in lines if ln.strip()], rows)
 
 
 def _csv_rows(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -643,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"{', '.join(idle)}: not applied by diagram"
                              f" --bins {args.bins} --kind {args.kind}")
         return args.func(args)
-    except (IngestError, FileExistsError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

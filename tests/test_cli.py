@@ -2,8 +2,11 @@ import gzip
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -440,7 +443,7 @@ PATH_READER_REFUSALS = {
     "header": ("x.csv", b"pred,y\n0.5,1\n", False),
     "header-not-utf8": ("x.csv", b"pr\xe9diction,label\n0.5,1\n", False),
     "no-line-end-in-first-read": ("x.csv", b"prediction,label", False),
-    "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,1.0\n", True),
+    "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,one\n", True),
     "fractional-label": ("x.csv", b"prediction,label\n0.5,1\n0.5,0.5\n", True),
     "empty-table": ("x.csv", b"prediction,label\n\r\n", True),
     "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", True),
@@ -481,54 +484,54 @@ def test_space_line_cut_between_reads_straddles_the_first_read():
     assert data[cli._SCAN_BLOCK - 2 : cli._SCAN_BLOCK + 1] == b"\n \n"
 
 
-def test_float_parsed_label_warning_refuses_the_path_reader(tmp_path, monkeypatch):
-    """numpy 1.23 and later, until that deprecation ends, read the label 0.5 as 0 with a DeprecationWarning."""
-    path = write(tmp_path, "x.csv", "prediction,label\n0.5,1\n0.5,0.5\n")
+@pytest.mark.parametrize("label", ["1.0", "1e0", "0.0", "-0"])
+def test_path_reader_reads_labels_written_as_floats(tmp_path, monkeypatch, label):
+    """pandas writes a float label column as 1.0: the path reader reads it, in one pass."""
+    path = write(tmp_path, "x.csv", f"prediction,label\n0.5,1\n0.25,{label}\n0.75,0\n")
+    block_only = write(tmp_path, "x.txt", path.read_text())  # a suffix the path reader refuses
+    want = ingest_outcome(ingest, block_only)
+    path_reads = []
+    loadtxt = np.loadtxt
 
-    def truncating_loadtxt(*args, **kwargs):
-        try:
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-        except DeprecationWarning as exc:  # as numpy does when the warning is an error
-            raise ValueError("could not convert string '0.5' to int8 at row 1, column 2.") from exc
-        return np.array([(0.5, 1), (0.5, 0)], dtype="f8,i1")
+    def spy_loadtxt(fname, *args, **kwargs):
+        if isinstance(fname, str):
+            path_reads.append(fname)
+        return loadtxt(fname, *args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
-    assert cli._path_columns(path) is None
-    monkeypatch.undo()
-    with pytest.raises(LabelValueError, match=r"^row 2: label '0.5' must be 0 or 1$"):
-        ingest(path)
-
-
-def label_fields(text):
-    """The label field of each non-blank line after the header, as the per-row reference cuts them."""
-    return [ln.split(",")[-1].strip() for ln in text.removeprefix("\ufeff").splitlines()[1:] if ln.strip()]
+    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+    monkeypatch.setattr(cli, "_line_blocks", refuse)
+    assert ingest_outcome(ingest, path) == want
+    assert path_reads == [str(path)]
+    assert ingest(path).labels.tolist() == [1, int(float(label)), 0]
 
 
-def assert_path_reader_refuses_late_only_float_labels(path):
-    """A file the scan passes and the block reader reads is refused by loadtxt only for a label like 1.0."""
+def assert_path_reader_reads_what_the_reference_reads(path):
+    """A file the scan passes is read by the path reader to the reference's bytes, or has a bad row."""
     with path.open("rb") as fh:
         if not cli._lines_cut_alike(fh):
             return
-    if not isinstance(ingest_outcome(reference_ingest_csv, path)[0], np.dtype):
-        return  # an error, named by the block reader
-    if cli._path_columns(path) is None:
-        labels = label_fields(path.read_text(encoding="utf-8"))
-        assert any(c in label for label in labels for c in ".eE")
+    want = ingest_outcome(reference_ingest_csv, path)
+    columns = cli._path_columns(path)
+    if not isinstance(want[0], np.dtype):
+        assert columns is None  # an error, named by the block reader
+    else:
+        assert columns is not None
+        assert ingest_outcome(lambda _: Dataset(*columns), path) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_texts() | odd_csv_texts())
-def test_path_reader_refuses_a_readable_file_late_only_for_float_labels(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "late.csv"
+def test_path_reader_reads_every_file_the_reference_reads(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "scanned.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert_path_reader_refuses_late_only_float_labels(path)
+    assert_path_reader_reads_what_the_reference_reads(path)
 
 
 @pytest.mark.parametrize("text", BOUNDARY_CSV_TEXTS.values(), ids=BOUNDARY_CSV_TEXTS.keys())
-def test_path_reader_refuses_a_readable_boundary_file_late_only_for_float_labels(tmp_path, text):
-    path = tmp_path / "late.csv"
+def test_path_reader_reads_every_boundary_file_the_reference_reads(tmp_path, text):
+    path = tmp_path / "scanned.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert_path_reader_refuses_late_only_float_labels(path)
+    assert_path_reader_reads_what_the_reference_reads(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -628,6 +631,24 @@ def test_compute_propagates_ingest_errors(tmp_path, capsys):
     code = main(["compute", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{dir}"],
+    ["compute", "{csv}", "--config", "{dir}"],
+    ["compute", "{csv}", "--out", "{csv}/sub"],
+], ids=["input-is-a-directory", "config-is-a-directory", "out-under-a-file"])
+def test_a_path_the_system_refuses_is_an_error_line(tmp_path, argv):
+    """The operating system's refusal is one error line, exit 1, in a real process."""
+    data = write(tmp_path, "four.csv", FOUR_POINT_CSV)
+    args = [a.format(dir=tmp_path, csv=data) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "caltest.cli", *args], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 def test_diagram_command_writes_both_files_once(tmp_path, capsys):
