@@ -425,6 +425,19 @@ def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
         ingest(path)
 
 
+def spy_on_path_reads(monkeypatch):
+    """The list of paths that np.loadtxt is given from now on."""
+    path_reads, loadtxt = [], np.loadtxt
+
+    def spy_loadtxt(fname, *args, **kwargs):
+        if isinstance(fname, str):
+            path_reads.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+    return path_reads
+
+
 # A file the path reader refuses, and whether it refuses before or after np.loadtxt reads the path.
 PATH_READER_REFUSALS = {
     "suffix": ("x.txt", b"prediction,label\n0.5,1\n", False),
@@ -460,19 +473,13 @@ def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name
     with monkeypatch.context() as m:
         m.setattr(cli, "_lines_cut_alike", lambda fh: False)  # the block reader alone
         want = ingest_outcome(ingest, path)
-    path_reads, block_reads = [], []
-    loadtxt, line_blocks = np.loadtxt, cli._line_blocks
-
-    def spy_loadtxt(fname, *args, **kwargs):
-        if isinstance(fname, str):
-            path_reads.append(fname)
-        return loadtxt(fname, *args, **kwargs)
+    path_reads, block_reads = spy_on_path_reads(monkeypatch), []
+    line_blocks = cli._line_blocks
 
     def spy_line_blocks(fh):
         block_reads.append(fh)
         return line_blocks(fh)
 
-    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
     monkeypatch.setattr(cli, "_line_blocks", spy_line_blocks)
     assert ingest_outcome(ingest, path) == want
     assert len(path_reads) == reads_path
@@ -490,15 +497,7 @@ def test_path_reader_reads_labels_written_as_floats(tmp_path, monkeypatch, label
     path = write(tmp_path, "x.csv", f"prediction,label\n0.5,1\n0.25,{label}\n0.75,0\n")
     block_only = write(tmp_path, "x.txt", path.read_text())  # a suffix the path reader refuses
     want = ingest_outcome(ingest, block_only)
-    path_reads = []
-    loadtxt = np.loadtxt
-
-    def spy_loadtxt(fname, *args, **kwargs):
-        if isinstance(fname, str):
-            path_reads.append(fname)
-        return loadtxt(fname, *args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+    path_reads = spy_on_path_reads(monkeypatch)
     monkeypatch.setattr(cli, "_line_blocks", refuse)
     assert ingest_outcome(ingest, path) == want
     assert path_reads == [str(path)]
