@@ -1,7 +1,8 @@
 """Tour of the calibration error metrics on a small synthetic model.
 
 Samples a two-Gaussian classification problem, scores a held-out set with the
-exact posterior, and walks through the metric battery plus one per-bin report.
+exact posterior, and walks through the metric battery, one per-bin report, and
+a custom per-bin loss scored through the generic scheme every metric follows.
 """
 import numpy as np
 
@@ -10,6 +11,7 @@ from caltest import (
     GdaConfig,
     TestConfig,
     ece,
+    gce,
     metric_battery,
     sample,
     tce,
@@ -52,3 +54,13 @@ print()
 print("The three bin constructions for the test-based metric:")
 for name, rep in tce_variants(corrupted).items():
     print(f"  {name:8s} {rep.value:7.2f}   ({len(rep.per_bin)} bins)")
+print()
+
+
+def squared_gap(labels, preds):  # int8 labels, float64 predictions
+    return (labels.mean() - preds.mean()) ** 2
+
+
+print("A custom per-bin loss through gce, on the same bins: the squared gap")
+for name, data in (("posterior", dataset), ("squared", corrupted)):
+    print(f"  {name:9s} {gce(data, bins, squared_gap).value:.5f}")

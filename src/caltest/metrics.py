@@ -1,11 +1,11 @@
 """Calibration error metrics over binned predictions.
 
-Every metric here is an instance of one scheme: compute a per-bin loss, then
-aggregate the per-bin losses with a norm. The absolute-gap metrics (ECE, ACE,
-MCE) use |label mean - prediction mean| per bin; the test-based metric uses
-the percentage of predictions in the bin rejected by a statistical test
-against the bin's labels (decided by ``stattest.rejection_test``), which
-keeps its value on a fixed [0, 100] scale regardless of class prevalence.
+Every metric here is an instance of one scheme (``gce``): compute a per-bin
+loss, then aggregate the per-bin losses with a norm. The absolute-gap metrics
+(ECE, ACE, MCE) use |label mean - prediction mean| per bin; the test-based
+metric uses the percentage of predictions in the bin rejected by a test
+against the bin's labels, decided in one walk over all bins, which keeps its
+value on a fixed [0, 100] scale regardless of class prevalence.
 """
 from __future__ import annotations
 
@@ -69,7 +69,8 @@ def _aggregate(losses: np.ndarray, counts: np.ndarray, norm: str) -> float:
     return float(np.max(np.abs(losses[filled])))
 
 
-def _report(name, binned, losses, value, config) -> MetricReport:
+def _report(name, binned, losses, norm, config) -> MetricReport:
+    value = _aggregate(losses, binned.counts, norm)
     per_bin = tuple(
         BinMetric(
             bin=binned.bins.bins[b],
@@ -101,15 +102,13 @@ def gce(
     for b in range(len(bins)):
         if binned.counts[b] > 0:
             losses[b] = loss(binned.labels_in(b), binned.predictions_in(b))
-    value = _aggregate(losses, binned.counts, norm)
-    return _report(name, binned, losses, value, {"norm": norm})
+    return _report(name, binned, losses, norm, {"norm": norm})
 
 
 def _gap_metric(dataset, bins, norm, name, config) -> MetricReport:
     binned = partition(dataset, bins)
     losses = np.abs(binned.empirical_prob - binned.mean_prediction)
-    value = _aggregate(losses, binned.counts, norm)
-    return _report(name, binned, losses, value, config)
+    return _report(name, binned, losses, norm, config)
 
 
 def ece(dataset: Dataset, num_bins: int = BinStrategy.num_bins) -> MetricReport:
@@ -150,16 +149,17 @@ def mce(
     return _gap_metric(dataset, bins, "sup", name, {"bins": bins_kind, "num_bins": num_bins})
 
 
-# Records per chunk of a bin's walk over its runs of equal predictions.
+# Records per chunk of the walk over the runs of equal predictions.
 _RUN_CHUNK = 1 << 14
 
 
-def _runs(preds: np.ndarray):
-    """The distinct values of ascending predictions and their run lengths, in chunks.
+def _runs(preds: np.ndarray, cuts: np.ndarray):
+    """The runs of equal ascending predictions, in chunks: values, lengths and runs per bin.
 
     Each chunk looks at up to ``_RUN_CHUNK`` records and ends where the run
     of its last value ends, found by binary search, so its arrays stay that
-    small however long the runs are. Each value is its run's first record.
+    small however long the runs are. Each value is its run's first record;
+    equal values share a bin, so no run crosses one of the bins' ``cuts``.
     """
     start = 0
     while start < preds.size:
@@ -167,23 +167,9 @@ def _runs(preds: np.ndarray):
         firsts = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
         values = part[firsts]
         end = start + int(np.searchsorted(preds[start:], values[-1], side="right"))
-        yield values, np.diff(firsts, append=end - start)
+        per_bin = np.diff(np.searchsorted(firsts, cuts - start))
+        yield values, np.diff(firsts, append=end - start), per_bin
         start = end
-
-
-def _rejection_percent(labels: np.ndarray, preds: np.ndarray, cfg: TestConfig) -> float:
-    """Percentage of a bin's predictions rejected against the bin's labels.
-
-    Each prediction is tested as the hypothesized probability for the full
-    label set of its bin, own outcome included. Tests within a bin share
-    the labels, so each distinct prediction value is tested once; ``preds``
-    is in ascending order (as ``gce`` passes it), so equal values are
-    adjacent runs, walked in chunks (:func:`_runs`), and each chunk's values
-    are decided in one call of :func:`~caltest.stattest.rejection_test`.
-    """
-    rejects = rejection_test(cfg, labels)
-    rejected = sum(int(counts[rejects(values)].sum()) for values, counts in _runs(preds))
-    return 100.0 * (rejected / labels.size)
 
 
 def tce(
@@ -193,15 +179,26 @@ def tce(
     norm: str = "weighted_l1",
     name: str = "TCE",
 ) -> MetricReport:
-    """Test-based calibration error: per-bin rejection percentages aggregated
-    by the norm.
+    """Test-based calibration error: per-bin rejection percentages aggregated by the norm.
 
+    Each prediction is tested as the hypothesized probability for the full
+    label set of its bin, own outcome included; each run of equal values is
+    tested once. One walk over the sorted view (:func:`_runs`) hands each
+    chunk of runs to one decision of :func:`~caltest.stattest.rejection_test`.
     Under the weighted 1-norm the value equals 100 times the overall fraction
     of predictions rejected, so it always lies in [0, 100].
     """
-    report = gce(dataset, bins, lambda y, p: _rejection_percent(y, p, cfg), norm, name)
+    binned = partition(dataset, bins)
+    counts = binned.counts
+    rejects = rejection_test(cfg, counts, binned.label_sums, binned.labels_in)
+    rejected = np.zeros(len(bins), dtype=np.int64)
+    for values, lengths, per_bin in _runs(dataset.sorted_predictions, binned.cuts):
+        held = per_bin > 0
+        firsts = (np.cumsum(per_bin) - per_bin)[held]  # the first run of each bin held
+        rejected[held] += np.add.reduceat(lengths * rejects(per_bin, values), firsts)
+    losses = 100.0 * np.divide(rejected, counts, out=np.full(len(bins), np.nan), where=counts > 0)
     config = {"test": cfg.kind, "alpha": cfg.alpha, "norm": norm, "num_bins": len(bins)}
-    return replace(report, config=config)
+    return _report(name, binned, losses, norm, config)
 
 
 def tce_variants(

@@ -6,14 +6,14 @@ slack so float-equal masses are treated as ties. All binomial mass arithmetic
 happens in log space.
 
 Most tests are settled in numpy (``binom_screen``); the exact kernel
-(``binom_pvalues_sweep``) takes the tests the screen leaves. Both read log
-C(n, j) from one table (``_log_binom_table``, from ``math.lgamma`` and
-Stirling's series) and find the block of outcomes more probable than the
+(``binom_pvalues_sweep``) takes the tests the screen leaves. Both form log
+C(n, j) from one table of log j! (``_log_fact_table``), which serves every
+n up to its size, and find the block of outcomes more probable than the
 observed count with one search (``_excluded_block``). ``scipy.special`` is
 imported only for the kernel's incomplete beta tails and by the t-test.
 
-``rejection_test`` is the one decision the metrics ask for: for a bin's
-labels, which q of each chunk of predictions the test rejects.
+``rejection_test`` is the one decision the metrics ask for: over the bins
+of one pass, which q of each chunk of predictions the test rejects.
 """
 from __future__ import annotations
 
@@ -84,41 +84,26 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
 _KERNEL_CHUNK = 1 << 12
 
 
-# log j! comes from math.lgamma for j below this, from Stirling's series above.
-_STIRLING_FROM = 256
-_LOG_FACT_HEAD = np.array([math.lgamma(j + 1.0) for j in range(_STIRLING_FROM)])
-_LOG_FACT_HEAD.flags.writeable = False
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+def _log_fact_table(n: int) -> np.ndarray:
+    """log j! for j = 0..n, then ``_TAIL_TERMS`` entries of +inf: 8 bytes per entry.
 
-
-def _log_binom_table(n: int) -> np.ndarray:
-    """log C(n, j) for j = 0..n, then ``_TAIL_TERMS`` entries of -inf.
-
-    8 bytes per entry, with 4 more per entry while it is built. log j! is
-    ``math.lgamma`` below 256 and Stirling's series up to its 1/(1260 j^5)
-    term from there, evaluated in chunks of ``_KERNEL_CHUNK``; C(n, j) =
-    C(n, n - j) fills the upper half from the lower. The -inf entries are
-    the mass of every j in [-_TAIL_TERMS, -1] and [n + 1, n + _TAIL_TERMS],
-    since a negative index counts from the end.
+    log j! is ``math.lgamma`` below 256 and Stirling's series up to its
+    1/(1260 j^5) term from there, evaluated in chunks of ``_KERNEL_CHUNK``.
     """
-    table = np.full(n + 1 + _TAIL_TERMS, -np.inf)  # log j! first
-    head = min(n + 1, _STIRLING_FROM)
-    table[:head] = _LOG_FACT_HEAD[:head]
+    table = np.full(n + 1 + _TAIL_TERMS, np.inf)
+    head = min(n + 1, 256)
+    table[:head] = [math.lgamma(j + 1.0) for j in range(head)]
     for start in range(head, n + 1, _KERNEL_CHUNK):
         j = np.arange(float(start), float(min(start + _KERNEL_CHUNK, n + 1)))
         inv = 1.0 / j
         inv2 = inv * inv
         series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
-        table[start : start + j.size] = (j + 0.5) * np.log(j) - j + _HALF_LOG_2PI + series
-    half = n // 2 + 1  # j = 0..n/2, whose mirrors n - j cover the rest
-    low = table[n] - table[:half]
-    low -= table[n - half + 1 : n + 1][::-1]
-    table[:half] = low
-    table[n - half + 1 : n + 1] = low[::-1]
+        leading = (j + 0.5) * np.log(j) - j + 0.5 * math.log(2.0 * math.pi)
+        table[start : start + j.size] = leading + series
     return table
 
 
-def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _binom_pvalues(n: int, k, q, log_fact: np.ndarray | None = None) -> np.ndarray:
     """Two-sided binomial p-values for counts k against probabilities q, elementwise.
 
     For each (k, q) the p-value sums the masses of all outcomes j with
@@ -127,7 +112,7 @@ def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     memory does not grow with their number. The outcomes outside the block
     of ``_excluded_block`` form two tails, each one regularized incomplete
     beta value; a pair whose mode is no more probable than k, within the
-    slack, has p = 1.
+    slack, has p = 1. ``log_fact`` is built if not given.
     """
     k, q = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(q, dtype=np.float64))
     out = np.where(q == 0.0, k == 0, k == n).astype(np.float64)
@@ -135,34 +120,38 @@ def _binom_pvalues(n: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
     if not np.any(interior):
         return out
 
-    table = _log_binom_table(n)
+    log_fact = _log_fact_table(n) if log_fact is None else log_fact
     pairs = np.flatnonzero(interior)
     for start in range(0, pairs.size, _KERNEL_CHUNK):
         chunk = pairs[start : start + _KERNEL_CHUNK]
-        logpmf, thresh, mode, lo, hi = _excluded_block(n, table, k[chunk], q[chunk])
+        logpmf, thresh, mode, lo, hi = _excluded_block(n, log_fact, k[chunk], q[chunk])
         p = np.where(logpmf(mode) <= thresh, 1.0, _binom_tails(n, lo, hi, q[chunk]))
         out[chunk] = np.clip(p, 0.0, 1.0)
     return out
 
 
-def _excluded_block(n: int, table: np.ndarray, k, q: np.ndarray):
+def _excluded_block(n, log_fact: np.ndarray, k, q: np.ndarray):
     """The outcomes more probable than k under Binomial(n, q), for each q in (0, 1).
 
-    Returns ``(logpmf, thresh, mode, lo, hi)``. ``logpmf(j, at, shift)`` is
-    the log mass of outcome j, less shift, under the q picked by at (all of
-    them by default), from ``table = _log_binom_table(n)``; thresh is the
-    log mass of k plus the slack, mode the pmf's mode. The pmf is unimodal,
-    so the outcomes above thresh form a block [lo, hi] around the mode. One
-    binary search finds its lower edge on [0, mode], where the mass rises
-    with j, and its upper edge on the mirrored pmf j -> n - j over
-    [0, n - mode], so the cost per q is logarithmic in n. When no outcome
-    lies above thresh, lo = hi = mode.
+    n and k are scalars or one per q, and ``log_fact`` a ``_log_fact_table``
+    of at least the largest n. Returns ``(logpmf, thresh, mode, lo, hi)``:
+    ``logpmf(j, at, shift)`` is the log mass of outcome j, less shift, under
+    the (n, q) picked by at (all by default), with log C(n, j) = (log n! -
+    log m!) - log (n - m)!, m = min(j, n - j), so a j within ``_TAIL_TERMS``
+    outside [0, n] reads a +inf entry and has mass 0; thresh is the log mass
+    of k plus the slack. The pmf is unimodal, so the outcomes above thresh
+    form a block [lo, hi] around its mode. One binary search finds its lower
+    edge on [0, mode], where the mass rises with j, and its upper edge on the
+    mirrored pmf j -> n - j over [0, n - mode]; lo = hi = mode if it is empty.
     """
+    n = np.broadcast_to(n, q.shape)
     logq, log1mq = np.log(q), np.log1p(-q)
-    slope, base = logq - log1mq, n * log1mq
+    slope, base, log_n_fact = logq - log1mq, n * log1mq, log_fact[n]
 
     def logpmf(j, at=slice(None), shift=0.0):
-        return table[j] + ((base[at] - shift) + j * slope[at])
+        m = np.minimum(j, n[at] - j)
+        log_coeff = (log_n_fact[at] - log_fact[m]) - log_fact[n[at] - m]
+        return log_coeff + ((base[at] - shift) + j * slope[at])
 
     thresh = logpmf(k) + _LOG_SLACK
     mode = np.minimum(np.floor((n + 1) * q).astype(np.int64), n)
@@ -171,15 +160,15 @@ def _excluded_block(n: int, table: np.ndarray, k, q: np.ndarray):
     return logpmf, thresh, mode, lo, hi
 
 
-def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
+def _first_above(above, hi: np.ndarray, n) -> np.ndarray:
     """Per pair, the first index j on [0, hi] with ``above(j)``, or hi when none is.
 
     ``above`` must be false and then true on [0, hi], with hi <= n; every
-    pair's search ends within bit_length(n) halvings.
+    pair's search ends within bit_length(max n) halvings.
     """
     last = hi
     lo = np.zeros_like(hi)
-    for _ in range(int(n).bit_length() + 1):
+    for _ in range(int(np.max(n)).bit_length() + 1):
         mid = (lo + hi) // 2
         up = above(mid)
         hi = np.where(up, mid, hi)
@@ -189,13 +178,13 @@ def _first_above(above, hi: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(lo, last)
 
 
-def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray) -> np.ndarray:
+def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray, log_fact=None) -> np.ndarray:
     """Two-sided binomial p-values for fixed (n, k) over an array of probabilities."""
     _validate_nk(n, k)
     qs = np.asarray(qs, dtype=np.float64)
     if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise ValueError("q must lie in [0, 1]")
-    return _binom_pvalues(n, k, qs)
+    return _binom_pvalues(n, k, qs, log_fact)
 
 
 # Settling most tests in numpy (binom_screen). _EPS is float64's machine epsilon.
@@ -213,11 +202,13 @@ _TAIL_TERMS = 16
 _TAIL_STEPS = 128
 
 
-def binom_screen(n: int, k: int, qs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Settle ``binom_pvalues_sweep(n, k, qs) < alpha`` in numpy wherever a float margin allows.
+def binom_screen(n, k, qs: np.ndarray, alpha: float, log_fact: np.ndarray | None = None):
+    """Settle ``binom_pvalues_sweep(n, k, q) < alpha`` in numpy wherever a float margin allows.
 
-    Returns ``(rejected, undecided)``, two boolean arrays shaped like qs; a q
-    in neither is accepted, and only the undecided q need the exact kernel.
+    n and k are scalars or one per q of the 1-d qs, cheapest with equal
+    (n, k) adjacent; ``log_fact`` is built if not given. Returns
+    ``(rejected, undecided)``, two boolean arrays shaped like qs; a q in
+    neither is accepted, and only the undecided q need the exact kernel.
     q = 0 and q = 1 put all mass on one outcome, so p is 0 or 1. Each q in
     (0, 1) meets three steps; a step decides only beyond its margin.
 
@@ -231,8 +222,8 @@ def binom_screen(n: int, k: int, qs: np.ndarray, alpha: float) -> tuple[np.ndarr
        alpha * (1 + 1e-8 + 4 (n + 1) eps), with 2nH taken up by its float error.
     3. Tail sums, for the q still open, in groups of ``_SCREEN_GROUP``. The
        block of outcomes more probable than k is the exact kernel's: the
-       same search (``_excluded_block``) finds it in the same table of
-       log C(n, j). Each tail is summed outward from the block,
+       same search (``_excluded_block``) finds it from the same table of
+       log j!. Each tail is summed outward from the block,
        ``_TAIL_TERMS`` terms a step. q is accepted once the sum exceeds
        alpha * (1 + tol), and rejected once the sum plus a bound on each
        tail's rest stays below alpha * (1 - tol). A tail's rest is at most
@@ -260,90 +251,90 @@ def binom_screen(n: int, k: int, qs: np.ndarray, alpha: float) -> tuple[np.ndarr
     and its lower tail may carry (n + 1) eps more from rounding 1 - q, which
     err exceeds.
     """
-    _validate_nk(n, k)
     qs = np.asarray(qs, dtype=np.float64)
     if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise ValueError("q must lie in [0, 1]")
-    interior = (qs > 0.0) & (qs < 1.0)
-    rejected = ~interior & np.where(qs == 0.0, k != 0, k != n)
+    n, k = np.broadcast_to(n, qs.shape), np.broadcast_to(k, qs.shape)
+    # Steps 1 and 2 take their bounds once per run of equal (n, k).
+    runs = np.flatnonzero((np.diff(n, prepend=-1) != 0) | (np.diff(k, prepend=-1) != 0))
+    bounds = [_screen_bounds(a, b, alpha) for a, b in zip(n[runs].tolist(), k[runs].tolist())]
+    lengths = np.diff(runs, append=qs.size)
+    reject_bound, accept_floor, log_n_fact = np.reshape(bounds, (-1, 3)).T
+    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 or 1: -inf or 0 * -inf = nan
+        logq, log1mq = np.log(qs), np.log1p(-qs)
+        log_qk = k * logq + (n - k) * log1mq  # rejected by step 1 if -inf, accepted if nan
+    rejected = log_qk < np.repeat(reject_bound, lengths)
+    if alpha < _LEAST_ALPHA:  # the kernel takes every q in (0, 1), where log_qk is finite
+        return rejected & ~np.isfinite(log_qk), np.isfinite(log_qk)
     undecided = np.zeros(qs.shape, dtype=bool)
-    if alpha < _LEAST_ALPHA:
-        return rejected, interior
-    if not np.any(interior):
-        return rejected, undecided
-    q = qs[interior]
-    logq, log1mq = np.log(q), np.log1p(-q)
-    log_qk = k * logq + (n - k) * log1mq  # log q^k (1 - q)^(n - k)
-    log_coeff = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-    reject = log_qk < math.log(alpha) - math.log(2.0) - log_coeff - _LOG_SLACK - math.log(n + 1)
-    open_ = ~reject & (log_qk < _accept_floor(n, k, alpha))
-    if np.any(open_):
-        tail_rejected, tail_undecided = _tail_screen(n, k, q[open_], logq[open_], log1mq[open_], alpha)
-        reject[open_] = tail_rejected
-        left = np.zeros(q.shape, dtype=bool)
-        left[open_] = tail_undecided
-        undecided[interior] = left
-    rejected[interior] = reject
+    open_ = np.flatnonzero(~rejected & (log_qk < np.repeat(accept_floor, lengths)))
+    if open_.size:
+        log_fact = _log_fact_table(int(n.max())) if log_fact is None else log_fact
+        log_n_fact = np.repeat(log_n_fact, lengths)[open_]
+        n, k, q, logq, log1mq = (v[open_] for v in (n, k, qs, logq, log1mq))
+        err = 64 * _EPS * (log_n_fact + n * np.maximum(-logq, -log1mq) + 1.0)
+        rejected[open_], undecided[open_] = _tail_screen(n, k, q, err, alpha, log_fact)
     return rejected, undecided
 
 
-def _accept_floor(n: int, k: int, alpha: float) -> float:
-    """The least log q^k (1 - q)^(n - k) that the accept certificate accepts.
+def _screen_bounds(n: int, k: int, alpha: float) -> tuple[float, float, float]:
+    """Steps 1 and 2 of ``binom_screen`` for one (n, k), and log n!.
 
-    2nH(k/n, q) = 2 (c - log q^k (1 - q)^(n - k)) with c = k log(k/n) +
-    (n - k) log(1 - k/n). Its float error is below 32 eps (|c| + |log
-    q^k (1 - q)^(n - k)| + 1), which is added to it before it is held to
-    z^2, z the alpha * (1 + margin) quantile of the standard normal.
+    The steps bound x = log q^k (1 - q)^(n - k): q is rejected below the
+    first bound and accepted from the second up. For the second, 2nH(k/n, q)
+    = 2 (c - x), c = k log(k/n) + (n - k) log(1 - k/n), and its float error,
+    below 32 eps (|c| + |x| + 1), is added before it is held to z^2, z the
+    alpha * (1 + margin) quantile of the standard normal.
     """
+    _validate_nk(n, k)
+    log_n_fact = math.lgamma(n + 1.0)
+    log_coeff = log_n_fact - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    reject = math.log(alpha) - math.log(2.0) - log_coeff - _LOG_SLACK - math.log(n + 1)
     target = alpha * (1.0 + _KERNEL_MARGIN + 4 * (n + 1) * _EPS)
     if target >= 0.5:  # Phi(-sqrt(2nH)) <= 1/2: the certificate cannot accept
-        return math.inf
+        return reject, math.inf, log_n_fact
     z = NormalDist().inv_cdf(target)
     c = (k * math.log(k / n) if k else 0.0) + ((n - k) * math.log1p(-k / n) if k < n else 0.0)
     kappa = 32 * _EPS
-    return (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa)
+    return reject, (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa), log_n_fact
 
 
-def _tail_screen(n, k, q, logq, log1mq, alpha):
-    """Step 3 of ``binom_screen`` for q in (0, 1): (rejected, undecided)."""
-    rejected = np.zeros(q.shape, dtype=bool)
-    undecided = np.zeros(q.shape, dtype=bool)
-    table = _log_binom_table(n)
+def _tail_screen(n, k, q, err, alpha, log_fact):
+    """Step 3 of ``binom_screen``, each q in (0, 1) with its n, k and err: (rejected, undecided)."""
+    rejected, undecided = np.zeros((2, q.size), dtype=bool)
     log_alpha = math.log(alpha)  # terms are summed in units of alpha
-    log_n_fact = math.lgamma(n + 1.0)
     # Column 0 is the lower tail, which steps down; column 1 the upper.
     ways = np.array([-1, 1])
     steps = ways[:, None] * np.arange(_TAIL_TERMS)
     for start in range(0, q.size, _SCREEN_GROUP):
         part = slice(start, start + _SCREEN_GROUP)
-        qg = q[part]
-        logpmf, thresh, mode, lo, hi = _excluded_block(n, table, k, qg)
-        err = 64 * _EPS * (log_n_fact + n * np.maximum(-logq[part], -log1mq[part]) + 1.0)
+        qg, ng, eg = q[part], n[part], err[part]
+        logpmf, thresh, mode, lo, hi = _excluded_block(ng, log_fact, k[part], qg)
         peak = logpmf(mode) - thresh
         inside = np.minimum(logpmf(lo), logpmf(hi)) - thresh
         outside = np.maximum(logpmf(lo - 1), logpmf(hi + 1)) - thresh  # -inf past 0 and n
-        sure = (peak > err) & (inside > err) & (outside < -err)
-        undecided[part] = ~sure & (peak >= -err)  # a flat q, p = 1, is accepted
+        sure = (peak > eg) & (inside > eg) & (outside < -eg)
+        undecided[part] = ~sure & (peak >= -eg)  # a flat q, p = 1, is accepted
         # The q being summed: the next index of each tail, the sum so far, and
         # the margin that settles it.
         at = np.flatnonzero(sure)
         nxt = np.stack([lo[at] - 1, hi[at] + 1], axis=1)
         total = np.zeros(at.size)
-        tol = _KERNEL_MARGIN + err[at]
+        tol = _KERNEL_MARGIN + eg[at]
         # pmf(j -/+ 1) / pmf(j) = m / (n + 1 - m) times these, m = j or n - j;
         # rounded up past their error.
         odds = qg[at] / (1.0 - qg[at])
-        odds = np.stack([1.0 / odds, odds], axis=1) * (1.0 + err[at, None])
+        odds = np.stack([1.0 / odds, odds], axis=1) * (1.0 + eg[at, None])
         for _ in range(_TAIL_STEPS):
             if not at.size:
                 break
             j = (nxt[:, :, None] + steps).reshape(at.size, -1)
             total += np.exp(logpmf(j, at[:, None], log_alpha)).sum(axis=1)
+            n_at = ng[at, None]
             nxt += ways * _TAIL_TERMS
-            np.maximum(nxt, -1, out=nxt)
-            np.minimum(nxt, n + 1, out=nxt)
-            m = n * (ways > 0) - nxt * ways
-            ratio = m / (n + 1.0 - m) * odds
+            np.clip(nxt, -1, n_at + 1, out=nxt)
+            m = n_at * (ways > 0) - nxt * ways
+            ratio = m / (n_at + 1.0 - m) * odds
             rest = np.exp(logpmf(nxt, at[:, None], log_alpha))
             np.divide(rest, 1.0 - ratio, out=rest, where=ratio < 1.0)
             rest[~(ratio < 1.0)] = np.inf
@@ -356,32 +347,44 @@ def _tail_screen(n, k, q, logq, log1mq, alpha):
     return rejected, undecided
 
 
-def rejection_test(cfg: TestConfig, labels: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """For one bin's labels, the function that says whether cfg's test rejects each q of an array.
+def rejection_test(cfg: TestConfig, counts, label_sums, labels_in) -> Callable:
+    """For the bins of one pass, the function that says whether cfg's test rejects each q.
 
-    The binomial test screens each array (``binom_screen``) and sends only
-    the q it leaves undecided to the exact kernel. The t-test takes the
-    labels' mean and n-1 standard deviation once, here, and each array's
-    Student-t p-values from them. A sample of one record or of zero
-    variance rejects every q but its mean, the limit of the t statistic.
+    Bin b holds ``counts[b]`` labels, ``label_sums[b]`` of them 1, which
+    ``labels_in(b)`` returns; the function takes the number of q of each bin
+    and the q, bin after bin. The binomial test screens each q with its
+    bin's (n, k) and sends the rest to the exact kernel, both in one table of
+    log j! built here. The t-test takes each bin's mean and n-1 standard
+    deviation here; one record or zero variance rejects every q but the mean.
     """
-    n = int(labels.size)
+    counts, label_sums, alpha = np.asarray(counts), np.asarray(label_sums), cfg.alpha
     if cfg.kind == "binomial":
-        k = int(labels.sum())
+        log_fact = _log_fact_table(int(counts.max()))
 
-        def binomial(qs: np.ndarray) -> np.ndarray:
-            rejected, undecided = binom_screen(n, k, qs, cfg.alpha)
-            if np.any(undecided):
-                rejected[undecided] = binom_pvalues_sweep(n, k, qs[undecided]) < cfg.alpha
+        def binomial(per_bin: np.ndarray, qs: np.ndarray) -> np.ndarray:
+            rejected, undecided = binom_screen(
+                np.repeat(counts, per_bin), np.repeat(label_sums, per_bin), qs, alpha, log_fact
+            )
+            bins = np.repeat(np.arange(counts.size), per_bin)
+            for b in sorted(set(bins[undecided].tolist())):
+                at = undecided & (bins == b)
+                p = binom_pvalues_sweep(int(counts[b]), int(label_sums[b]), qs[at], log_fact)
+                rejected[at] = p < alpha
             return rejected
 
         return binomial
-    labels = np.asarray(labels, dtype=np.float64)
-    mean = labels.mean()
-    sd = labels.std(ddof=1) if n > 1 else 0.0
-    if sd == 0.0:
-        return lambda qs: qs != mean
-    from scipy.special import stdtr
+    means, scales = np.zeros(counts.size), np.zeros(counts.size)
+    for b in np.flatnonzero(counts).tolist():
+        labels = np.asarray(labels_in(b), dtype=np.float64)
+        means[b] = labels.mean()
+        scales[b] = labels.std(ddof=1) / math.sqrt(labels.size) if labels.size > 1 else 0.0
 
-    scale = sd / math.sqrt(n)
-    return lambda qs: 2.0 * stdtr(n - 1, -np.abs((mean - qs) / scale)) < cfg.alpha
+    def t_test(per_bin: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        from scipy.special import stdtr
+
+        mean, scale, df = (np.repeat(v, per_bin) for v in (means, scales, counts - 1))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero scale takes qs != mean
+            p = 2.0 * stdtr(df, -np.abs((mean - qs) / scale))
+        return np.where(scale > 0.0, p < alpha, qs != mean)
+
+    return t_test

@@ -7,8 +7,8 @@ call the same kernel as ``binom_pvalues_sweep``, so the tests check that
 kernel against independent enumerations through them. ``t_pvalues_sweep``
 is the t-test's p-value over many q, the oracle of
 ``caltest.stattest.rejection_test`` under the t-test. ``binom_rejections``
-decides q through ``rejection_test``, screen first, so the tests can hold
-the screen to the exact kernel.
+decides q through ``rejection_test`` for one bin, screen first, so the tests
+can hold the screen to the exact kernel.
 """
 from __future__ import annotations
 
@@ -47,11 +47,13 @@ def binom_rejections(n: int, k: int, qs: np.ndarray, alpha: float) -> np.ndarray
 
     Equal to ``binom_pvalues_sweep(n, k, qs) < alpha``. The q that
     ``binom_screen`` decides keep its decision; only the others go to the
-    exact kernel, as ``rejection_test`` decides them for n labels, k of them 1.
+    exact kernel, as ``rejection_test`` decides them for one bin of n labels,
+    k of them 1.
     """
     labels = np.zeros(n, dtype=np.int8)
     labels[:k] = 1
-    return rejection_test(TestConfig("binomial", alpha), labels)(np.asarray(qs, dtype=np.float64))
+    qs = np.asarray(qs, dtype=np.float64)
+    return rejection_test(TestConfig("binomial", alpha), [n], [k], lambda b: labels)([qs.size], qs)
 
 
 def binom_pvalue(n: int, k: int, q: float) -> float:

@@ -2,13 +2,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from reference_bins import assign
 from reference_tests import reject
 
-from caltest import metrics
-from caltest.binning import BinStrategy, equispaced_bins, quantile_bins
+from caltest import metrics, stattest
+from caltest.binning import BinStrategy, build_bins, equispaced_bins, quantile_bins
 from caltest.core import BinSet, Dataset
 from caltest.metrics import ace, ece, gce, mce, tce, tce_classwise, tce_variants
 from caltest.stattest import TestConfig
@@ -263,7 +263,7 @@ def test_tce_rejecting_every_record_is_exactly_100():
 @st.composite
 def tie_runs(draw):
     """Predictions from a few values, 0, -0.0 and 1 among them, so runs of ties
-    straddle chunk ends."""
+    straddle chunk ends and chunks straddle bin cuts."""
     pool = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]),
                          min_size=1, max_size=6))
     preds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
@@ -271,32 +271,58 @@ def tie_runs(draw):
     return Dataset(np.array(preds), np.array(labels))
 
 
-def tce_and_tested_q(ds, cfg):
-    """The three TCE values, and each bin's labels with the q it tested, in order."""
-    tested = []
+def tce_and_decisions(ds, cfg):
+    """The three TCE values; per variant, each tested (bin, q, rejected) in order; and
+    whether a decision call held the runs of more than one bin."""
+    decided, straddled = [], []
     make = metrics.rejection_test
 
-    def spy(cfg, labels):
-        qs = []
-        tested.append((labels.tobytes(), qs))
-        rejects = make(cfg, labels)
+    def spy(cfg, counts, label_sums, labels_in):
+        rejects = make(cfg, counts, label_sums, labels_in)
+        calls = []
+        decided.append(calls)
 
-        def spy_rejects(values):
-            qs.append(values.tobytes())
-            return rejects(values)
+        def spy_rejects(per_bin, qs):
+            rejected = rejects(per_bin, qs)
+            bins = np.repeat(np.arange(len(counts)), per_bin)
+            calls.append((bins.tobytes(), qs.tobytes(), rejected.tobytes()))
+            straddled.append(np.count_nonzero(per_bin) > 1)
+            return rejected
 
         return spy_rejects
 
     with mock.patch.object(metrics, "rejection_test", spy):
         values = {name: report.value for name, report in tce_variants(ds, cfg).items()}
-    return values, [(labels, b"".join(qs)) for labels, qs in tested]
+    return values, [tuple(b"".join(part) for part in zip(*calls)) for calls in decided], any(straddled)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ds=tie_runs(), chunk=st.integers(1, 5), kind=st.sampled_from(["binomial", "t"]),
        alpha=st.sampled_from([0.05, 0.5]))
+@example(ds=Dataset(np.repeat([0.1, 0.45, 0.6, 0.9], 4), np.tile([0, 1, 1, 0], 4)), chunk=5,
+         kind="binomial", alpha=0.5)
 def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha):
     cfg = TestConfig(kind, alpha)
-    values, tested = tce_and_tested_q(ds, cfg)
+    values, decided, _ = tce_and_decisions(ds, cfg)
     with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
-        assert tce_and_tested_q(ds, cfg) == (values, tested)
+        got_values, got_decided, straddled = tce_and_decisions(ds, cfg)
+    event("a chunk straddled a bin cut" if straddled else "no chunk straddled a bin cut")
+    assert (got_values, got_decided) == (values, decided)
+
+
+def test_one_table_per_tce_call():
+    """Every block search of a tce call reads one table, though several bins reach the tail sums."""
+    rng = np.random.default_rng(3)
+    preds = rng.random(20_000)
+    ds = Dataset(preds, rng.random(preds.size) < preds)  # calibrated, so q near k/n reach the tail sums
+    for bins in (quantile_bins(ds, 10), build_bins(ds, BinStrategy("pava"))):
+        searches = mock.Mock(wraps=stattest._excluded_block)  # keeps each table alive, so ids differ
+        with mock.patch.object(stattest, "_excluded_block", searches):
+            tce(ds, bins)
+        tables = {id(args[1]) for args, _ in searches.call_args_list}
+        searched = {
+            pair for (n, _, k, q), _ in searches.call_args_list
+            for pair in zip(np.broadcast_to(n, q.shape).tolist(), np.broadcast_to(k, q.shape).tolist())
+        }
+        assert len(searched) >= 2  # (n, k) of several bins
+        assert len(tables) == 1

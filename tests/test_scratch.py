@@ -3,11 +3,11 @@
 tracemalloc counts numpy's buffers, so the peaks below are the arrays alive
 at once. Ingest holds no more than the 26 bytes per record that the scored
 dataset will hold. After it, the scratch allowed to grow is the one table
-of log binomial coefficients for the bin being tested, which the binomial
-screen and the exact kernel each build: 8 bytes per record of the bin, 12
-while it is built. Under the t-test it is the bin's labels as float64 and
-the temporary of their standard deviation, 16 bytes per record of the bin,
-taken once per bin. A diagram reads each bin's quartiles from the sorted
+of log j! that each binomial pass over a bin set builds, sized to its
+largest bin, and that the binomial screen and the exact kernel both read:
+8 bytes per record of that bin, built in place. Under the t-test it is a
+bin's labels as float64 and the temporary of their standard deviation, 16
+bytes per record of the bin, taken once per bin. A diagram reads each bin's quartiles from the sorted
 view in place. A bin of ``pava_bc`` holds at most n_max records.
 """
 import tracemalloc
@@ -77,7 +77,7 @@ def n_max_growth() -> int:
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
 def test_scoring_scratch_grows_only_with_the_kernel_tables(tied):
     scratch = scoring_scratch(tied, TestConfig())
-    table_growth = 12 * n_max_growth()
+    table_growth = 8 * n_max_growth()
     assert scratch[SIZES[1]] - scratch[SIZES[0]] <= table_growth + SCORING_SLACK
 
 

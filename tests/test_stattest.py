@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from reference_kernel import _log_binom_coeffs
+from reference_kernel import _log_binom_coeffs, _log_binom_table
 from reference_tests import (
     binom_pvalue,
     binom_pvalues_for_counts,
@@ -362,14 +362,37 @@ def test_first_above_returns_hi_when_no_index_qualifies():
     assert stattest._first_above(lambda j: j >= 3, np.array([5, 2]), 48).tolist() == [3, 2]
 
 
+def formed_log_binom(log_fact, n):
+    """log C(n, j) for j = -_TAIL_TERMS..n + _TAIL_TERMS, as the screen and the kernel form it.
+
+    At q = 1/2 the log mass of j is log C(n, j) + n log(1/2) + j * 0, so
+    less its base n log(1/2) it is the coefficient alone, bit for bit.
+    """
+    j = np.arange(-stattest._TAIL_TERMS, n + stattest._TAIL_TERMS + 1)
+    logpmf, *_ = stattest._excluded_block(n, log_fact, 0, np.array([0.5]))
+    return logpmf(j, np.zeros(j.size, dtype=np.intp), n * np.log1p(-0.5))
+
+
+def test_log_binom_from_the_log_factorial_table_equals_the_log_binom_table():
+    shared = stattest._log_fact_table(10**6)  # one table serves every smaller n too
+    for n in [*range(1, 3001), 10**5, 10**6]:
+        # Negative j read the table's -inf entries from its end, as the screen did.
+        want = _log_binom_table(n)[np.arange(-stattest._TAIL_TERMS, n + stattest._TAIL_TERMS + 1)]
+        assert formed_log_binom(stattest._log_fact_table(n), n).tobytes() == want.tobytes(), n
+        assert formed_log_binom(shared, n).tobytes() == want.tobytes(), n
+
+
 def test_log_binom_table_is_within_its_error_bound():
     eps = np.finfo(np.float64).eps
+    tail = stattest._TAIL_TERMS
     for n in [1, 2, 254, 255, 256, 257, 1000, 12_345, 10**6]:
-        table = stattest._log_binom_table(n)
-        assert table.size == n + 1 + stattest._TAIL_TERMS
-        assert np.all(table[n + 1 :] == -np.inf)
+        log_fact = stattest._log_fact_table(n)
+        assert log_fact.size == n + 1 + tail
+        assert np.all(log_fact[n + 1 :] == np.inf)
+        coeffs = formed_log_binom(log_fact, n)
+        assert np.all(coeffs[:tail] == -np.inf) and np.all(coeffs[-tail:] == -np.inf)
         # Each code is within 16 eps (log n! + 1) of the exact value.
-        gap = np.max(np.abs(table[: n + 1] - _log_binom_coeffs(n)))
+        gap = np.max(np.abs(coeffs[tail:-tail] - _log_binom_coeffs(n)))
         assert gap <= 32 * eps * (math.lgamma(n + 1.0) + 1.0), n
 
 
@@ -449,6 +472,14 @@ def test_binom_screen_rejects_nan_probability():
         binom_screen(5, 2, np.array([math.nan, 0.5]), 0.05)
 
 
+def test_binom_screen_checks_the_n_and_k_of_each_q():
+    qs = np.array([0.2, 0.5, 0.7])
+    with pytest.raises(ValueError, match="n must be"):
+        binom_screen(np.array([5, 5, 0]), np.array([2, 2, 0]), qs, 0.05)
+    with pytest.raises(ValueError, match="k must be"):
+        binom_screen(np.array([5, 4, 4]), np.array([2, 5, 5]), qs, 0.05)
+
+
 def test_binom_screen_leaves_a_subnormal_alpha_to_the_kernel():
     # The exact p-value of q here is 1.76e-320, a subnormal with a few bits left.
     n, k, qs = 2012, 0, np.array([0.0, 0.30664352463535827, 1.0])
@@ -472,8 +503,27 @@ def shuffled_labels(n, k, seed):
 @example((1, 0, 0.5, [0.0], [], None), 0)
 def test_rejection_test_matches_the_binomial_kernel(case, seed):
     n, k, alpha, qs = screen_edge_probabilities(case)
-    rejects = rejection_test(TestConfig("binomial", alpha), shuffled_labels(n, k, seed))
-    assert np.array_equal(rejects(qs), binom_pvalues_sweep(n, k, qs) < alpha)
+    labels = shuffled_labels(n, k, seed)
+    rejects = rejection_test(TestConfig("binomial", alpha), [n], [k], lambda b: labels)
+    assert np.array_equal(rejects([qs.size], qs), binom_pvalues_sweep(n, k, qs) < alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(screen_edge_cases(), min_size=1, max_size=4))
+@example([(10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1)] * 2)  # two equal bins
+@example([(1000, 400, 0.05, [-2.5, 2.5], [], 0), (10**6, 400_000, 0.05, [-2.5, 2.5], [], 0)])
+def test_rejection_test_decides_each_q_against_its_own_bin(cases):
+    """One call over several bins, whose q share the tail sums, decides each q as its bin alone.
+
+    alpha is the first bin's, at the exact p-value of one of its q when drawn so.
+    """
+    bins = [screen_edge_probabilities(case) for case in cases]
+    alpha = bins[0][2]
+    counts, sums = [n for n, *_ in bins], [k for _, k, *_ in bins]
+    rejects = rejection_test(TestConfig("binomial", alpha), counts, sums, None)
+    got = rejects([qs.size for *_, qs in bins], np.concatenate([qs for *_, qs in bins]))
+    want = [binom_pvalues_sweep(n, k, qs) < alpha for n, k, _, qs in bins]
+    assert np.array_equal(got, np.concatenate(want))
 
 
 def test_rejection_test_sends_what_the_screen_leaves_to_the_kernel():
@@ -485,7 +535,8 @@ def test_rejection_test_sends_what_the_screen_leaves_to_the_kernel():
     for level, want in [(alpha, [False, False, True]), (np.nextafter(alpha, 1.0), [False, True, True])]:
         sweep = mock.Mock(wraps=stattest.binom_pvalues_sweep)
         with mock.patch.object(stattest, "binom_pvalues_sweep", sweep):
-            assert rejection_test(TestConfig("binomial", level), labels)(qs).tolist() == want
+            rejects = rejection_test(TestConfig("binomial", level), [n], [k], lambda b: labels)
+            assert rejects([qs.size], qs).tolist() == want
         (args, _), = sweep.call_args_list
         assert args[:2] == (n, k) and args[2].tolist() == [qs[1]]
 
@@ -516,9 +567,21 @@ def t_cases(draw):
 @example((np.ones(1, dtype=np.int8), np.array([0.0, 0.5, 1.0]), 0.05))
 def test_rejection_test_matches_the_t_test(case):
     labels, qs, alpha = case
-    got = rejection_test(TestConfig("t", alpha), labels)(qs)
+    rejects = rejection_test(TestConfig("t", alpha), [labels.size], [labels.sum()], lambda b: labels)
+    got = rejects([qs.size], qs)
     if labels.size == 1:  # one record rejects every q but its own label
         want = qs != labels[0]
     else:
         want = t_pvalues_sweep(labels, qs) < alpha
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(t_cases(), min_size=1, max_size=4))
+def test_rejection_test_tests_each_q_against_its_own_bin_labels(cases):
+    alpha = cases[0][2]
+    labels = [y for y, _, _ in cases]
+    rejects = rejection_test(TestConfig("t", alpha), [y.size for y in labels], [y.sum() for y in labels], labels.__getitem__)
+    got = rejects([qs.size for _, qs, _ in cases], np.concatenate([qs for _, qs, _ in cases]))
+    want = [qs != y[0] if y.size == 1 else t_pvalues_sweep(y, qs) < alpha for y, qs, _ in cases]
+    assert np.array_equal(got, np.concatenate(want))
