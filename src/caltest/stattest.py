@@ -79,6 +79,8 @@ def _binom_tails(n: int, below: np.ndarray, above: np.ndarray, q) -> np.ndarray:
     return lower + upper
 
 
+_LOG_FACT_HEAD = np.array([math.lgamma(j + 1.0) for j in range(256)])  # log j!, j < 256
+_LOG_FACT_HEAD.flags.writeable = False
 # Pairs per pass of the exact kernel, which holds about twenty arrays of that
 # length: about 115 bytes a pair, so under 0.5 MiB a pass.
 _KERNEL_CHUNK = 1 << 12
@@ -91,8 +93,8 @@ def _log_fact_table(n: int) -> np.ndarray:
     1/(1260 j^5) term from there, evaluated in chunks of ``_KERNEL_CHUNK``.
     """
     table = np.full(n + 1 + _TAIL_TERMS, np.inf)
-    head = min(n + 1, 256)
-    table[:head] = [math.lgamma(j + 1.0) for j in range(head)]
+    head = min(n + 1, _LOG_FACT_HEAD.size)
+    table[:head] = _LOG_FACT_HEAD[:head]
     for start in range(head, n + 1, _KERNEL_CHUNK):
         j = np.arange(float(start), float(min(start + _KERNEL_CHUNK, n + 1)))
         inv = 1.0 / j
@@ -362,10 +364,8 @@ def rejection_test(cfg: TestConfig, counts, label_sums, labels_in) -> Callable:
         log_fact = _log_fact_table(int(counts.max()))
 
         def binomial(per_bin: np.ndarray, qs: np.ndarray) -> np.ndarray:
-            rejected, undecided = binom_screen(
-                np.repeat(counts, per_bin), np.repeat(label_sums, per_bin), qs, alpha, log_fact
-            )
             bins = np.repeat(np.arange(counts.size), per_bin)
+            rejected, undecided = binom_screen(counts[bins], label_sums[bins], qs, alpha, log_fact)
             for b in sorted(set(bins[undecided].tolist())):
                 at = undecided & (bins == b)
                 p = binom_pvalues_sweep(int(counts[b]), int(label_sums[b]), qs[at], log_fact)
