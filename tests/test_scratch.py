@@ -7,8 +7,9 @@ of log j! that each binomial pass over a bin set builds, sized to its
 largest bin, and that the binomial screen and the exact kernel both read:
 8 bytes per record of that bin, built in place. Under the t-test it is a
 bin's labels as float64 and the temporary of their standard deviation, 16
-bytes per record of the bin, taken once per bin. A diagram reads each bin's quartiles from the sorted
-view in place. A bin of ``pava_bc`` holds at most n_max records.
+bytes per record of the bin, taken once per bin. A diagram reads each
+bin's quartiles from the sorted view in place. A bin of ``pava_bc`` holds
+at most n_max records.
 """
 import tracemalloc
 
