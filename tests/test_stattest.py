@@ -581,7 +581,8 @@ def test_rejection_test_matches_the_t_test(case):
 def test_rejection_test_tests_each_q_against_its_own_bin_labels(cases):
     alpha = cases[0][2]
     labels = [y for y, _, _ in cases]
-    rejects = rejection_test(TestConfig("t", alpha), [y.size for y in labels], [y.sum() for y in labels], labels.__getitem__)
+    sizes, sums = [y.size for y in labels], [y.sum() for y in labels]
+    rejects = rejection_test(TestConfig("t", alpha), sizes, sums, labels.__getitem__)
     got = rejects([qs.size for _, qs, _ in cases], np.concatenate([qs for _, qs, _ in cases]))
     want = [qs != y[0] if y.size == 1 else t_pvalues_sweep(y, qs) < alpha for y, qs, _ in cases]
     assert np.array_equal(got, np.concatenate(want))
