@@ -21,18 +21,32 @@ from .binning import (
     within_bin_error_avg,
 )
 from .core import Bin, BinnedData, BinSet, Dataset, partition
-from .diagram import DiagramSpec, build_diagram, render_svg
-from .experiments import BatteryConfig, metric_battery, run_scenario, run_sweep, simulate
 from .metrics import MetricReport, ace, ece, gce, mce, tce, tce_classwise, tce_variants
 from .stattest import TestConfig
-from .synthdata import (
-    GdaConfig,
-    fit_logistic,
-    perturb_logit_normal,
-    predict_logistic,
-    sample,
-    true_posterior,
-)
+
+# Names whose modules load on first use, so that importing caltest, or
+# caltest.diagram, loads no experiment or synthetic-data code, and scoring
+# loads no diagram code.
+_LAZY = {
+    **dict.fromkeys(["DiagramSpec", "build_diagram", "render_svg"], "diagram"),
+    **dict.fromkeys(
+        ["BatteryConfig", "metric_battery", "run_scenario", "run_sweep", "simulate"], "experiments"
+    ),
+    **dict.fromkeys(
+        ["GdaConfig", "fit_logistic", "perturb_logit_normal", "predict_logistic", "sample",
+         "true_posterior"],
+        "synthdata",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import STRATEGY_KINDS, BinStrategy, build_bins
-from .core import Dataset
-from .diagram import build_diagram, json_safe, render_svg
+from .core import Dataset, json_safe
 from .experiments import (
     DEFAULT_SIMULATE_PAIRS,
     DEFAULT_SIMULATE_SEEDS,
@@ -111,7 +110,7 @@ def ingest(path: str | Path) -> Dataset:
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
-        return Dataset(*_csv_columns(path))
+        return Dataset._adopt(*_csv_columns(path))
     raw = path.read_bytes()
     body = raw.removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is not data
     try:
@@ -140,7 +139,7 @@ def ingest(path: str | Path) -> Dataset:
         pred, label = _parse_record(record["prediction"], record["label"], row)
         preds.append(pred)
         labels.append(label)
-    return Dataset(np.array(preds), np.array(labels))
+    return Dataset._adopt(np.array(preds), np.array(labels, dtype=np.int8))
 
 
 # Bytes read at a time; a block runs on to the end of a line longer than this.
@@ -375,6 +374,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from .diagram import build_diagram, render_svg  # only this command draws
+
     dataset = ingest(args.input)
     strategy = BinStrategy(
         kind=args.bins.replace("-", "_"),

@@ -38,22 +38,24 @@ class Dataset:
     def __post_init__(self) -> None:
         preds = np.array(self.predictions, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels)
-        if preds.ndim != 1 or labels.ndim != 1:
-            raise ValueError("predictions and labels must be one-dimensional")
-        if preds.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"length mismatch: {preds.shape[0]} predictions vs {labels.shape[0]} labels"
-            )
-        if preds.shape[0] == 0:
-            raise ValueError("dataset must contain at least one record")
-        if not np.all(np.isfinite(preds)):
-            raise ValueError("predictions must be finite")
-        if np.any(preds < 0.0) or np.any(preds > 1.0):
-            raise ValueError("predictions must lie in [0, 1]")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be 0 or 1")
+        _check(preds, labels)
         object.__setattr__(self, "predictions", _frozen(preds))
         object.__setattr__(self, "labels", _frozen(labels.astype(np.int8)))
+
+    @classmethod
+    def _adopt(cls, predictions: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """A dataset that holds these fresh arrays themselves, as float64 and int8.
+
+        For ingest, whose arrays nothing else holds: they are checked as the
+        constructor checks its copies and made read-only, and not copied.
+        """
+        preds = np.ascontiguousarray(predictions, dtype=np.float64)
+        _check(preds, labels)
+        labels = np.ascontiguousarray(labels, dtype=np.int8)
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "predictions", _frozen(preds))
+        object.__setattr__(dataset, "labels", _frozen(labels))
+        return dataset
 
     @property
     def n(self) -> int:
@@ -80,6 +82,34 @@ class Dataset:
     def label_prefix(self) -> np.ndarray:
         """Exact integer label sums of the sorted prefixes: entry i covers the first i records."""
         return _frozen(_prefix_sums(self.sorted_labels))
+
+
+def _check(preds: np.ndarray, labels: np.ndarray) -> None:
+    if preds.ndim != 1 or labels.ndim != 1:
+        raise ValueError("predictions and labels must be one-dimensional")
+    if preds.shape[0] != labels.shape[0]:
+        raise ValueError(
+            f"length mismatch: {preds.shape[0]} predictions vs {labels.shape[0]} labels"
+        )
+    if preds.shape[0] == 0:
+        raise ValueError("dataset must contain at least one record")
+    if not np.all(np.isfinite(preds)):
+        raise ValueError("predictions must be finite")
+    if np.any(preds < 0.0) or np.any(preds > 1.0):
+        raise ValueError("predictions must lie in [0, 1]")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+
+
+def json_safe(obj):
+    """Copy of a JSON payload with non-finite floats as null and tuples as lists."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    return obj
 
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Bin, BinSet, Dataset, partition
+from .core import Bin, BinSet, Dataset, json_safe, partition
 from .metrics import MetricReport, tce
 from .stattest import TestConfig
 
@@ -22,17 +22,6 @@ __all__ = ["DiagramBin", "DiagramSpec", "build_diagram", "render_svg"]
 GLOBAL_HIST_BUCKETS = 50
 VIOLIN_BUCKETS = 20
 _QUARTILES = np.array([0.25, 0.5, 0.75])  # np.percentile's [25, 50, 75] over 100
-
-
-def json_safe(obj):
-    """Copy of a JSON payload with non-finite floats as null and tuples as lists."""
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(v) for v in obj]
-    return obj
 
 
 @dataclass(frozen=True)

@@ -153,23 +153,41 @@ def mce(
 _RUN_CHUNK = 1 << 14
 
 
-def _runs(preds: np.ndarray, cuts: np.ndarray):
-    """The runs of equal ascending predictions, in chunks: values, lengths and runs per bin.
+def _runs(preds: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The runs of equal predictions in the slices ``preds[starts[i]:ends[i]]``, in chunks:
+    values, lengths and the slice of each run.
 
-    Each chunk looks at up to ``_RUN_CHUNK`` records and ends where the run
-    of its last value ends, found by binary search, so its arrays stay that
-    small however long the runs are. Each value is its run's first record;
-    equal values share a bin, so no run crosses one of the bins' ``cuts``.
+    The slices are ascending and disjoint, and each is cut between runs.
+    Each chunk looks at up to ``_RUN_CHUNK`` records of the slices, in order,
+    and ends where the run of its last record ends, found by binary search,
+    so its arrays stay that small however long the runs are. Each value is
+    its run's first record.
     """
-    start = 0
-    while start < preds.size:
-        part = preds[start : start + _RUN_CHUNK]
+    sizes = ends - starts
+    before = np.cumsum(sizes) - sizes  # records of the slices before each
+    walked, total = 0, int(sizes.sum())
+    while walked < total:
+        first = int(before.searchsorted(walked, side="right")) - 1
+        last = int(before.searchsorted(walked + _RUN_CHUNK))
+        lo = starts[first:last].copy()
+        lo[0] += walked - before[first]
+        lengths = ends[first:last] - lo
+        end = int(ends[last - 1])
+        seen = min(end, int(starts[last - 1] + walked + _RUN_CHUNK - before[last - 1]))
+        if seen < end:  # the chunk ends where the run of its last record ends
+            lengths[-1] = seen - lo[-1]
+            end = min(end, int(preds.searchsorted(preds[seen - 1], side="right")))
+        pieces = lengths.cumsum() - lengths  # where each slice opens in the chunk
+        count, start = int(pieces[-1] + lengths[-1]), int(lo[0])
+        if seen - start == count:  # the slices touch: read them in place
+            part = preds[start:seen]
+        else:
+            part = preds[np.repeat(lo - pieces, lengths) + np.arange(count)]
+        # Slices are cut between runs, so a run opens wherever the value changes.
         firsts = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
-        values = part[firsts]
-        end = start + int(np.searchsorted(preds[start:], values[-1], side="right"))
-        per_bin = np.diff(np.searchsorted(firsts, cuts - start))
-        yield values, np.diff(firsts, append=end - start), per_bin
-        start = end
+        runs = np.diff(firsts, append=count + end - seen)
+        yield part[firsts], runs, first - 1 + pieces.searchsorted(firsts, side="right")
+        walked = int(before[last - 1] + end - starts[last - 1])
 
 
 def tce(
@@ -182,20 +200,22 @@ def tce(
     """Test-based calibration error: per-bin rejection percentages aggregated by the norm.
 
     Each prediction is tested as the hypothesized probability for the full
-    label set of its bin, own outcome included; each run of equal values is
-    tested once. One walk over the sorted view (:func:`_runs`) hands each
-    chunk of runs to one decision of :func:`~caltest.stattest.rejection_test`.
-    Under the weighted 1-norm the value equals 100 times the overall fraction
-    of predictions rejected, so it always lies in [0, 100].
+    label set of its bin, own outcome included. The test
+    (:func:`~caltest.stattest.rejection_test`) settles whole stretches of
+    each bin's sorted predictions from its bounds; a walk over the slices it
+    leaves (:func:`_runs`) hands each chunk of runs to its decision, each run
+    of equal values tested once. Under the weighted 1-norm the value equals
+    100 times the overall fraction of predictions rejected, so it always
+    lies in [0, 100].
     """
     binned = partition(dataset, bins)
-    counts = binned.counts
-    rejects = rejection_test(cfg, counts, binned.label_sums, binned.labels_in)
-    rejected = np.zeros(len(bins), dtype=np.int64)
-    for values, lengths, per_bin in _runs(dataset.sorted_predictions, binned.cuts):
-        held = per_bin > 0
-        firsts = (np.cumsum(per_bin) - per_bin)[held]  # the first run of each bin held
-        rejected[held] += np.add.reduceat(lengths * rejects(per_bin, values), firsts)
+    cuts, counts, preds = binned.cuts, binned.counts, dataset.sorted_predictions
+    test = rejection_test(cfg, preds, cuts, binned.label_sums, binned.labels_in)
+    rejected = (test.below - cuts[:-1]) + (cuts[1:] - test.above)
+    for values, lengths, at in _runs(preds, test.starts, test.ends):
+        owners = test.owners[at]
+        hits = lengths * test.rejects(owners, values)
+        rejected += np.bincount(owners, hits, len(bins)).astype(np.int64)
     losses = 100.0 * np.divide(rejected, counts, out=np.full(len(bins), np.nan), where=counts > 0)
     config = {"test": cfg.kind, "alpha": cfg.alpha, "norm": norm, "num_bins": len(bins)}
     return _report(name, binned, losses, norm, config)

@@ -5,29 +5,31 @@ all outcomes no more probable than the observed count, with a small relative
 slack so float-equal masses are treated as ties. All binomial mass arithmetic
 happens in log space.
 
-Most tests are settled in numpy (``binom_screen``); the exact kernel
-(``binom_pvalues_sweep``) takes the tests the screen leaves. Both form log
-C(n, j) from one table of log j! (``_log_fact_table``), which serves every
-n up to its size, and find the block of outcomes more probable than the
-observed count with one search (``_excluded_block``). ``scipy.special`` is
-imported only for the kernel's incomplete beta tails and by the t-test.
+Most tests are settled in numpy: per bin, from the bounds of two cheap
+certificates located on the sorted predictions by one bisection, and for
+the band of q between them by tail sums (``_tail_screen``). The exact kernel
+(``binom_pvalues_sweep``) takes the tests those leave. Both form log C(n, j)
+from one table of log j! (``_log_fact_table``), which serves every n up to
+its size, and find the block of outcomes more probable than the observed
+count with one search (``_excluded_block``). ``scipy.special`` is imported
+only for the kernel's incomplete beta tails and by the t-test.
 
 ``rejection_test`` is the one decision the metrics ask for: over the bins
-of one pass, which q of each chunk of predictions the test rejects.
+of one pass, which records the test rejects by its bounds alone, which
+records are left, and the function that decides those.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "TestConfig",
     "binom_pvalues_sweep",
-    "binom_screen",
     "rejection_test",
 ]
 
@@ -189,50 +191,59 @@ def binom_pvalues_sweep(n: int, k: int, qs: np.ndarray, log_fact=None) -> np.nda
     return _binom_pvalues(n, k, qs, log_fact)
 
 
-# Settling most tests in numpy (binom_screen). _EPS is float64's machine epsilon.
+# Settling most tests in numpy (rejection_test). _EPS is float64's machine epsilon.
 _EPS = float(np.finfo(np.float64).eps)
 # Relative margin of every numpy decision over the exact kernel's own
 # rounding: its tails are held to 50-digit sums within 1e-9 relative.
 _KERNEL_MARGIN = 1e-8
 # Below this alpha the kernel's p-values near alpha lose their precision to
-# subnormal rounding, so the screen leaves every q in (0, 1) to the kernel.
+# subnormal rounding, so every q in (0, 1) is left to the kernel.
 _LEAST_ALPHA = 1e-300
 # q per pass of the tail sums; terms per tail per step, which settle almost
 # every q in one step; steps before a q is left to the exact kernel.
 _SCREEN_GROUP = 1 << 10
 _TAIL_TERMS = 16
 _TAIL_STEPS = 128
+# Records from which a pass locates steps 1 and 2 per bin. Below it each q is
+# compared: at 6,000 records the bisection costs about what it saves.
+_SEARCH_FROM = 1 << 13
 
 
-def binom_screen(n, k, qs: np.ndarray, alpha: float, log_fact: np.ndarray | None = None):
-    """Settle ``binom_pvalues_sweep(n, k, q) < alpha`` in numpy wherever a float margin allows.
+def _screen_bounds(n: int, k: int, alpha: float) -> tuple[float, float, float]:
+    """The reject bound R and accept bound A of the binomial test for one (n, k), and log n!.
 
-    n and k are scalars or one per q of the 1-d qs, cheapest with equal
-    (n, k) adjacent; ``log_fact`` is built if not given. Returns
-    ``(rejected, undecided)``, two boolean arrays shaped like qs; a q in
-    neither is accepted, and only the undecided q need the exact kernel.
-    q = 0 and q = 1 put all mass on one outcome, so p is 0 or 1. Each q in
-    (0, 1) meets three steps; a step decides only beyond its margin.
+    The bounds hold x = log q^k (1 - q)^(n - k): q is rejected below R and
+    accepted from A up. For A, 2nH(k/n, q) = 2 (c - x), c = k log(k/n) +
+    (n - k) log(1 - k/n), and its float error, below 32 eps (|c| + |x| + 1),
+    is added before it is held to z^2, z the alpha * (1 + margin) quantile
+    of the standard normal.
+    """
+    _validate_nk(n, k)
+    log_n_fact = math.lgamma(n + 1.0)
+    log_coeff = log_n_fact - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+    reject = math.log(alpha) - math.log(2.0) - log_coeff - _LOG_SLACK - math.log(n + 1)
+    target = alpha * (1.0 + _KERNEL_MARGIN + 4 * (n + 1) * _EPS)
+    if target >= 0.5:  # Phi(-sqrt(2nH)) <= 1/2: the certificate cannot accept
+        return reject, math.inf, log_n_fact
+    z = NormalDist().inv_cdf(target)
+    c = (k * math.log(k / n) if k else 0.0) + ((n - k) * math.log1p(-k / n) if k < n else 0.0)
+    kappa = 32 * _EPS
+    return reject, (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa), log_n_fact
 
-    1. Reject bound. p sums at most n + 1 outcome masses, each at most
-       pmf(k) * (1 + slack), so q is rejected when (n + 1) * pmf(k) *
-       (1 + slack) < alpha / 2. The factor 2 is the margin.
-    2. Accept certificate. If k <= nq, every j < k is less probable than k,
-       so p >= P(X <= k) >= Phi(-sqrt(2n H(k/n, q))), H the Bernoulli
-       relative entropy (Zubkov & Serov 2013, Theory Probab. Appl. 57(3));
-       k >= nq is the mirror image. q is accepted when that bound is at least
-       alpha * (1 + 1e-8 + 4 (n + 1) eps), with 2nH taken up by its float error.
-    3. Tail sums, for the q still open, in groups of ``_SCREEN_GROUP``. The
-       block of outcomes more probable than k is the exact kernel's: the
-       same search (``_excluded_block``) finds it from the same table of
-       log j!. Each tail is summed outward from the block,
-       ``_TAIL_TERMS`` terms a step. q is accepted once the sum exceeds
-       alpha * (1 + tol), and rejected once the sum plus a bound on each
-       tail's rest stays below alpha * (1 - tol). A tail's rest is at most
-       its next term / (1 - r), r the ratio of that term's successor to it,
-       since the ratio shrinks outward. A q stays undecided when the mode or
-       an edge of its block lies within ``err`` of the threshold, or when
-       ``_TAIL_STEPS`` steps do not settle it.
+
+def _tail_screen(n, k, q, err, alpha, log_fact):
+    """Step 3 of the binomial test, each q in (0, 1) with its n, k and err: (rejected, undecided).
+
+    The block of outcomes more probable than k is the exact kernel's: the
+    same search (``_excluded_block``) finds it from the same table of log
+    j!. Each tail is summed outward from the block, ``_TAIL_TERMS`` terms a
+    step, in groups of ``_SCREEN_GROUP`` q. q is accepted once the sum
+    exceeds alpha * (1 + tol), and rejected once the sum plus a bound on
+    each tail's rest stays below alpha * (1 - tol). A tail's rest is at
+    most its next term / (1 - r), r the ratio of that term's successor to
+    it, since the ratio shrinks outward. A q stays undecided when the mode
+    or an edge of its block lies within ``err`` of the threshold, or when
+    ``_TAIL_STEPS`` steps do not settle it.
 
     Error bound. Let L = log n! and M = max(|log q|, |log(1 - q)|). Every
     log-mass the search or the sums form, log C(n, j) + j log q +
@@ -253,56 +264,6 @@ def binom_screen(n, k, qs: np.ndarray, alpha: float, log_fact: np.ndarray | None
     and its lower tail may carry (n + 1) eps more from rounding 1 - q, which
     err exceeds.
     """
-    qs = np.asarray(qs, dtype=np.float64)
-    if not np.all((qs >= 0.0) & (qs <= 1.0)):
-        raise ValueError("q must lie in [0, 1]")
-    n, k = np.broadcast_to(n, qs.shape), np.broadcast_to(k, qs.shape)
-    # Steps 1 and 2 take their bounds once per run of equal (n, k).
-    runs = np.flatnonzero((np.diff(n, prepend=-1) != 0) | (np.diff(k, prepend=-1) != 0))
-    bounds = [_screen_bounds(a, b, alpha) for a, b in zip(n[runs].tolist(), k[runs].tolist())]
-    lengths = np.diff(runs, append=qs.size)
-    reject_bound, accept_floor, log_n_fact = np.reshape(bounds, (-1, 3)).T
-    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 or 1: -inf or 0 * -inf = nan
-        logq, log1mq = np.log(qs), np.log1p(-qs)
-        log_qk = k * logq + (n - k) * log1mq  # rejected by step 1 if -inf, accepted if nan
-    rejected = log_qk < np.repeat(reject_bound, lengths)
-    if alpha < _LEAST_ALPHA:  # the kernel takes every q in (0, 1), where log_qk is finite
-        return rejected & ~np.isfinite(log_qk), np.isfinite(log_qk)
-    undecided = np.zeros(qs.shape, dtype=bool)
-    open_ = np.flatnonzero(~rejected & (log_qk < np.repeat(accept_floor, lengths)))
-    if open_.size:
-        log_fact = _log_fact_table(int(n.max())) if log_fact is None else log_fact
-        log_n_fact = np.repeat(log_n_fact, lengths)[open_]
-        n, k, q, logq, log1mq = (v[open_] for v in (n, k, qs, logq, log1mq))
-        err = 64 * _EPS * (log_n_fact + n * np.maximum(-logq, -log1mq) + 1.0)
-        rejected[open_], undecided[open_] = _tail_screen(n, k, q, err, alpha, log_fact)
-    return rejected, undecided
-
-
-def _screen_bounds(n: int, k: int, alpha: float) -> tuple[float, float, float]:
-    """Steps 1 and 2 of ``binom_screen`` for one (n, k), and log n!.
-
-    The steps bound x = log q^k (1 - q)^(n - k): q is rejected below the
-    first bound and accepted from the second up. For the second, 2nH(k/n, q)
-    = 2 (c - x), c = k log(k/n) + (n - k) log(1 - k/n), and its float error,
-    below 32 eps (|c| + |x| + 1), is added before it is held to z^2, z the
-    alpha * (1 + margin) quantile of the standard normal.
-    """
-    _validate_nk(n, k)
-    log_n_fact = math.lgamma(n + 1.0)
-    log_coeff = log_n_fact - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-    reject = math.log(alpha) - math.log(2.0) - log_coeff - _LOG_SLACK - math.log(n + 1)
-    target = alpha * (1.0 + _KERNEL_MARGIN + 4 * (n + 1) * _EPS)
-    if target >= 0.5:  # Phi(-sqrt(2nH)) <= 1/2: the certificate cannot accept
-        return reject, math.inf, log_n_fact
-    z = NormalDist().inv_cdf(target)
-    c = (k * math.log(k / n) if k else 0.0) + ((n - k) * math.log1p(-k / n) if k < n else 0.0)
-    kappa = 32 * _EPS
-    return reject, (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa), log_n_fact
-
-
-def _tail_screen(n, k, q, err, alpha, log_fact):
-    """Step 3 of ``binom_screen``, each q in (0, 1) with its n, k and err: (rejected, undecided)."""
     rejected, undecided = np.zeros((2, q.size), dtype=bool)
     log_alpha = math.log(alpha)  # terms are summed in units of alpha
     # Column 0 is the lower tail, which steps down; column 1 the upper.
@@ -349,42 +310,197 @@ def _tail_screen(n, k, q, err, alpha, log_fact):
     return rejected, undecided
 
 
-def rejection_test(cfg: TestConfig, counts, label_sums, labels_in) -> Callable:
-    """For the bins of one pass, the function that says whether cfg's test rejects each q.
+class Rejections(NamedTuple):
+    """What ``rejection_test`` settles for the bins of one pass, and how it decides the rest.
 
-    Bin b holds ``counts[b]`` labels, ``label_sums[b]`` of them 1, which
-    ``labels_in(b)`` returns; the function takes the number of q of each bin
-    and the q, bin after bin. The binomial test screens each q with its
-    bin's (n, k) and sends the rest to the exact kernel, both in one table of
-    log j! built here. The t-test takes each bin's mean and n-1 standard
-    deviation here; one record or zero variance rejects every q but the mean.
+    Bin b rejects the records at positions ``cuts[b]:below[b]`` and
+    ``above[b]:cuts[b + 1]`` of the sorted view by the test's bounds alone.
+    The records left lie in the slices ``starts[i]:ends[i]`` of bin
+    ``owners[i]``: ascending, disjoint, non-empty and cut between runs of
+    equal values. ``rejects(bins, qs)`` says whether the test rejects each
+    q of those slices, each against its own bin. Every other record is
+    accepted.
     """
-    counts, label_sums, alpha = np.asarray(counts), np.asarray(label_sums), cfg.alpha
+
+    below: np.ndarray
+    above: np.ndarray
+    owners: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    rejects: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _crossings(preds, lo, hi, k, rest, bound) -> np.ndarray:
+    """Per search, a position j in [lo, hi] of the ascending preds at which
+    x = k log q + rest log(1 - q) crosses bound from below.
+
+    x is below bound at j - 1 unless j = lo, and not below it at j unless
+    j = hi. One binary search over all the ranges finds every j; it needs no
+    order of x on a range, since it reads only the positions it tests. An
+    empty range reads the position before it and returns lo.
+    """
+    below, last = lo - 1, hi - 1  # the last position tested below bound; the range's last
+    for step in (1 << np.arange(int((hi - lo).max(initial=0)).bit_length()))[::-1]:
+        at = np.minimum(below + step, last)  # a test past the range tests its last
+        q = preds[at]
+        x = k * np.log(q) + rest * np.log1p(-q)
+        below = np.where(x < bound, at, below)
+    return below + 1
+
+
+def _binomial_test(preds, cuts, label_sums, alpha) -> Rejections:
+    """``rejection_test`` for the exact binomial test at alpha.
+
+    In a bin of n records, k of them 1, q = 0 and q = 1 put all mass on one
+    outcome, so p is 0 or 1: q = 0 is rejected unless k = 0, and q = 1
+    unless k = n. Each q in (0, 1) meets three steps, and a step decides
+    only beyond its margin:
+
+    1. Reject bound. p sums at most n + 1 outcome masses, each at most
+       pmf(k) * (1 + slack), so q is rejected when (n + 1) * pmf(k) *
+       (1 + slack) < alpha / 2. The factor 2 is the margin.
+    2. Accept certificate. If k <= nq, every j < k is less probable than k,
+       so p >= P(X <= k) >= Phi(-sqrt(2n H(k/n, q))), H the Bernoulli
+       relative entropy (Zubkov & Serov 2013, Theory Probab. Appl. 57(3));
+       k >= nq is the mirror image. q is accepted when that bound is at least
+       alpha * (1 + 1e-8 + 4 (n + 1) eps), with 2nH taken up by its float error.
+    3. Tail sums (``_tail_screen``) for the q still open, the band; what
+       they leave goes to the exact kernel, one call per bin and chunk.
+
+    Steps 1 and 2 compare float x = k log q + (n - k) log1p(-q) with the
+    bounds R and A of ``_screen_bounds``: q is rejected when x < R, and
+    accepted when x >= max(R, A). They are decided per bin, not per q.
+    Exact x rises up to q = k/n and falls after it, and on each side of k/n
+    float x lies within e = 64 eps (log n! + n M + 1) of it, M =
+    max(|log q|, |log(1 - q)|) at the side's first and last q, since M is
+    largest at an end; x is two logs, two products and a sum on terms of
+    magnitude at most nM, within 6 eps nM. Windows: one bisection per side
+    and bound finds where float x crosses R - 2e and max(R, A) + 2e, each
+    moved out by a further 2 eps of its own magnitude for its rounding.
+    Every q outward of the first crossing has exact x below R - e, so float
+    x below R, and every q inward of the second has float x at least
+    max(R, A): each is decided as comparing its own float x decides it.
+    The q between the crossings, which hold the band, and the q equal to
+    the float k/n are compared one by one, with the same expression. A pass
+    over fewer than ``_SEARCH_FROM`` records compares every q in (0, 1). With
+    alpha below ``_LEAST_ALPHA`` every q in (0, 1) goes to the exact kernel.
+
+    The table of log j! is built at the first q that needs it, sized to the
+    largest bin with q left, and serves the tail sums and the kernel.
+    """
+    counts = np.diff(cuts)
+    filled = np.flatnonzero(counts)
+    lo, hi, n, k = cuts[filled], cuts[filled + 1], counts[filled], label_sums[filled]
+    bounds = np.zeros((3, counts.size))
+    bounds[:, filled] = np.reshape(
+        [_screen_bounds(a, b, alpha) for a, b in zip(n.tolist(), k.tolist())], (-1, 3)
+    ).T
+    reject, accept, log_n_fact = bounds
+    # Each bin's q = 0 end before z0, and its q = 1 start at z1.
+    z0 = np.minimum(np.maximum(preds.searchsorted(0.0, side="right"), lo), hi)
+    z1 = np.minimum(np.maximum(preds.searchsorted(1.0, side="left"), lo), hi)
+    if alpha < _LEAST_ALPHA or preds.size < _SEARCH_FROM:
+        left, right, slices = z0, z1, [(z0, z1)]
+    else:
+        # The sides of the peak k/n, one range each: q < k/n in [z0, a) and
+        # q > k/n in [b, z1), on which x rises and falls.
+        peak = k / n
+        a = np.minimum(np.maximum(preds.searchsorted(peak, side="left"), z0), z1)
+        b = np.minimum(np.maximum(preds.searchsorted(peak, side="right"), z0), z1)
+        first, stop = np.concatenate([z0, b]), np.concatenate([a, z1])
+        sign = np.repeat([1.0, -1.0], n.size)
+        with np.errstate(divide="ignore", invalid="ignore"):  # an empty side may read q = 0 or 1
+            q = preds.take([first, stop - 1], mode="clip")
+            worst = np.maximum(-np.log(q), -np.log1p(-q)).max(axis=0)
+            scale = log_n_fact[filled] + 1.0
+            twice_e = 128 * _EPS * (np.concatenate([scale, scale]) + np.concatenate([n, n]) * worst)
+            r, t = reject[filled], np.maximum(reject, accept)[filled]
+            r, t = np.concatenate([r, r]), np.concatenate([t, t])
+            # On the falling side, -x crosses the bounds' negatives from below.
+            signed_k = np.concatenate([k, -k, k, -k])
+            found = _crossings(
+                preds,
+                np.concatenate([first, first]),
+                np.concatenate([stop, stop]),
+                signed_k,
+                np.concatenate([n, -n, n, -n]) - signed_k,
+                np.concatenate([
+                    sign * (r - (twice_e + 2.0 * _EPS * np.abs(r))),
+                    sign * (t + (twice_e + 2.0 * _EPS * np.abs(t))),
+                ]),
+            )
+        # Past R's crossings the q are rejected; inward of max(R, A)'s, accepted.
+        left, right, open_left, open_right = found.reshape(4, -1)
+        slices = [
+            (left, np.maximum(left, open_left)),
+            (a, b),
+            (np.minimum(open_right, right), right),
+        ]
+    below, above = cuts[:-1].copy(), cuts[1:].copy()
+    below[filled] = np.where(k > 0, left, lo)
+    above[filled] = np.where(k < n, right, hi)
+    starts, ends = np.empty((2, len(slices) * n.size), dtype=np.int64)
+    for i, (start, end) in enumerate(slices):
+        starts[i :: len(slices)], ends[i :: len(slices)] = start, end
+    kept = np.flatnonzero(ends > starts)
+    owners, starts, ends = filled[kept // len(slices)], starts[kept], ends[kept]
+    table = []  # the pass's one table of log j!, once a q needs it
+
+    def log_fact() -> np.ndarray:
+        if not table:
+            table.append(_log_fact_table(int(counts[owners].max())))
+        return table[0]
+
+    def binomial(bins: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        n, k = counts[bins], label_sums[bins]
+        rejected = np.zeros(qs.size, dtype=bool)
+        undecided = np.full(qs.size, alpha < _LEAST_ALPHA)
+        if alpha >= _LEAST_ALPHA:
+            logq, log1mq = np.log(qs), np.log1p(-qs)
+            log_qk = k * logq + (n - k) * log1mq
+            rejected = log_qk < reject[bins]
+            open_ = np.flatnonzero(~rejected & (log_qk < accept[bins]))
+            if open_.size:
+                n, k, q, logq, log1mq = (v[open_] for v in (n, k, qs, logq, log1mq))
+                err = 64 * _EPS * (log_n_fact[bins[open_]] + n * np.maximum(-logq, -log1mq) + 1.0)
+                rejected[open_], undecided[open_] = _tail_screen(n, k, q, err, alpha, log_fact())
+        for b in sorted(set(bins[undecided].tolist())):
+            at = undecided & (bins == b)
+            p = binom_pvalues_sweep(int(counts[b]), int(label_sums[b]), qs[at], log_fact())
+            rejected[at] = p < alpha
+        return rejected
+
+    return Rejections(below, above, owners, starts, ends, binomial)
+
+
+def rejection_test(cfg: TestConfig, preds: np.ndarray, cuts, label_sums, labels_in) -> Rejections:
+    """For the bins of one pass over the ascending preds, which records cfg's test rejects.
+
+    Bin b holds the records ``preds[cuts[b]:cuts[b + 1]]``, ``label_sums[b]``
+    of whose labels are 1, which ``labels_in(b)`` returns; each record is
+    tested as a hypothesized probability for its bin's labels. The binomial
+    test settles most records per bin from its bounds and leaves the rest
+    in slices (``_binomial_test``). The t-test leaves every record of a bin
+    in one slice, and takes each bin's mean and n-1 standard deviation here;
+    one record or zero variance rejects every q but the mean.
+    """
+    cuts, label_sums, alpha = np.asarray(cuts), np.asarray(label_sums), cfg.alpha
     if cfg.kind == "binomial":
-        log_fact = _log_fact_table(int(counts.max()))
-
-        def binomial(per_bin: np.ndarray, qs: np.ndarray) -> np.ndarray:
-            bins = np.repeat(np.arange(counts.size), per_bin)
-            rejected, undecided = binom_screen(counts[bins], label_sums[bins], qs, alpha, log_fact)
-            for b in sorted(set(bins[undecided].tolist())):
-                at = undecided & (bins == b)
-                p = binom_pvalues_sweep(int(counts[b]), int(label_sums[b]), qs[at], log_fact)
-                rejected[at] = p < alpha
-            return rejected
-
-        return binomial
+        return _binomial_test(preds, cuts, label_sums, alpha)
+    counts = np.diff(cuts)
+    filled = np.flatnonzero(counts)
     means, scales = np.zeros(counts.size), np.zeros(counts.size)
-    for b in np.flatnonzero(counts).tolist():
+    for b in filled.tolist():
         labels = np.asarray(labels_in(b), dtype=np.float64)
         means[b] = labels.mean()
         scales[b] = labels.std(ddof=1) / math.sqrt(labels.size) if labels.size > 1 else 0.0
 
-    def t_test(per_bin: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    def t_test(bins: np.ndarray, qs: np.ndarray) -> np.ndarray:
         from scipy.special import stdtr
 
-        mean, scale, df = (np.repeat(v, per_bin) for v in (means, scales, counts - 1))
+        mean, scale, df = means[bins], scales[bins], counts[bins] - 1
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero scale takes qs != mean
             p = 2.0 * stdtr(df, -np.abs((mean - qs) / scale))
         return np.where(scale > 0.0, p < alpha, qs != mean)
 
-    return t_test
+    return Rejections(cuts[:-1], cuts[1:], filled, cuts[:-1][filled], cuts[1:][filled], t_test)

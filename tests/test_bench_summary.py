@@ -10,9 +10,10 @@ bench_summary = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_summary)
 
 
-def write_result(directory, name, commit, seed, wall_rel, rows=500_000, trace=0):
+def write_result(directory, name, commit, seed, wall_rel, rows=500_000, trace=0,
+                 workload="compute-500k"):
     result = {
-        "workload": "compute-500k",
+        "workload": workload,
         "rows": rows,
         "seconds": 30,
         "trace": trace,
@@ -48,6 +49,24 @@ def test_summary_pairs_seeds_and_counts_wins(tmp_path):
     assert compute["metrics"]["peak_rss_mb"]["pairs_won_by_change"] == 0
     assert compute["change"]["commits"] == ["bbbb222"] and compute["change"]["runs"] == 3
     assert summary["workloads"]["diagram-ties-500k"]["pairs"] == 0
+
+
+def test_summary_takes_the_workloads_named_on_the_command_line(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    for seed, (old, new) in enumerate([(1.4, 1.1), (1.5, 1.2)]):
+        for side, commit, value in (("a", "aaaa111", old), ("b", "bbbb222", new)):
+            write_result(results, f"{side}{seed}", commit, seed, value, rows=6000,
+                         workload="simulate-default")
+    write_result(results, "a9", "aaaa111", 0, 0.3)  # a BENCHMARK.json workload: not asked for
+    assert bench_summary.main(["--label", "t", "--parent", "aaaa", "--change", "bbbb",
+                               "--results", str(results), "--out-dir", str(tmp_path),
+                               "--workload", "simulate-default"]) == 0
+    summary = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert list(summary["workloads"]) == ["simulate-default"]
+    simulate = summary["workloads"]["simulate-default"]
+    assert simulate["seeds"] == [0, 1] and simulate["change"]["runs"] == 2
+    assert simulate["metrics"]["wall_rel"]["pairs_won_by_change"] == 2
 
 
 PARENT_WALL = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]

@@ -44,6 +44,27 @@ def test_ingest_csv(tmp_path):
     assert ds.predictions.tolist() == [0.2, 0.9]
 
 
+@pytest.mark.parametrize("name", ["scores.csv", "scores.txt"], ids=["path-reader", "block-reader"])
+def test_ingest_dataset_holds_the_readers_arrays(tmp_path, monkeypatch, name):
+    """The columns a reader makes go into the dataset as they are, not copied."""
+    path = write(tmp_path, name, "prediction,label\n0.2,0\n0.9,1\n0.5,1\n")
+    made = []
+
+    def columns(source):
+        made.append(read(source))
+        return made[-1]
+
+    read = cli._csv_columns
+    monkeypatch.setattr(cli, "_csv_columns", columns)
+    ds = ingest(path)
+    (preds, labels), = made
+    assert ds.predictions is preds and ds.labels is labels
+    assert not ds.predictions.flags.writeable and not ds.labels.flags.writeable
+    # A caller's arrays are still copied.
+    mine = np.array([0.2, 0.9])
+    assert not np.shares_memory(Dataset(mine, [0, 1]).predictions, mine)
+
+
 def test_ingest_json(tmp_path):
     path = write(
         tmp_path, "ok.json", '[{"prediction": 0.2, "label": 0}, {"prediction": 0.9, "label": 1}]'

@@ -4,8 +4,11 @@ scipy.stats and scipy.optimize cost ~1 s per CLI call, and scipy.special
 ≈0.2 s and ≈25 MiB. A default binomial call settles its tests in numpy, so
 only a q the screen leaves to the exact kernel, or ``--test t``, loads
 scipy.special. A default call does not load numpy.ma either (≈15 ms and
-≈1.2 MiB).
+≈1.2 MiB). Nor do caltest's own modules load where a call has no use
+for them: scoring loads no diagram code, and diagram code no experiment or
+synthetic-data code.
 """
+import importlib
 import json
 import os
 import subprocess
@@ -60,13 +63,42 @@ def test_import_leaves_out_scipy_stats_and_optimize(module):
     )
 
 
-# Runs one CLI call in a fresh interpreter, then reports its exit code and
-# whether it loaded scipy.special and numpy.ma.
+SCORING = ["caltest", "caltest.binning", "caltest.core", "caltest.metrics", "caltest.stattest"]
+CLI = sorted([*SCORING, "caltest.cli", "caltest.experiments", "caltest.synthdata"])
+MODULES = {
+    "caltest": SCORING,
+    "caltest.diagram": sorted([*SCORING, "caltest.diagram"]),
+    "caltest.cli": CLI,
+}
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_import_loads_only_the_caltest_modules_it_needs(module):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = f"import json, sys, {module}; print(json.dumps(sorted(m for m in sys.modules if m.startswith('caltest'))))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == MODULES[module]
+
+
+def test_names_loaded_on_first_use_are_their_modules_names():
+    import caltest
+
+    for name, module in caltest._LAZY.items():
+        assert name in caltest.__all__
+        assert getattr(caltest, name) is getattr(importlib.import_module(f"caltest.{module}"), name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        caltest.no_such_name
+
+
+# Runs one CLI call in a fresh interpreter, then reports its exit code,
+# whether it loaded scipy.special and numpy.ma, and the caltest modules it loaded.
 CALL = """
 import json, sys
 from caltest.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"exit": code, "special": "scipy.special" in sys.modules, "ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"exit": code, "special": "scipy.special" in sys.modules, "ma": "numpy.ma" in sys.modules,
+                  "caltest": sorted(m for m in sys.modules if m.startswith("caltest"))}))
 """
 
 
@@ -95,8 +127,9 @@ def fresh_call(args, out):
 @pytest.mark.parametrize("command", [["compute"], ["diagram", "--kind", "test-based"]], ids=["compute", "diagram"])
 def test_a_default_call_imports_no_scipy_special(benchmark_inputs, data, command, tmp_path):
     args = [command[0], str(benchmark_inputs[data]), *command[1:]]
-    # Nor numpy.ma, which np.unique's first call imports.
-    assert fresh_call(args, tmp_path / "out") == {"exit": 0, "special": False, "ma": False}
+    # Nor numpy.ma, which np.unique's first call imports; only diagram loads caltest.diagram.
+    modules = sorted([*CLI, "caltest.diagram"]) if command[0] == "diagram" else CLI
+    assert fresh_call(args, tmp_path / "out") == {"exit": 0, "special": False, "ma": False, "caltest": modules}
 
 
 @pytest.mark.parametrize("data", ["distinct", "rounded"])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+import reference_kernel
+import reference_tests
 from reference_bins import assign
-from reference_tests import reject
+from reference_tests import reject, screened_tce
 
 from caltest import metrics, stattest
 from caltest.binning import BinStrategy, build_bins, equispaced_bins, quantile_bins
@@ -272,42 +274,148 @@ def tie_runs(draw):
 
 
 def tce_and_decisions(ds, cfg):
-    """The three TCE values; per variant, each tested (bin, q, rejected) in order; and
-    whether a decision call held the runs of more than one bin."""
+    """The three TCE values; per variant, the records each bin settles by its bounds and
+    each tested (bin, q, rejected) in order; and whether a decision call held the runs of
+    more than one bin."""
     decided, straddled = [], []
     make = metrics.rejection_test
 
-    def spy(cfg, counts, label_sums, labels_in):
-        rejects = make(cfg, counts, label_sums, labels_in)
+    def spy(cfg, preds, cuts, label_sums, labels_in):
+        test = make(cfg, preds, cuts, label_sums, labels_in)
         calls = []
-        decided.append(calls)
+        decided.append((test.below.tobytes() + test.above.tobytes(), calls))
 
-        def spy_rejects(per_bin, qs):
-            rejected = rejects(per_bin, qs)
-            bins = np.repeat(np.arange(len(counts)), per_bin)
+        def rejects(bins, qs):
+            rejected = test.rejects(bins, qs)
             calls.append((bins.tobytes(), qs.tobytes(), rejected.tobytes()))
-            straddled.append(np.count_nonzero(per_bin) > 1)
+            straddled.append(np.any(bins[1:] != bins[:-1]))
             return rejected
 
-        return spy_rejects
+        return test._replace(rejects=rejects)
 
     with mock.patch.object(metrics, "rejection_test", spy):
         values = {name: report.value for name, report in tce_variants(ds, cfg).items()}
-    return values, [tuple(b"".join(part) for part in zip(*calls)) for calls in decided], any(straddled)
+    decisions = [(settled, *(b"".join(part) for part in zip(*calls))) for settled, calls in decided]
+    return values, decisions, any(straddled)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ds=tie_runs(), chunk=st.integers(1, 5), kind=st.sampled_from(["binomial", "t"]),
-       alpha=st.sampled_from([0.05, 0.5]))
+       alpha=st.sampled_from([0.05, 0.5]), search=st.booleans())
 @example(ds=Dataset(np.repeat([0.1, 0.45, 0.6, 0.9], 4), np.tile([0, 1, 1, 0], 4)), chunk=5,
-         kind="binomial", alpha=0.5)
-def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha):
+         kind="binomial", alpha=0.5, search=False)
+def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha, search):
     cfg = TestConfig(kind, alpha)
-    values, decided, _ = tce_and_decisions(ds, cfg)
-    with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
-        got_values, got_decided, straddled = tce_and_decisions(ds, cfg)
+    with mock.patch.object(stattest, "_SEARCH_FROM", 0 if search else stattest._SEARCH_FROM):
+        values, decided, _ = tce_and_decisions(ds, cfg)
+        with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
+            got_values, got_decided, straddled = tce_and_decisions(ds, cfg)
     event("a chunk straddled a bin cut" if straddled else "no chunk straddled a bin cut")
     assert (got_values, got_decided) == (values, decided)
+
+
+def handed_on(ds, bins, cfg):
+    """tce's per-bin losses as bytes, with the (n, k, q, err) it hands to the tail sums and the
+    (n, k, q) it hands to the exact kernel, each sorted; then the same from ``screened_tce``."""
+    out = []
+    for screen, kernel, score in [
+        (stattest, stattest, lambda: [pb.loss for pb in tce(ds, bins, cfg).per_bin]),
+        (reference_kernel, reference_tests, lambda: screened_tce(ds, bins, cfg)),
+    ]:
+        tails, kernels = [], []
+        tail_screen, sweep = screen._tail_screen, kernel.binom_pvalues_sweep
+
+        def tail_spy(n, k, q, err, alpha, log_fact):
+            tails.extend(zip(n.tolist(), k.tolist(), q.tolist(), err.tolist()))
+            return tail_screen(n, k, q, err, alpha, log_fact)
+
+        def kernel_spy(n, k, qs, log_fact=None):
+            kernels.extend((n, k, q) for q in qs.tolist())
+            return sweep(n, k, qs, log_fact)
+
+        with mock.patch.object(screen, "_tail_screen", tail_spy), \
+                mock.patch.object(kernel, "binom_pvalues_sweep", kernel_spy):
+            losses = np.array(score())
+        out.append((losses.tobytes(), sorted(tails), sorted(kernels)))
+    return out
+
+
+@st.composite
+def scored_datasets(draw):
+    """Predictions from few values or many, 0 and 1 among them; labels from a rate, constant,
+    or cut at a value, so that bins hold no 1s or only 1s; bins of one record or many."""
+    n = draw(st.integers(1, 400))
+    values = draw(st.sampled_from([3, 20, 1000]))
+    pool = np.concatenate([[0.0, 1.0], np.sort(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=values, max_size=values)))])
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    preds = rng.choice(pool, n) if draw(st.booleans()) else rng.random(n) ** draw(st.sampled_from([1, 8]))
+    rule = draw(st.sampled_from(["rate", "zeros", "ones", "cut"]))
+    labels = {
+        "rate": rng.random(n) < np.clip(preds + rng.normal(0.0, 0.1, n), 0.0, 1.0),
+        "zeros": np.zeros(n), "ones": np.ones(n), "cut": preds > 0.5,
+    }[rule]
+    ds = Dataset(preds, labels)
+    strategy = draw(st.sampled_from(["pava", "pava_bc", "quantile", "per_record", "equispaced"]))
+    if strategy == "per_record":  # one bin per record wherever records differ
+        bins = quantile_bins(ds, n)
+    elif strategy == "equispaced":  # empty bins too
+        bins = equispaced_bins(draw(st.integers(1, 30)))
+    else:
+        bins = build_bins(ds, BinStrategy(strategy, num_bins=draw(st.integers(1, 15))))
+    return ds, bins
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scored_datasets(), kind=st.sampled_from(["binomial", "t"]),
+       alpha=st.sampled_from([1e-301, 0.05, 0.5]), search=st.booleans())
+def test_tce_decides_as_the_per_q_screen(case, kind, alpha, search):
+    """Per-bin losses, and the q that reach the tail sums and the exact kernel, are the per-q screen's."""
+    ds, bins = case
+    with mock.patch.object(stattest, "_SEARCH_FROM", 0 if search else stattest._SEARCH_FROM):
+        got, want = handed_on(ds, bins, TestConfig(kind, alpha))
+    event("tail sums ran" if got[1] else "no tail sums")
+    assert got == want
+
+
+def one_ulp_crossings(n, k, alpha):
+    """Adjacent q on each side of k/n between which float k log q + (n - k) log(1 - q)
+    crosses the reject bound and the accept bound of a bin of n records, k of them 1."""
+    reject, accept, _ = stattest._screen_bounds(n, k, alpha)
+
+    def below(bits, bound):
+        q = np.array([bits]).view(np.float64)
+        return bool((k * np.log(q) + (n - k) * np.log1p(-q))[0] < bound)
+
+    pairs = []
+    for bound in (reject, accept):
+        for end in (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)):
+            lo, hi = sorted(np.array([end, k / n]).view(np.int64).tolist())
+            rising = end < k / n
+            while hi - lo > 1:  # below the bound at the end, not at the peak
+                mid = (lo + hi) // 2
+                if below(mid, bound) == rising:
+                    lo = mid
+                else:
+                    hi = mid
+            pairs.extend(np.array([lo, hi]).view(np.float64).tolist())
+    return pairs
+
+
+@pytest.mark.parametrize("search", [True, False])
+def test_tce_decides_q_one_ulp_apart_as_the_per_q_screen(search):
+    n, k, alpha = 400, 120, 0.05
+    pairs = one_ulp_crossings(n, k, alpha)
+    assert len(pairs) == 8 and all(b == np.nextafter(a, 1.0) for a, b in zip(pairs[::2], pairs[1::2]))
+    rng = np.random.default_rng(0)
+    preds = np.concatenate([pairs, rng.random(n - len(pairs)) * 0.6])
+    labels = np.zeros(n)
+    labels[rng.permutation(n)[:k]] = 1
+    ds = Dataset(preds, labels)
+    with mock.patch.object(stattest, "_SEARCH_FROM", 0 if search else stattest._SEARCH_FROM):
+        got, want = handed_on(ds, BinSet.from_edges([0.0, 1.0]), TestConfig("binomial", alpha))
+    assert got == want
 
 
 def test_one_table_per_tce_call():

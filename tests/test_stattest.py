@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from reference_kernel import _log_binom_coeffs, _log_binom_table
+from reference_kernel import _log_binom_coeffs, _log_binom_table, binom_screen
 from reference_tests import (
+    bin_rejections,
     binom_pvalue,
     binom_pvalues_for_counts,
     binom_rejections,
+    pass_rejections,
     reject,
     t_pvalue,
     t_pvalues_sweep,
@@ -26,8 +28,6 @@ from caltest.stattest import (
     _binom_tails,
     TestConfig,
     binom_pvalues_sweep,
-    binom_screen,
-    rejection_test,
 )
 
 
@@ -497,6 +497,31 @@ def shuffled_labels(n, k, seed):
     return labels
 
 
+# Each q compared with the bounds, and the boundary search per bin.
+SEARCH_FROM = [0, stattest._SEARCH_FROM]
+
+
+def dealt_pass(bins):
+    """One pass over bins given as (labels, qs) pairs: ascending preds, cuts and label sums.
+
+    The distinct q of all bins are dealt out in ascending order, an even
+    share to each bin but no more than its labels allow, and each bin is
+    filled up to its labels' size with copies of its first q. A bin dealt no
+    q stays empty.
+    """
+    values = np.unique(np.concatenate([qs for _, qs in bins]))
+    share = -(-values.size // len(bins))
+    preds, cuts, sums, at = [], [0], [], 0
+    for labels, _ in bins:
+        group = values[at : at + min(share, labels.size)]
+        at += group.size
+        if group.size:
+            preds.append(np.sort(np.concatenate([group, np.full(labels.size - group.size, group[0])])))
+        cuts.append(cuts[-1] + (labels.size if group.size else 0))
+        sums.append(int(labels.sum()) if group.size else 0)
+    return np.concatenate(preds), np.array(cuts), np.array(sums)
+
+
 @settings(max_examples=200, deadline=None)
 @given(screen_edge_cases(), st.integers(0, 2**32 - 1))
 @example((10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1), 0)
@@ -504,8 +529,10 @@ def shuffled_labels(n, k, seed):
 def test_rejection_test_matches_the_binomial_kernel(case, seed):
     n, k, alpha, qs = screen_edge_probabilities(case)
     labels = shuffled_labels(n, k, seed)
-    rejects = rejection_test(TestConfig("binomial", alpha), [n], [k], lambda b: labels)
-    assert np.array_equal(rejects([qs.size], qs), binom_pvalues_sweep(n, k, qs) < alpha)
+    for search_from in SEARCH_FROM:
+        with mock.patch.object(stattest, "_SEARCH_FROM", search_from):
+            got = bin_rejections(TestConfig("binomial", alpha), labels, qs)
+        assert np.array_equal(got, binom_pvalues_sweep(n, k, qs) < alpha), search_from
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,17 +540,21 @@ def test_rejection_test_matches_the_binomial_kernel(case, seed):
 @example([(10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1)] * 2)  # two equal bins
 @example([(1000, 400, 0.05, [-2.5, 2.5], [], 0), (10**6, 400_000, 0.05, [-2.5, 2.5], [], 0)])
 def test_rejection_test_decides_each_q_against_its_own_bin(cases):
-    """One call over several bins, whose q share the tail sums, decides each q as its bin alone.
+    """One pass over several bins, whose q share the tail sums, decides each q as its bin alone.
 
     alpha is the first bin's, at the exact p-value of one of its q when drawn so.
     """
     bins = [screen_edge_probabilities(case) for case in cases]
     alpha = bins[0][2]
-    counts, sums = [n for n, *_ in bins], [k for _, k, *_ in bins]
-    rejects = rejection_test(TestConfig("binomial", alpha), counts, sums, None)
-    got = rejects([qs.size for *_, qs in bins], np.concatenate([qs for *_, qs in bins]))
-    want = [binom_pvalues_sweep(n, k, qs) < alpha for n, k, _, qs in bins]
-    assert np.array_equal(got, np.concatenate(want))
+    preds, cuts, sums = dealt_pass([(shuffled_labels(n, k, 0), qs) for n, k, _, qs in bins])
+    want = np.concatenate([
+        binom_pvalues_sweep(n, k, preds[a:b]) < alpha
+        for (n, k, *_), a, b in zip(bins, cuts[:-1], cuts[1:]) if b > a
+    ])
+    for search_from in SEARCH_FROM:
+        with mock.patch.object(stattest, "_SEARCH_FROM", search_from):
+            got = pass_rejections(TestConfig("binomial", alpha), preds, cuts, sums)
+        assert np.array_equal(got, want), search_from
 
 
 def test_rejection_test_sends_what_the_screen_leaves_to_the_kernel():
@@ -531,12 +562,12 @@ def test_rejection_test_sends_what_the_screen_leaves_to_the_kernel():
     # to the kernel; a q rejects at the next alpha up and not at its p-value.
     n, k, qs = 2012, 0, np.array([0.0, 0.30664352463535827, 1.0])
     alpha = float(binom_pvalues_sweep(n, k, qs)[1])
-    labels = np.zeros(n, dtype=np.int8)
-    for level, want in [(alpha, [False, False, True]), (np.nextafter(alpha, 1.0), [False, True, True])]:
+    preds = np.concatenate([np.zeros(n - 2), qs[1:]])  # q = 0 for all records but two
+    for level, want in [(alpha, [False, True]), (np.nextafter(alpha, 1.0), [True, True])]:
         sweep = mock.Mock(wraps=stattest.binom_pvalues_sweep)
         with mock.patch.object(stattest, "binom_pvalues_sweep", sweep):
-            rejects = rejection_test(TestConfig("binomial", level), [n], [k], lambda b: labels)
-            assert rejects([qs.size], qs).tolist() == want
+            got = pass_rejections(TestConfig("binomial", level), preds, [0, n], [k])
+        assert not got[: n - 2].any() and got[n - 2 :].tolist() == want
         (args, _), = sweep.call_args_list
         assert args[:2] == (n, k) and args[2].tolist() == [qs[1]]
 
@@ -567,8 +598,7 @@ def t_cases(draw):
 @example((np.ones(1, dtype=np.int8), np.array([0.0, 0.5, 1.0]), 0.05))
 def test_rejection_test_matches_the_t_test(case):
     labels, qs, alpha = case
-    rejects = rejection_test(TestConfig("t", alpha), [labels.size], [labels.sum()], lambda b: labels)
-    got = rejects([qs.size], qs)
+    got = bin_rejections(TestConfig("t", alpha), labels, qs)
     if labels.size == 1:  # one record rejects every q but its own label
         want = qs != labels[0]
     else:
@@ -581,8 +611,10 @@ def test_rejection_test_matches_the_t_test(case):
 def test_rejection_test_tests_each_q_against_its_own_bin_labels(cases):
     alpha = cases[0][2]
     labels = [y for y, _, _ in cases]
-    sizes, sums = [y.size for y in labels], [y.sum() for y in labels]
-    rejects = rejection_test(TestConfig("t", alpha), sizes, sums, labels.__getitem__)
-    got = rejects([qs.size for _, qs, _ in cases], np.concatenate([qs for _, qs, _ in cases]))
-    want = [qs != y[0] if y.size == 1 else t_pvalues_sweep(y, qs) < alpha for y, qs, _ in cases]
+    preds, cuts, sums = dealt_pass([(y, qs) for y, qs, _ in cases])
+    got = pass_rejections(TestConfig("t", alpha), preds, cuts, sums, labels.__getitem__)
+    want = [
+        preds[a:b] != y[0] if y.size == 1 else t_pvalues_sweep(y, preds[a:b]) < alpha
+        for y, a, b in zip(labels, cuts[:-1], cuts[1:]) if b > a
+    ]
     assert np.array_equal(got, np.concatenate(want))

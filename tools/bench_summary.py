@@ -1,8 +1,12 @@
 """Summarize parent/change benchmark runs into one committed BENCH_<label>.json.
 
     python3 tools/bench_summary.py --label pava --parent 2a9fed2 --change 161daf4
+    python3 tools/bench_summary.py --label simulate --parent 2a9fed2 --change 161daf4 \
+        --workload simulate-default
 
-Reads only the results files that ``bench/run.py`` leaves in
+Summarizes the workloads of ``BENCHMARK.json``, or those named by
+``--workload``, such as ``simulate-default``, which ``bench/run.py`` runs
+but ``BENCHMARK.json`` does not list. Reads only the results files that ``bench/run.py`` leaves in
 ``.bench_work/results/`` (copy in those of other checkouts first). A file
 belongs to a side when its recorded git commit or its ``src`` tree sha256
 starts with the given prefix. Only untraced runs at the workload's largest
@@ -143,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="commit or src sha256 prefix")
     parser.add_argument("--results", type=Path, default=RESULTS)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
+                        help="summarize this workload; repeat for more (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -161,11 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         "host": {key: any_run["provenance"].get(key) for key in HOST_KEYS},
         "run_seconds": any_run["seconds"],
         "workloads": {
-            w["name"]: {
-                **summarize_workload(runs.get(w["name"], {}), spec["end_to_end"]),
-                "traced_counts": compare_counts(traced.get(w["name"], {}), spec["per_layer"]),
+            name: {
+                **summarize_workload(runs.get(name, {}), spec["end_to_end"]),
+                "traced_counts": compare_counts(traced.get(name, {}), spec["per_layer"]),
             }
-            for w in spec["workloads"]
+            for name in args.workloads or [w["name"] for w in spec["workloads"]]
         },
     }
     out = args.out_dir / f"BENCH_{args.label}.json"
