@@ -4,8 +4,9 @@ Every metric here is an instance of one scheme (``gce``): compute a per-bin
 loss, then aggregate the per-bin losses with a norm. The absolute-gap metrics
 (ECE, ACE, MCE) use |label mean - prediction mean| per bin; the test-based
 metric uses the percentage of predictions in the bin rejected by a test
-against the bin's labels, decided in one walk over all bins, which keeps its
-value on a fixed [0, 100] scale regardless of class prevalence.
+against the bin's labels, settled per bin from the test's bounds and run by
+run only where they leave it open, which keeps its value on a fixed [0, 100]
+scale regardless of class prevalence.
 """
 from __future__ import annotations
 
@@ -200,13 +201,16 @@ def tce(
     """Test-based calibration error: per-bin rejection percentages aggregated by the norm.
 
     Each prediction is tested as the hypothesized probability for the full
-    label set of its bin, own outcome included. The test
+    label set of its bin, own outcome included. The binomial test
     (:func:`~caltest.stattest.rejection_test`) settles whole stretches of
-    each bin's sorted predictions from its bounds; a walk over the slices it
-    leaves (:func:`_runs`) hands each chunk of runs to its decision, each run
-    of equal values tested once. Under the weighted 1-norm the value equals
-    100 times the overall fraction of predictions rejected, so it always
-    lies in [0, 100].
+    each bin's sorted predictions from its bounds: on each side of the bin's
+    k/n, float x = k log q + (n - k) log(1 - q) is monotone but for its
+    error e = 64 eps (log n! + n M + 1), so every prediction past where x
+    crosses a bound by 2e is decided as its own x decides it. A walk over
+    the slices left, the windows that hold the band (:func:`_runs`), hands
+    each chunk of runs to the test's decision, each run of equal values
+    tested once. Under the weighted 1-norm the value equals 100 times the
+    overall fraction of predictions rejected, so it always lies in [0, 100].
     """
     binned = partition(dataset, bins)
     cuts, counts, preds = binned.cuts, binned.counts, dataset.sorted_predictions
