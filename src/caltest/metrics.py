@@ -183,11 +183,13 @@ def _runs(preds: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         if seen - start == count:  # the slices touch: read them in place
             part = preds[start:seen]
         else:
-            part = preds[np.repeat(lo - pieces, lengths) + np.arange(count)]
+            part = np.concatenate([preds[a : a + m] for a, m in zip(lo.tolist(), lengths.tolist())])
         # Slices are cut between runs, so a run opens wherever the value changes.
         firsts = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
         runs = np.diff(firsts, append=count + end - seen)
-        yield part[firsts], runs, first - 1 + pieces.searchsorted(firsts, side="right")
+        values, at = part[firsts], first - 1 + pieces.searchsorted(firsts, side="right")
+        del part, firsts  # not held while the chunk is decided
+        yield values, runs, at
         walked = int(before[last - 1] + end - starts[last - 1])
 
 

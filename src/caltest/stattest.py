@@ -204,9 +204,6 @@ _LEAST_ALPHA = 1e-300
 _SCREEN_GROUP = 1 << 10
 _TAIL_TERMS = 16
 _TAIL_STEPS = 128
-# Records from which a pass locates steps 1 and 2 per bin. Below it each q is
-# compared: at 6,000 records the bisection costs about what it saves.
-_SEARCH_FROM = 1 << 13
 
 
 def _screen_bounds(n: int, k: int, alpha: float) -> tuple[float, float, float]:
@@ -370,19 +367,18 @@ def _binomial_test(preds, cuts, label_sums, alpha) -> Rejections:
     Steps 1 and 2 compare float x = k log q + (n - k) log1p(-q) with the
     bounds R and A of ``_screen_bounds``: q is rejected when x < R, and
     accepted when x >= max(R, A). They are decided per bin, not per q.
-    Exact x rises up to q = k/n and falls after it, and on each side of k/n
-    float x lies within e = 64 eps (log n! + n M + 1) of it, M =
-    max(|log q|, |log(1 - q)|) at the side's first and last q, since M is
-    largest at an end; x is two logs, two products and a sum on terms of
-    magnitude at most nM, within 6 eps nM. Windows: one bisection per side
-    and bound finds where float x crosses R - 2e and max(R, A) + 2e, each
-    moved out by a further 2 eps of its own magnitude for its rounding.
+    Exact x rises up to q = k/n and falls after it, and float x lies within
+    e = 64 eps (log n! + n M + 1) of it, M = max(|log q|, |log(1 - q)|) at
+    the bin's first and last q in (0, 1), since M is largest at an end; x is
+    two logs, two products and a sum on terms of magnitude at most nM,
+    within 6 eps nM. Windows: one bisection per side of k/n and bound finds
+    where float x crosses R - 2e and max(R, A) + 2e, each moved out by a
+    further 2 eps of its own magnitude for its rounding.
     Every q outward of the first crossing has exact x below R - e, so float
     x below R, and every q inward of the second has float x at least
     max(R, A): each is decided as comparing its own float x decides it.
     The q between the crossings, which hold the band, and the q equal to
-    the float k/n are compared one by one, with the same expression. A pass
-    over fewer than ``_SEARCH_FROM`` records compares every q in (0, 1). With
+    the float k/n are compared one by one, with the same expression. With
     alpha below ``_LEAST_ALPHA`` every q in (0, 1) goes to the exact kernel.
 
     The table of log j! is built at the first q that needs it, sized to the
@@ -399,38 +395,29 @@ def _binomial_test(preds, cuts, label_sums, alpha) -> Rejections:
     # Each bin's q = 0 end before z0, and its q = 1 start at z1.
     z0 = np.minimum(np.maximum(preds.searchsorted(0.0, side="right"), lo), hi)
     z1 = np.minimum(np.maximum(preds.searchsorted(1.0, side="left"), lo), hi)
-    if alpha < _LEAST_ALPHA or preds.size < _SEARCH_FROM:
+    if alpha < _LEAST_ALPHA:
         left, right, slices = z0, z1, [(z0, z1)]
     else:
-        # The sides of the peak k/n, one range each: q < k/n in [z0, a) and
-        # q > k/n in [b, z1), on which x rises and falls.
-        peak = k / n
-        a = np.minimum(np.maximum(preds.searchsorted(peak, side="left"), z0), z1)
-        b = np.minimum(np.maximum(preds.searchsorted(peak, side="right"), z0), z1)
-        first, stop = np.concatenate([z0, b]), np.concatenate([a, z1])
-        sign = np.repeat([1.0, -1.0], n.size)
-        with np.errstate(divide="ignore", invalid="ignore"):  # an empty side may read q = 0 or 1
-            q = preds.take([first, stop - 1], mode="clip")
+        # The sides of the peak k/n, one range each: q < k/n in [z0, a), where
+        # x rises, and q > k/n in [b, z1), where it falls.
+        a, b = (np.minimum(np.maximum(preds.searchsorted(k / n, s), z0), z1) for s in ("left", "right"))
+        # Each side's crossings of R - 2e and of max(R, A) + 2e; on the falling
+        # side -x crosses their negatives from below.
+        with np.errstate(divide="ignore", invalid="ignore"):  # an empty range may read q = 0 or 1
+            q = preds.take([z0, z1 - 1], mode="clip")
             worst = np.maximum(-np.log(q), -np.log1p(-q)).max(axis=0)
-            scale = log_n_fact[filled] + 1.0
-            twice_e = 128 * _EPS * (np.concatenate([scale, scale]) + np.concatenate([n, n]) * worst)
+            twice_e = 128 * _EPS * (log_n_fact[filled] + 1.0 + n * worst)
             r, t = reject[filled], np.maximum(reject, accept)[filled]
-            r, t = np.concatenate([r, r]), np.concatenate([t, t])
-            # On the falling side, -x crosses the bounds' negatives from below.
-            signed_k = np.concatenate([k, -k, k, -k])
-            found = _crossings(
+            r, t = r - (twice_e + 2.0 * _EPS * np.abs(r)), t + (twice_e + 2.0 * _EPS * np.abs(t))
+            left, open_left, open_right, right = _crossings(
                 preds,
-                np.concatenate([first, first]),
-                np.concatenate([stop, stop]),
-                signed_k,
-                np.concatenate([n, -n, n, -n]) - signed_k,
-                np.concatenate([
-                    sign * (r - (twice_e + 2.0 * _EPS * np.abs(r))),
-                    sign * (t + (twice_e + 2.0 * _EPS * np.abs(t))),
-                ]),
-            )
-        # Past R's crossings the q are rejected; inward of max(R, A)'s, accepted.
-        left, right, open_left, open_right = found.reshape(4, -1)
+                np.concatenate([z0, z0, b, b]),
+                np.concatenate([a, a, z1, z1]),
+                np.concatenate([k, k, -k, -k]),
+                np.concatenate([n - k, n - k, k - n, k - n]),
+                np.concatenate([r, t, -t, -r]),
+            ).reshape(4, -1)
+        # Outward of R's crossings the q are rejected; inward of max(R, A)'s, accepted.
         slices = [
             (left, np.maximum(left, open_left)),
             (a, b),
@@ -452,17 +439,19 @@ def _binomial_test(preds, cuts, label_sums, alpha) -> Rejections:
         return table[0]
 
     def binomial(bins: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        n, k = counts[bins], label_sums[bins]
         rejected = np.zeros(qs.size, dtype=bool)
         undecided = np.full(qs.size, alpha < _LEAST_ALPHA)
         if alpha >= _LEAST_ALPHA:
-            logq, log1mq = np.log(qs), np.log1p(-qs)
-            log_qk = k * logq + (n - k) * log1mq
+            n, k = counts[bins], label_sums[bins]
+            log_qk = k * np.log(qs) + (n - k) * np.log1p(-qs)
             rejected = log_qk < reject[bins]
             open_ = np.flatnonzero(~rejected & (log_qk < accept[bins]))
+            del n, k, log_qk  # the band's own arrays follow, while the tail sums run
             if open_.size:
-                n, k, q, logq, log1mq = (v[open_] for v in (n, k, qs, logq, log1mq))
-                err = 64 * _EPS * (log_n_fact[bins[open_]] + n * np.maximum(-logq, -log1mq) + 1.0)
+                at, q = bins[open_], qs[open_]
+                n, k, logq, log1mq = counts[at], label_sums[at], np.log(q), np.log1p(-q)
+                err = 64 * _EPS * (log_n_fact[at] + n * np.maximum(-logq, -log1mq) + 1.0)
+                del at, logq, log1mq
                 rejected[open_], undecided[open_] = _tail_screen(n, k, q, err, alpha, log_fact())
         for b in sorted(set(bins[undecided].tolist())):
             at = undecided & (bins == b)

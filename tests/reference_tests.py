@@ -50,10 +50,11 @@ def pass_rejections(cfg: TestConfig, preds, cuts, label_sums, labels_in=None) ->
     """Whether one ``rejection_test`` pass over the ascending preds rejects each record.
 
     The records a bin settles by its bounds take that decision, and the
-    records of each slice left take ``rejects`` against the slice's bin; the
-    rest are accepted. The slices are checked as the pass promises them:
-    ascending, disjoint, non-empty, and inside their bin between its settled
-    records.
+    records of the slices left take one call of ``rejects``, which asks for
+    each slice's distinct values against the slice's bin, as a chunk of
+    ``tce``'s walk does; the rest are accepted. The slices are checked as
+    the pass promises them: ascending, disjoint, non-empty, and inside their
+    bin between its settled records.
     """
     preds, cuts = np.asarray(preds, dtype=np.float64), np.asarray(cuts)
     test = rejection_test(cfg, preds, cuts, np.asarray(label_sums), labels_in)
@@ -63,9 +64,15 @@ def pass_rejections(cfg: TestConfig, preds, cuts, label_sums, labels_in=None) ->
         out[cuts[b] : test.below[b]] = True
         out[test.above[b] : cuts[b + 1]] = True
     assert np.all(test.starts < test.ends) and np.all(test.ends[:-1] <= test.starts[1:])
-    for owner, start, end in zip(test.owners.tolist(), test.starts.tolist(), test.ends.tolist()):
+    slices = list(zip(test.owners.tolist(), test.starts.tolist(), test.ends.tolist()))
+    distinct = [np.unique(preds[start:end], return_inverse=True) for _, start, end in slices]
+    sizes = [values.size for values, _ in distinct]
+    decided = test.rejects(np.repeat(test.owners, sizes), np.concatenate([[], *(v for v, _ in distinct)]))
+    at = 0
+    for (owner, start, end), (values, inverse) in zip(slices, distinct):
         assert test.below[owner] <= start and end <= test.above[owner]
-        out[start:end] = test.rejects(np.full(end - start, owner), preds[start:end])
+        out[start:end] = decided[at : at + values.size][inverse]
+        at += values.size
     return out
 
 

@@ -301,15 +301,14 @@ def tce_and_decisions(ds, cfg):
 
 @settings(max_examples=200, deadline=None)
 @given(ds=tie_runs(), chunk=st.integers(1, 5), kind=st.sampled_from(["binomial", "t"]),
-       alpha=st.sampled_from([0.05, 0.5]), search=st.booleans())
+       alpha=st.sampled_from([0.05, 0.5]))
 @example(ds=Dataset(np.repeat([0.1, 0.45, 0.6, 0.9], 4), np.tile([0, 1, 1, 0], 4)), chunk=5,
-         kind="binomial", alpha=0.5, search=False)
-def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha, search):
+         kind="binomial", alpha=0.5)
+def test_chunked_run_walk_matches_one_chunk(ds, chunk, kind, alpha):
     cfg = TestConfig(kind, alpha)
-    with mock.patch.object(stattest, "_SEARCH_FROM", 0 if search else stattest._SEARCH_FROM):
-        values, decided, _ = tce_and_decisions(ds, cfg)
-        with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
-            got_values, got_decided, straddled = tce_and_decisions(ds, cfg)
+    values, decided, _ = tce_and_decisions(ds, cfg)
+    with mock.patch.object(metrics, "_RUN_CHUNK", chunk):
+        got_values, got_decided, straddled = tce_and_decisions(ds, cfg)
     event("a chunk straddled a bin cut" if straddled else "no chunk straddled a bin cut")
     assert (got_values, got_decided) == (values, decided)
 
@@ -369,12 +368,11 @@ def scored_datasets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=scored_datasets(), kind=st.sampled_from(["binomial", "t"]),
-       alpha=st.sampled_from([1e-301, 0.05, 0.5]), search=st.booleans())
-def test_tce_decides_as_the_per_q_screen(case, kind, alpha, search):
+       alpha=st.sampled_from([1e-301, 0.05, 0.5]))
+def test_tce_decides_as_the_per_q_screen(case, kind, alpha):
     """Per-bin losses, and the q that reach the tail sums and the exact kernel, are the per-q screen's."""
     ds, bins = case
-    with mock.patch.object(stattest, "_SEARCH_FROM", 0 if search else stattest._SEARCH_FROM):
-        got, want = handed_on(ds, bins, TestConfig(kind, alpha))
+    got, want = handed_on(ds, bins, TestConfig(kind, alpha))
     event("tail sums ran" if got[1] else "no tail sums")
     assert got == want
 
@@ -403,8 +401,7 @@ def one_ulp_crossings(n, k, alpha):
     return pairs
 
 
-@pytest.mark.parametrize("search", [True, False])
-def test_tce_decides_q_one_ulp_apart_as_the_per_q_screen(search):
+def test_tce_decides_q_one_ulp_apart_as_the_per_q_screen():
     n, k, alpha = 400, 120, 0.05
     pairs = one_ulp_crossings(n, k, alpha)
     assert len(pairs) == 8 and all(b == np.nextafter(a, 1.0) for a, b in zip(pairs[::2], pairs[1::2]))
@@ -413,8 +410,7 @@ def test_tce_decides_q_one_ulp_apart_as_the_per_q_screen(search):
     labels = np.zeros(n)
     labels[rng.permutation(n)[:k]] = 1
     ds = Dataset(preds, labels)
-    with mock.patch.object(stattest, "_SEARCH_FROM", 0 if search else stattest._SEARCH_FROM):
-        got, want = handed_on(ds, BinSet.from_edges([0.0, 1.0]), TestConfig("binomial", alpha))
+    got, want = handed_on(ds, BinSet.from_edges([0.0, 1.0]), TestConfig("binomial", alpha))
     assert got == want
 
 

@@ -497,29 +497,53 @@ def shuffled_labels(n, k, seed):
     return labels
 
 
-# Each q compared with the bounds, and the boundary search per bin.
-SEARCH_FROM = [0, stattest._SEARCH_FROM]
+def rotated_passes(bins):
+    """Passes over bins given as (labels, qs) pairs that test every q of each pair in a bin of
+    that pair's labels: a list of (preds, cuts, label sums, pair of each bin).
 
-
-def dealt_pass(bins):
-    """One pass over bins given as (labels, qs) pairs: ascending preds, cuts and label sums.
-
-    The distinct q of all bins are dealt out in ascending order, an even
-    share to each bin but no more than its labels allow, and each bin is
-    filled up to its labels' size with copies of its first q. A bin dealt no
-    q stays empty.
+    A pass's bins hold ascending, disjoint ranges of q, so the distinct q of all pairs are
+    cut into one range per pair, each about as many q. Pass r gives range j to pair
+    (j + r) % len(bins), so over the passes each pair meets every range once, beside the
+    other pairs' bins. A pair's q in its range fill as many bins of its labels as they
+    need, each padded to its labels' size with copies of its first q; a pair with no q
+    there has an empty bin.
     """
     values = np.unique(np.concatenate([qs for _, qs in bins]))
-    share = -(-values.size // len(bins))
-    preds, cuts, sums, at = [], [0], [], 0
-    for labels, _ in bins:
-        group = values[at : at + min(share, labels.size)]
-        at += group.size
-        if group.size:
-            preds.append(np.sort(np.concatenate([group, np.full(labels.size - group.size, group[0])])))
-        cuts.append(cuts[-1] + (labels.size if group.size else 0))
-        sums.append(int(labels.sum()) if group.size else 0)
-    return np.concatenate(preds), np.array(cuts), np.array(sums)
+    edges = values[np.arange(1, len(bins)) * values.size // len(bins)]
+    ranges = [np.split(np.unique(qs), np.searchsorted(np.unique(qs), edges)) for _, qs in bins]
+    passes = []
+    for r in range(len(bins)):
+        preds, cuts, sums, pairs = [], [0], [], []
+        for j in range(len(bins)):
+            pair = (j + r) % len(bins)
+            labels, group = bins[pair][0], ranges[pair][j]
+            for start in range(0, max(group.size, 1), labels.size):
+                chunk = group[start : start + labels.size]
+                if chunk.size:
+                    padding = np.full(labels.size - chunk.size, chunk[0])
+                    preds.append(np.sort(np.concatenate([chunk, padding])))
+                cuts.append(cuts[-1] + (labels.size if chunk.size else 0))
+                sums.append(int(labels.sum()) if chunk.size else 0)
+                pairs.append(pair)
+        passes.append((np.concatenate(preds), np.array(cuts), np.array(sums), pairs))
+    return passes
+
+
+def rotated_rejections(cfg, bins, want):
+    """For each pass of ``rotated_passes(bins)``, ``pass_rejections`` and the concatenated
+    ``want(pair, q)`` of each bin's q; every q of every pair is tested in a bin of its own."""
+    tested = [[] for _ in bins]
+    for preds, cuts, sums, pairs in rotated_passes(bins):
+        labels_in = lambda b: bins[pairs[b]][0]
+        got = pass_rejections(cfg, preds, cuts, sums, labels_in)
+        expected = []
+        for pair, a, b in zip(pairs, cuts[:-1], cuts[1:]):
+            values, inverse = np.unique(preds[a:b], return_inverse=True)
+            tested[pair].append(values)
+            expected.append(want(pair, values)[inverse])
+        yield got, np.concatenate(expected)
+    for (_, qs), seen in zip(bins, tested):
+        assert np.array_equal(np.unique(np.concatenate(seen)), np.unique(qs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -529,10 +553,8 @@ def dealt_pass(bins):
 def test_rejection_test_matches_the_binomial_kernel(case, seed):
     n, k, alpha, qs = screen_edge_probabilities(case)
     labels = shuffled_labels(n, k, seed)
-    for search_from in SEARCH_FROM:
-        with mock.patch.object(stattest, "_SEARCH_FROM", search_from):
-            got = bin_rejections(TestConfig("binomial", alpha), labels, qs)
-        assert np.array_equal(got, binom_pvalues_sweep(n, k, qs) < alpha), search_from
+    got = bin_rejections(TestConfig("binomial", alpha), labels, qs)
+    assert np.array_equal(got, binom_pvalues_sweep(n, k, qs) < alpha)
 
 
 @settings(max_examples=100, deadline=None)
@@ -540,21 +562,17 @@ def test_rejection_test_matches_the_binomial_kernel(case, seed):
 @example([(10**6, 400_000, 0.05, [-2.0, 1.96, 2.5], [1e-9, -1e-9], 1)] * 2)  # two equal bins
 @example([(1000, 400, 0.05, [-2.5, 2.5], [], 0), (10**6, 400_000, 0.05, [-2.5, 2.5], [], 0)])
 def test_rejection_test_decides_each_q_against_its_own_bin(cases):
-    """One pass over several bins, whose q share the tail sums, decides each q as its bin alone.
+    """Passes over several bins, whose q share the tail sums, decide each q as its bin alone.
 
+    Every q of each case is tested in a bin of its case (``rotated_passes``).
     alpha is the first bin's, at the exact p-value of one of its q when drawn so.
     """
     bins = [screen_edge_probabilities(case) for case in cases]
     alpha = bins[0][2]
-    preds, cuts, sums = dealt_pass([(shuffled_labels(n, k, 0), qs) for n, k, _, qs in bins])
-    want = np.concatenate([
-        binom_pvalues_sweep(n, k, preds[a:b]) < alpha
-        for (n, k, *_), a, b in zip(bins, cuts[:-1], cuts[1:]) if b > a
-    ])
-    for search_from in SEARCH_FROM:
-        with mock.patch.object(stattest, "_SEARCH_FROM", search_from):
-            got = pass_rejections(TestConfig("binomial", alpha), preds, cuts, sums)
-        assert np.array_equal(got, want), search_from
+    labelled = [(shuffled_labels(n, k, 0), qs) for n, k, _, qs in bins]
+    want = lambda pair, qs: binom_pvalues_sweep(*bins[pair][:2], qs) < alpha
+    for got, expected in rotated_rejections(TestConfig("binomial", alpha), labelled, want):
+        assert np.array_equal(got, expected)
 
 
 def test_rejection_test_sends_what_the_screen_leaves_to_the_kernel():
@@ -610,11 +628,11 @@ def test_rejection_test_matches_the_t_test(case):
 @given(st.lists(t_cases(), min_size=1, max_size=4))
 def test_rejection_test_tests_each_q_against_its_own_bin_labels(cases):
     alpha = cases[0][2]
-    labels = [y for y, _, _ in cases]
-    preds, cuts, sums = dealt_pass([(y, qs) for y, qs, _ in cases])
-    got = pass_rejections(TestConfig("t", alpha), preds, cuts, sums, labels.__getitem__)
-    want = [
-        preds[a:b] != y[0] if y.size == 1 else t_pvalues_sweep(y, preds[a:b]) < alpha
-        for y, a, b in zip(labels, cuts[:-1], cuts[1:]) if b > a
-    ]
-    assert np.array_equal(got, np.concatenate(want))
+    bins = [(y, qs) for y, qs, _ in cases]
+
+    def want(pair, qs):
+        y = bins[pair][0]
+        return qs != y[0] if y.size == 1 else t_pvalues_sweep(y, qs) < alpha
+
+    for got, expected in rotated_rejections(TestConfig("t", alpha), bins, want):
+        assert np.array_equal(got, expected)
