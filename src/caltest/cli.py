@@ -103,10 +103,10 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 def ingest(path: str | Path) -> Dataset:
     """Load and validate a prediction/label file, naming the offending row on error.
 
-    A plain ``.csv`` file is read by ``np.loadtxt`` given its path. Any other
-    CSV file, and every file that reader refuses, is read in blocks by
-    ``np.loadtxt``; only a block that loadtxt turns down goes to the per-row
-    parser, which gives the same columns or names the first bad row.
+    A CSV file is read by ``np.loadtxt``'s grammar: a regular file by one
+    call on its path, anything else, or a file that call refuses, in blocks
+    of lines; a block that loadtxt turns down is read line by line to name
+    the first bad row.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
@@ -143,90 +143,43 @@ def ingest(path: str | Path) -> Dataset:
 
 
 # Bytes read at a time; a block runs on to the end of a line longer than this.
-_SCAN_BLOCK = 1 << 14
-# ASCII bytes that bar the path reader: VT, FF, FS, GS and RS end a line for
-# str.splitlines but not under universal newlines; tab, US and the underscore
-# can make a line or a field that float() reads and loadtxt turns down late.
-_NOT_FOR_PATH_READER = b"\x0b\x0c\x1c\x1d\x1e\t\x1f_"
+_READ_BLOCK = 1 << 14
+# Name endings that numpy opens through a decompressor when given the path.
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The columns of a ``prediction,label`` file; the first bad row raises.
 
-    Rows are the non-blank lines after the header, as ``str.splitlines`` cuts
-    them, numbered from 1. A byte that is not UTF-8 makes its row bad.
+    Rows are the non-empty lines after the header, as universal newlines cut
+    them, numbered from 1; ``np.loadtxt`` reads their fields. A byte that is
+    not UTF-8 makes its row bad.
 
-    A regular ``.csv`` file whose lines both readers cut alike goes first to
-    ``np.loadtxt`` given its path, which reads it in C chunks but names no bad
-    row; whatever that reader refuses is read from the start block by block.
-    numpy opens other names, such as ``.gz``, through a decompressor, and a
-    pipe cannot be read twice.
+    A regular file goes to one ``np.loadtxt`` call on its path, which reads it
+    in C chunks but names no bad row. A file that call refuses, a pipe, and a
+    name that numpy would decompress, such as ``.gz``, are read block by block.
     """
     with path.open("rb") as fh:
-        if path.suffix.lower() == ".csv" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            if _lines_cut_alike(fh) and (columns := _path_columns(path)) is not None:
-                return columns
-            fh.seek(0)
         blocks = _line_blocks(fh)
         lines, bad = next(blocks)
         if bad is not None and not lines:
             raise MalformedRowError(f"{path}: header: byte {bad} is not UTF-8")
-        header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
+        header = lines[0].decode().removeprefix("\ufeff")  # a leading byte-order mark is not data
         blocks = itertools.chain([(lines[1:], bad)], blocks)
         if not _is_header(header):
             if not header.strip() and all(
-                b is None and not any(map(str.strip, ls)) for ls, b in blocks
+                b is None and not any(ln.decode().strip() for ln in ls) for ls, b in blocks
             ):  # a blank first line, and only blank text after it
                 raise EmptyInputError(f"{path}: file is empty")
             raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
-        # Grown in place: per-block arrays joined at the end left freed heap
-        # resident after ingest, which raised the peak of the whole call.
-        preds, labels = bytearray(), bytearray()  # float64 and int8 values
-        for lines, bad in blocks:
-            block_preds, block_labels = _block_columns(lines, len(labels))
-            preds += block_preds.data  # both are contiguous
-            labels += block_labels.data
-            if bad is not None:
-                raise MalformedRowError(f"row {len(labels) + 1}: byte {bad} is not UTF-8")
-    if not labels:
+        columns = None
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _DECOMPRESSED:
+            columns = _loadtxt_columns(str(path), skiprows=1)
+        if columns is None:  # the blocks carry on after the header
+            columns = _block_columns(blocks)
+    if not columns[1].size:
         raise EmptyInputError(f"{path}: no data rows")
-    return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
-
-
-def _lines_cut_alike(fh) -> bool:
-    """Whether the path reader may read the file: then it cuts the block reader's rows,
-    and it refuses only a file with a bad row or none, which the block reader then names.
-
-    The first line, within the first read, must pass as the header. After a
-    leading byte-order mark the file must be ASCII and hold no byte of
-    ``_NOT_FOR_PATH_READER``, and no line after the header may end in a space,
-    as a line of spaces does.
-    """
-    first = fh.read(_SCAN_BLOCK)
-    ends = [i for i in (first.find(b"\n"), first.find(b"\r")) if i >= 0]
-    if not ends:
-        return False
-    header, first = first[: min(ends)].removeprefix(codecs.BOM_UTF8), first[min(ends) :]
-    if not (_plain(header) and _is_header(header.decode())):
-        return False
-    last = b""
-    for chunk in itertools.chain([first], iter(lambda: fh.read(_SCAN_BLOCK), b""), [b"\n"]):
-        if not _plain(chunk) or b" " in chunk and (b" \n" in chunk or b" \r" in chunk):
-            return False  # the two-byte searches are slow, so only a read holding a space runs them
-        if last.endswith(b" ") and chunk.startswith((b"\n", b"\r")):  # cut between the reads
-            return False
-        last = chunk
-    return True
-
-
-def _plain(chunk: bytes) -> bool:
-    return chunk.isascii() and not any(byte in chunk for byte in _NOT_FOR_PATH_READER)
-
-
-def _path_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns as ``np.loadtxt`` reads them from the path, or None if it or a check refuses."""
-    columns = _loadtxt_columns(str(path), skiprows=1, encoding="utf-8")
-    return columns if columns is not None and columns[1].size else None
+    return columns
 
 
 def _is_header(line: str) -> bool:
@@ -237,15 +190,16 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
     """Contiguous float64 predictions and int8 labels as ``np.loadtxt`` reads them, or None.
 
     None if loadtxt turns ``source`` down, a prediction is NaN or outside
-    [0, 1], or a label is not 0 or 1. loadtxt converts a field as ``float()``
-    does, but turns down underscores, non-ASCII digits and whitespace-only
-    lines, and skips empty lines.
+    [0, 1], or a label is not 0 or 1. loadtxt skips empty lines, turns down
+    a line that is not two fields, and reads a field as ``float()`` reads it,
+    save that it turns down underscores and non-ASCII characters.
     """
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(source, dtype="f8,f8", delimiter=",", comments=None, ndmin=1, **options)
-    except ValueError:
+            table = np.loadtxt(source, dtype="f8,f8", delimiter=",", comments=None, ndmin=1,
+                               encoding="utf-8", **options)
+    except ValueError:  # UnicodeDecodeError included
         return None
     preds, labels = table["f0"], table["f1"]
     # NaN fails both comparisons, so it is caught along with out-of-range values.
@@ -255,45 +209,64 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
     return preds.copy(), labels.astype(np.int8)
 
 
-def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
-    """A binary file's lines, in blocks cut after a read's last line feed or carriage return.
+def _line_blocks(fh) -> Iterator[tuple[list[bytes], int | None]]:
+    """A binary file's lines as universal newlines cut them, in blocks cut after a
+    read's last line feed or carriage return.
 
     A CRLF cut in two, and the line feed added to end the last line, leave only
-    empty lines. Each block comes with the offset of its first non-UTF-8 byte, or None.
+    empty lines. Each block comes with the offset of its first non-UTF-8 byte,
+    or None; then it holds only the lines before that byte's line.
     """
     start, pending = 0, []
-    for chunk in itertools.chain(iter(lambda: fh.read(_SCAN_BLOCK), b""), [b"\n"]):
+    for chunk in itertools.chain(iter(lambda: fh.read(_READ_BLOCK), b""), [b"\n"]):
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
         if not cut:
             pending.append(chunk)
             continue
         raw = b"".join([*pending, chunk[:cut]])
         try:
-            lines, bad = raw.decode().splitlines(), None
+            raw.decode()
+            lines, bad = raw.splitlines(), None
         except UnicodeDecodeError as exc:  # "x" ends the bad byte's line, which is dropped
-            lines, bad = (raw[: exc.start].decode() + "x").splitlines()[:-1], start + exc.start
+            lines, bad = (raw[: exc.start] + b"x").splitlines()[:-1], start + exc.start
         yield lines, bad
         start += len(raw)
         pending = [chunk[cut:]]
 
 
-def _block_columns(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of a block's lines, which follow ``rows`` rows, read by ``np.loadtxt`` if it can."""
-    columns = _loadtxt_columns(lines)
-    return columns if columns is not None else _csv_rows([ln for ln in lines if ln.strip()], rows)
+def _block_columns(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the blocks' lines, each block read by ``np.loadtxt``; the first bad row raises."""
+    # Grown in place: per-block arrays joined at the end left freed heap
+    # resident after ingest, which raised the peak of the whole call.
+    preds, labels = bytearray(), bytearray()  # float64 and int8 values
+    for lines, bad in blocks:
+        columns = _loadtxt_columns(lines)
+        if columns is None:
+            _raise_first_bad_row(lines, len(labels))
+        preds += columns[0].data  # both are contiguous
+        labels += columns[1].data
+        if bad is not None:
+            raise MalformedRowError(f"row {len(labels) + 1}: byte {bad} is not UTF-8")
+    return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
 
 
-def _csv_rows(lines: list[str], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of non-blank lines after ``rows`` rows; the first bad row raises its error."""
-    preds, labels = [], []
-    for row, line in enumerate(lines, start=rows + 1):
-        parts = line.split(",")
-        if len(parts) != 2:
+def _raise_first_bad_row(lines: list[bytes], rows: int) -> None:
+    """Raise the error of the first bad row among ``lines``, which follow ``rows`` rows.
+
+    A row is bad where ``np.loadtxt``, reading its line alone, turns a field
+    down, or where a check refuses its values: where the block's call did.
+    """
+    for row, raw in enumerate(filter(None, lines), start=rows + 1):
+        line = raw.decode()
+        fields = [field.strip() for field in line.split(",")]
+        if len(fields) != 2:
             raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
-        pred, label = _parse_record(parts[0].strip(), parts[1].strip(), row)
-        preds.append(pred)
-        labels.append(label)
-    return np.array(preds, dtype=np.float64), np.array(labels, dtype=np.int8)
+        for column, name in enumerate(("prediction", "label")):
+            try:
+                np.loadtxt([line], delimiter=",", comments=None, usecols=column)
+            except ValueError:
+                raise MalformedRowError(f"row {row}: {name} {fields[column]!r} is not a number") from None
+        _parse_record(*fields, row)
 
 
 def write_dataset_csv(dataset: Dataset, path: Path) -> None:

@@ -1,5 +1,6 @@
 import gzip
 import json
+import lzma
 import os
 import re
 import subprocess
@@ -44,7 +45,7 @@ def test_ingest_csv(tmp_path):
     assert ds.predictions.tolist() == [0.2, 0.9]
 
 
-@pytest.mark.parametrize("name", ["scores.csv", "scores.txt"], ids=["path-reader", "block-reader"])
+@pytest.mark.parametrize("name", ["scores.csv", "scores.csv.gz"], ids=["path-reader", "block-reader"])
 def test_ingest_dataset_holds_the_readers_arrays(tmp_path, monkeypatch, name):
     """The columns a reader makes go into the dataset as they are, not copied."""
     path = write(tmp_path, name, "prediction,label\n0.2,0\n0.9,1\n0.5,1\n")
@@ -130,16 +131,26 @@ def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
     assert ingest(json_path).labels.tolist() == [0]
 
 
+def loadtxt_float(field):
+    """float() of a stripped field, as np.loadtxt reads one: ASCII only, no underscores."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"{field!r} is not a number")
+    return float(field)
+
+
 def reference_ingest_csv(path):
-    """The per-row CSV parser that the numpy pass replaced, kept as the reference."""
-    text = path.read_text(encoding="utf-8-sig")
+    """The CSV contract row by row in Python, kept as the reference.
+
+    Lines are cut by universal newlines, a row is a non-empty line after the
+    header, and both fields are read before the range and 0/1 checks.
+    """
+    text = path.read_text(encoding="utf-8-sig")  # universal newlines: \r and \r\n become \n
     if not text.strip():
         raise EmptyInputError(f"{path}: file is empty")
-    lines = text.splitlines()
-    header = lines[0].strip().lower()
-    if header.replace(" ", "") != "prediction,label":
-        raise MalformedRowError(f"{path}: expected header 'prediction,label', got {lines[0]!r}")
-    data_lines = [ln for ln in lines[1:] if ln.strip()]
+    header, *lines = text.split("\n")
+    if header.strip().lower().replace(" ", "") != "prediction,label":
+        raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
+    data_lines = [ln for ln in lines if ln]
     if not data_lines:
         raise EmptyInputError(f"{path}: no data rows")
     preds, labels = [], []
@@ -149,15 +160,15 @@ def reference_ingest_csv(path):
             raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")
         raw_pred, raw_label = parts[0].strip(), parts[1].strip()
         try:
-            pred = float(raw_pred)
+            pred = loadtxt_float(raw_pred)
         except ValueError:
             raise MalformedRowError(f"row {row}: prediction {raw_pred!r} is not a number") from None
-        if not np.isfinite(pred) or not (0.0 <= pred <= 1.0):
-            raise PredictionRangeError(f"row {row}: prediction {pred!r} outside [0, 1]")
         try:
-            label_f = float(raw_label)
+            label_f = loadtxt_float(raw_label)
         except ValueError:
             raise MalformedRowError(f"row {row}: label {raw_label!r} is not a number") from None
+        if not np.isfinite(pred) or not (0.0 <= pred <= 1.0):
+            raise PredictionRangeError(f"row {row}: prediction {pred!r} outside [0, 1]")
         if label_f not in (0.0, 1.0):
             raise LabelValueError(f"row {row}: label {raw_label!r} must be 0 or 1")
         preds.append(pred)
@@ -165,9 +176,9 @@ def reference_ingest_csv(path):
     return Dataset(np.array(preds), np.array(labels))
 
 
-PREDICTION_TOKENS = ["0", "1", "0.25", "1e-3", "0.2_5", "\u0661", " 0.5 ", "+.5", "-0", "\u20030.5"]
-LABEL_TOKENS = ["0", "1", "1.0", "1e0", " 1 ", "-0", "\u0661"]
-BAD_TOKENS = ["1_0", "nan", "inf", "-inf", "1e400", "", " ", "abc", "1.5", "-0.1", "2"]
+PREDICTION_TOKENS = ["0", "1", "0.25", "1e-3", " 0.5 ", "\t0.5\t", "+.5", "-0", "\u20030.5"]
+LABEL_TOKENS = ["0", "1", "1.0", "1e0", " 1 ", "-0"]
+BAD_TOKENS = ["1_0", "0.2_5", "\u0661", "nan", "inf", "-inf", "1e400", "", " ", "abc", "1.5", "-0.1", "2"]
 
 
 @st.composite
@@ -175,11 +186,12 @@ def csv_texts(draw):
     pred = st.sampled_from(PREDICTION_TOKENS) | st.floats(0.0, 1.0).map(repr)
     label = st.sampled_from(LABEL_TOKENS)
     bad = st.sampled_from(BAD_TOKENS)
-    rows = draw(st.lists(st.tuples(pred, label).map(",".join) | st.sampled_from(["", "  "]), max_size=8))
+    rows = draw(st.lists(st.tuples(pred, label).map(",".join) | st.just(""), max_size=8))
     bad_row = (
         st.tuples(bad, label).map(",".join)
         | st.tuples(pred, bad).map(",".join)
         | st.lists(pred | label, min_size=1, max_size=3).filter(lambda f: len(f) != 2).map(",".join)
+        | st.just("  ")  # a whitespace-only line
     )
     # Valid files, and files with one or two bad rows among valid ones.
     for _ in range(draw(st.integers(0, 2))):
@@ -243,7 +255,7 @@ BOUNDARY_CSV_TEXTS = {
     "byte-order-mark-only": "\ufeff",
     "underscore-row-mid-file": "prediction,label\n0.5,1\n0.2_5,1\n0.25,0\n",
     "non-ascii-digit-row-mid-file": "prediction,label\n0.5,1\n\u0660.\u0665,1\n0.25,0\n",
-    "lone-cr-past-one-block": "prediction,label\r" + "0.25,1\r0.5,0\r" * (cli._SCAN_BLOCK // 7),
+    "lone-cr-past-one-block": "prediction,label\r" + "0.25,1\r0.5,0\r" * (cli._READ_BLOCK // 7),
 }
 
 
@@ -257,7 +269,7 @@ def test_ingest_csv_boundaries_match_per_row_reference(tmp_path, text):
 def assert_ingest_matches_reference(path):
     want = ingest_outcome(reference_ingest_csv, path)
     assert ingest_outcome(ingest, path) == want
-    with mock.patch.object(cli, "_SCAN_BLOCK", 2):  # multi-byte breaks straddle the scanned blocks
+    with mock.patch.object(cli, "_READ_BLOCK", 2):  # multi-byte characters straddle the reads
         assert ingest_outcome(ingest, path) == want
 
 
@@ -282,6 +294,10 @@ def test_ingest_odd_csv_matches_per_row_reference(tmp_path_factory, text):
     assert_ingest_matches_reference(path)
 
 
+def refuse(*args):
+    raise AssertionError("this reader must not run")
+
+
 def test_ingest_long_csv_names_the_global_row(tmp_path, monkeypatch):
     """A CRLF, a blank line and a bad row more than 50,000 lines into the file."""
     rng = np.random.default_rng(5)
@@ -292,8 +308,8 @@ def test_ingest_long_csv_names_the_global_row(tmp_path, monkeypatch):
     path = tmp_path / "long.csv"
     path.write_bytes(("prediction,label\n" + "\n".join(rows) + "\n").encode("utf-8"))
     assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
-    with monkeypatch.context() as m:  # a clean file never reaches the per-row parser
-        m.setattr(cli, "_csv_rows", None)
+    with monkeypatch.context() as m:  # a clean file never reaches the per-row search
+        m.setattr(cli, "_raise_first_bad_row", None)
         assert ingest(path).n == n
 
     rows[125_000] = "0.5,2"
@@ -304,34 +320,31 @@ def test_ingest_long_csv_names_the_global_row(tmp_path, monkeypatch):
 
 
 def test_ingest_bounds_per_row_work_to_the_blocks_that_need_it(tmp_path, monkeypatch):
-    """A whitespace-only line and a 0.2_5 row, which loadtxt turns down, in a 130k-row file."""
+    """A whitespace-only line, which loadtxt turns down, 100,000 rows into a 130k-row file."""
     rng = np.random.default_rng(11)
     n = 130_000
     rows = [f"{p!r},{y}" for p, y in zip(rng.random(n).tolist(), rng.integers(0, 2, n).tolist())]
-    rows[99_999] = "0.2_5,1"  # row 100,000
-    rows.insert(40_000, "  ")  # between rows 40,000 and 40,001
+    rows[99_999] = "  "  # row 100,000
     path = tmp_path / "long.csv"
     path.write_bytes(("prediction,label\n" + "\n".join(rows) + "\n").encode("utf-8"))
 
     calls = []
-    per_row = cli._csv_rows
+    per_row = cli._raise_first_bad_row
 
     def recording(lines, before):
         calls.append((lines, before))
         return per_row(lines, before)
 
-    monkeypatch.setattr(cli, "_csv_rows", recording)
+    monkeypatch.setattr(cli, "_raise_first_bad_row", recording)
     assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest_csv, path)
     # A block is one read plus the rest of the line that the read cut.
-    longest = max(map(len, rows)) + 1
-    assert all(sum(len(ln) + 1 for ln in lines) <= cli._SCAN_BLOCK + longest for lines, _ in calls)
-    (blank_block, blank_before), (underscore_block, underscore_before) = calls
-    assert blank_before <= 40_000 <= blank_before + len(blank_block)
-    assert underscore_block[100_000 - underscore_before - 1] == "0.2_5,1"
+    (lines, before), = calls
+    assert sum(len(ln) + 1 for ln in lines) <= cli._READ_BLOCK + max(map(len, rows)) + 1
+    assert lines[100_000 - before - 1] == b"  "
 
 
 def test_ingest_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_SCAN_BLOCK", 16)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 16)
     head = "prediction,label\n" + "0.25,1\r\n" * 10
     path = tmp_path / "latin1.csv"
     path.write_bytes(head.encode() + b"0.5,\xff\n0.5,1\n")
@@ -364,26 +377,58 @@ def test_header_only_csv_is_empty_input_without_warning(tmp_path, text):
             ingest(path)
 
 
-# Since .csv files go to the path reader first, the tests above reach the
-# block reader only with the files that reader refuses. The tests below hold
-# each reader to the per-row reference on its own.
+# A row, alone after the header, and what ingest makes of it, written out so
+# that a numpy release that reads CSV fields otherwise fails here.
+GRAMMAR = {
+    "0.25,1": (0.25, 1),
+    "1e-3,0": (0.001, 0),
+    "+.5,1e0": (0.5, 1),
+    "-0,-0": (-0.0, 0),
+    " 0.5 , 1.0 ": (0.5, 1),
+    "\t0.5\t,\t1\t": (0.5, 1),
+    "\u20030.5,1": (0.5, 1),
+    "0.5\x0b,1": (0.5, 1),
+    "0.5,1\u2028": (0.5, 1),
+    "0.2_5,1": (MalformedRowError, "row 1: prediction '0.2_5' is not a number"),
+    "1_0,1": (MalformedRowError, "row 1: prediction '1_0' is not a number"),
+    "\u0661,1": (MalformedRowError, "row 1: prediction '\u0661' is not a number"),
+    "0.5,\u0661": (MalformedRowError, "row 1: label '\u0661' is not a number"),
+    "0.5,": (MalformedRowError, "row 1: label '' is not a number"),
+    "1.5,abc": (MalformedRowError, "row 1: label 'abc' is not a number"),
+    "0.5,1 # note": (MalformedRowError, "row 1: label '1 # note' is not a number"),
+    "'0.5',1": (MalformedRowError, "row 1: prediction \"'0.5'\" is not a number"),
+    "  ": (MalformedRowError, "row 1: expected 'prediction,label', got '  '"),
+    "0.5,1\x0c0.25,0": (MalformedRowError, "row 1: expected 'prediction,label', got '0.5,1\\x0c0.25,0'"),
+    "nan,1": (PredictionRangeError, "row 1: prediction nan outside [0, 1]"),
+    "1e400,1": (PredictionRangeError, "row 1: prediction inf outside [0, 1]"),
+    "0.5,2": (LabelValueError, "row 1: label '2' must be 0 or 1"),
+}
 
 
-def refuse(*args):
-    raise AssertionError("this reader must not run")
+@pytest.mark.parametrize("name", ["pin.csv", "pin.csv.gz"], ids=["path-reader", "block-reader"])
+@pytest.mark.parametrize("row", GRAMMAR, ids=[ascii(row) for row in GRAMMAR])
+def test_csv_grammar_is_pinned(tmp_path, name, row):
+    path = tmp_path / name
+    path.write_bytes(f"prediction,label\n{row}\n".encode("utf-8"))
+    want = GRAMMAR[row]
+    if isinstance(want[0], type):
+        assert ingest_outcome(ingest, path) == want
+    else:
+        ds = ingest(path)
+        assert (ds.predictions.tobytes(), ds.labels.tolist()) == (np.float64(want[0]).tobytes(), [want[1]])
+
+
+# The regular file takes the one path call; the same bytes under a name that
+# numpy would decompress take the block reader. The tests below hold each
+# route to the reference.
 
 
 def assert_each_reader_matches_reference(path):
-    """The block reader alone, and the path reader wherever it accepts, give the reference's outcome."""
-    block_only = path.with_suffix(".txt")  # a suffix the path reader refuses
+    """Both routes give the reference's outcome, at either read size."""
+    assert_ingest_matches_reference(path)
+    block_only = path.with_name(path.name + ".gz")  # plain text under a name numpy would decompress
     block_only.write_bytes(path.read_bytes())
     assert_ingest_matches_reference(block_only)
-    with path.open("rb") as fh:
-        columns = cli._path_columns(path) if cli._lines_cut_alike(fh) else None
-    if columns is not None:
-        assert ingest_outcome(lambda _: Dataset(*columns), path) == ingest_outcome(
-            reference_ingest_csv, path
-        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -424,26 +469,9 @@ def test_benchmark_shaped_csv_takes_the_path_reader(tmp_path, monkeypatch, newli
     rows = [f"{p!r},{y}" for p, y in zip(preds, labels)]
     path.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
     want = ingest_outcome(reference_ingest_csv, path)
-    monkeypatch.setattr(cli, "_line_blocks", refuse)
+    monkeypatch.setattr(cli, "_block_columns", refuse)
     assert ingest_outcome(ingest, path) == want
     assert ingest(path).n == len(preds)
-
-
-def test_plain_text_named_csv_gz_reads_through_the_block_reader(tmp_path, monkeypatch):
-    """numpy would open a path ending in .gz through gzip, so that name never takes the path reader."""
-    path = write(tmp_path, "x.csv.gz", FOUR_POINT_CSV)
-    with pytest.raises(OSError):  # not a gzip file
-        np.loadtxt(str(path), delimiter=",", skiprows=1)
-    want = ingest_outcome(ingest, write(tmp_path, "x.csv", FOUR_POINT_CSV))
-    monkeypatch.setattr(cli, "_path_columns", refuse)
-    assert ingest_outcome(ingest, path) == want
-
-
-def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
-    path = tmp_path / "x.csv.gz"
-    path.write_bytes(gzip.compress(FOUR_POINT_CSV.encode(), mtime=0))
-    with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(path))}: header: byte 1 is not UTF-8$"):
-        ingest(path)
 
 
 def spy_on_path_reads(monkeypatch):
@@ -459,24 +487,37 @@ def spy_on_path_reads(monkeypatch):
     return path_reads
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_named_csv_gz_reads_through_the_block_reader(tmp_path, monkeypatch, suffix):
+    """numpy would open a path with this ending through a decompressor, so that name never takes the path reader."""
+    path = write(tmp_path, "x.csv" + suffix, FOUR_POINT_CSV)
+    with pytest.raises((OSError, lzma.LZMAError)):  # not a compressed file
+        np.loadtxt(str(path), delimiter=",", skiprows=1)
+    want = ingest_outcome(ingest, write(tmp_path, "x.csv", FOUR_POINT_CSV))
+    path_reads = spy_on_path_reads(monkeypatch)
+    assert ingest_outcome(ingest, path) == want
+    assert path_reads == []
+
+
+def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
+    path = tmp_path / "x.csv.gz"
+    path.write_bytes(gzip.compress(FOUR_POINT_CSV.encode(), mtime=0))
+    with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(path))}: header: byte 1 is not UTF-8$"):
+        ingest(path)
+
+
 # A file the path reader refuses, and whether it refuses before or after np.loadtxt reads the path.
+# Some rows are named for the byte scan that refused them before loadtxt's grammar was the one grammar.
 PATH_READER_REFUSALS = {
-    "suffix": ("x.txt", b"prediction,label\n0.5,1\n", False),
-    "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", False),
-    "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\x1e", False),
-    "underscore": ("x.csv", b"prediction,label\n0.5,1\n0.2_5,1\n", False),
-    "not-ascii": ("x.csv", b"prediction,label\n0.5,1\n0.5,1\xe2\x80\xa8", False),
-    "not-utf8": ("x.csv", b"prediction,label\n0.5,1\n0.5,\xff\n", False),
-    "space-line": ("x.csv", b"prediction,label\n0.5,1\n  \r\n0.25,0\n", False),
-    "space-line-at-end": ("x.csv", b"prediction,label\n0.5,1\n  ", False),
-    "space-line-cut-between-reads": (
-        "x.csv",
-        b"prediction,label\n" + b"0.5,1\n" * 2720 + b"0." + b"5" * 41 + b",1\n \n0.25,0\n",  # the space is byte 16383
-        False,
-    ),
+    "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", True),
+    "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\x1e", True),
+    "underscore": ("x.csv", b"prediction,label\n0.5,1\n0.2_5,1\n", True),
+    "not-utf8": ("x.csv", b"prediction,label\n0.5,1\n0.5,\xff\n", True),
+    "space-line": ("x.csv", b"prediction,label\n0.5,1\n  \r\n0.25,0\n", True),
+    "space-line-at-end": ("x.csv", b"prediction,label\n0.5,1\n  ", True),
     "header": ("x.csv", b"pred,y\n0.5,1\n", False),
     "header-not-utf8": ("x.csv", b"pr\xe9diction,label\n0.5,1\n", False),
-    "no-line-end-in-first-read": ("x.csv", b"prediction,label", False),
+    "no-line-end-in-first-read": ("x.csv", b"prediction,label", True),
     "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,one\n", True),
     "fractional-label": ("x.csv", b"prediction,label\n0.5,1\n0.5,0.5\n", True),
     "empty-table": ("x.csv", b"prediction,label\n\r\n", True),
@@ -492,7 +533,7 @@ def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name
     path = tmp_path / name
     path.write_bytes(data)
     with monkeypatch.context() as m:
-        m.setattr(cli, "_lines_cut_alike", lambda fh: False)  # the block reader alone
+        m.setattr(cli, "_DECOMPRESSED", (path.suffix,))  # the block reader alone
         want = ingest_outcome(ingest, path)
     path_reads, block_reads = spy_on_path_reads(monkeypatch), []
     line_blocks = cli._line_blocks
@@ -507,36 +548,27 @@ def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name
     assert len(block_reads) == 1
 
 
-def test_space_line_cut_between_reads_straddles_the_first_read():
-    data = PATH_READER_REFUSALS["space-line-cut-between-reads"][1]
-    assert data[cli._SCAN_BLOCK - 2 : cli._SCAN_BLOCK + 1] == b"\n \n"
-
-
 @pytest.mark.parametrize("label", ["1.0", "1e0", "0.0", "-0"])
 def test_path_reader_reads_labels_written_as_floats(tmp_path, monkeypatch, label):
     """pandas writes a float label column as 1.0: the path reader reads it, in one pass."""
     path = write(tmp_path, "x.csv", f"prediction,label\n0.5,1\n0.25,{label}\n0.75,0\n")
-    block_only = write(tmp_path, "x.txt", path.read_text())  # a suffix the path reader refuses
+    block_only = write(tmp_path, "x.csv.gz", path.read_text())  # a name the path reader leaves
     want = ingest_outcome(ingest, block_only)
     path_reads = spy_on_path_reads(monkeypatch)
-    monkeypatch.setattr(cli, "_line_blocks", refuse)
+    monkeypatch.setattr(cli, "_block_columns", refuse)
     assert ingest_outcome(ingest, path) == want
     assert path_reads == [str(path)]
     assert ingest(path).labels.tolist() == [1, int(float(label)), 0]
 
 
 def assert_path_reader_reads_what_the_reference_reads(path):
-    """A file the scan passes is read by the path reader to the reference's bytes, or has a bad row."""
-    with path.open("rb") as fh:
-        if not cli._lines_cut_alike(fh):
-            return
+    """The one path call reads every file the reference reads to its bytes, and refuses every bad row."""
     want = ingest_outcome(reference_ingest_csv, path)
-    columns = cli._path_columns(path)
-    if not isinstance(want[0], np.dtype):
-        assert columns is None  # an error, named by the block reader
-    else:
-        assert columns is not None
-        assert ingest_outcome(lambda _: Dataset(*columns), path) == want
+    if isinstance(want[0], np.dtype):
+        with mock.patch.object(cli, "_block_columns", refuse):
+            assert ingest_outcome(ingest, path) == want
+    elif want[1].startswith("row "):
+        assert cli._loadtxt_columns(str(path), skiprows=1) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -554,6 +586,18 @@ def test_path_reader_reads_every_boundary_file_the_reference_reads(tmp_path, tex
     assert_path_reader_reads_what_the_reference_reads(path)
 
 
+def write_through_pipe(path, data):
+    """Read ``path``, a named pipe, by ingest while a thread writes ``data`` into it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return ingest_outcome(ingest, path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_named_pipe_csv_is_read_once_by_the_block_reader(tmp_path):
     """A pipe cannot be read twice, so only a regular file takes the path reader."""
@@ -567,6 +611,19 @@ def test_named_pipe_csv_is_read_once_by_the_block_reader(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert ds.predictions.tolist() == [0.2, 0.3, 0.7, 0.9]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize(
+    "row", ["0.5,2", "  ", "0.2_5,1"], ids=["bad-label", "whitespace-line", "underscore"]
+)
+def test_named_pipe_names_the_bad_row_as_a_regular_file_does(tmp_path, row):
+    data = ("prediction,label\n" + "0.25,1\n" * 3000 + f"{row}\n0.5,0\n").encode()
+    regular = tmp_path / "rows.csv"
+    regular.write_bytes(data)
+    want = ingest_outcome(ingest, regular)
+    assert isinstance(want[0], type) and want[1].startswith("row 3001: ")
+    assert write_through_pipe(tmp_path / "pipe.csv", data) == want
 
 
 SPECIAL_PREDICTIONS = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, float(np.nextafter(1.0, 0.0))]

@@ -96,12 +96,12 @@ def test_ingest_holds_no_more_than_the_scored_dataset(tmp_path, monkeypatch, tie
     for n in SIZES:
         path = tmp_path / "scores.csv"
         write_dataset_csv(scenario(n, tied), path)
-        block_only = tmp_path / "scores.txt"  # a suffix the path reader refuses
+        block_only = tmp_path / "scores.csv.gz"  # plain text under a name numpy would decompress
         block_only.write_bytes(path.read_bytes())
         tracemalloc.start()
         try:
             with monkeypatch.context() as m:
-                m.setattr(cli, "_line_blocks", None)  # the .csv is read by the path reader
+                m.setattr(cli, "_block_columns", None)  # the .csv is read by the path reader
                 path_peak = traced_peak(lambda: ingest(path))
             block_peak = traced_peak(lambda: ingest(block_only))
         finally:
