@@ -164,17 +164,17 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
         lines, bad = next(blocks)
         if bad is not None and not lines:
             raise MalformedRowError(f"{path}: header: byte {bad} is not UTF-8")
-        header = lines[0].decode().removeprefix("\ufeff")  # a leading byte-order mark is not data
+        header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
         blocks = itertools.chain([(lines[1:], bad)], blocks)
         if not _is_header(header):
             if not header.strip() and all(
-                b is None and not any(ln.decode().strip() for ln in ls) for ls, b in blocks
+                b is None and not any(map(str.strip, ls)) for ls, b in blocks
             ):  # a blank first line, and only blank text after it
                 raise EmptyInputError(f"{path}: file is empty")
             raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
         columns = None
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _DECOMPRESSED:
-            columns = _loadtxt_columns(str(path), skiprows=1)
+            columns = _loadtxt_columns(str(path), skiprows=1, encoding="utf-8")
         if columns is None:  # the blocks carry on after the header
             columns = _block_columns(blocks)
     if not columns[1].size:
@@ -197,8 +197,7 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(source, dtype="f8,f8", delimiter=",", comments=None, ndmin=1,
-                               encoding="utf-8", **options)
+            table = np.loadtxt(source, dtype="f8,f8", delimiter=",", comments=None, ndmin=1, **options)
     except ValueError:  # UnicodeDecodeError included
         return None
     preds, labels = table["f0"], table["f1"]
@@ -209,7 +208,7 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
     return preds.copy(), labels.astype(np.int8)
 
 
-def _line_blocks(fh) -> Iterator[tuple[list[bytes], int | None]]:
+def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
     """A binary file's lines as universal newlines cut them, in blocks cut after a
     read's last line feed or carriage return.
 
@@ -225,11 +224,13 @@ def _line_blocks(fh) -> Iterator[tuple[list[bytes], int | None]]:
             continue
         raw = b"".join([*pending, chunk[:cut]])
         try:
-            raw.decode()
-            lines, bad = raw.splitlines(), None
-        except UnicodeDecodeError as exc:  # "x" ends the bad byte's line, which is dropped
-            lines, bad = (raw[: exc.start] + b"x").splitlines()[:-1], start + exc.start
-        yield lines, bad
+            text, bad = raw.decode(), None
+        except UnicodeDecodeError as exc:  # "x" stands in for the bad byte's line, which is dropped
+            text, bad = raw[: exc.start].decode() + "x", start + exc.start
+        if "\r" in text:  # CRLF and a lone CR end a line as LF does; the search costs less than replace
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # The cut ends the text in a line end or "x", so the last piece is never a line.
+        yield text.split("\n")[:-1], bad
         start += len(raw)
         pending = [chunk[cut:]]
 
@@ -250,14 +251,13 @@ def _block_columns(blocks) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
 
 
-def _raise_first_bad_row(lines: list[bytes], rows: int) -> None:
+def _raise_first_bad_row(lines: list[str], rows: int) -> None:
     """Raise the error of the first bad row among ``lines``, which follow ``rows`` rows.
 
     A row is bad where ``np.loadtxt``, reading its line alone, turns a field
     down, or where a check refuses its values: where the block's call did.
     """
-    for row, raw in enumerate(filter(None, lines), start=rows + 1):
-        line = raw.decode()
+    for row, line in enumerate(filter(None, lines), start=rows + 1):
         fields = [field.strip() for field in line.split(",")]
         if len(fields) != 2:
             raise MalformedRowError(f"row {row}: expected 'prediction,label', got {line!r}")

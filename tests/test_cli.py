@@ -340,7 +340,7 @@ def test_ingest_bounds_per_row_work_to_the_blocks_that_need_it(tmp_path, monkeyp
     # A block is one read plus the rest of the line that the read cut.
     (lines, before), = calls
     assert sum(len(ln) + 1 for ln in lines) <= cli._READ_BLOCK + max(map(len, rows)) + 1
-    assert lines[100_000 - before - 1] == b"  "
+    assert lines[100_000 - before - 1] == "  "
 
 
 def test_ingest_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch):
