@@ -166,7 +166,7 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
             raise MalformedRowError(f"{path}: header: byte {bad} is not UTF-8")
         header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
         blocks = itertools.chain([(lines[1:], bad)], blocks)
-        if not _is_header(header):
+        if header.strip().lower().replace(" ", "") != "prediction,label":
             if not header.strip() and all(
                 b is None and not any(map(str.strip, ls)) for ls, b in blocks
             ):  # a blank first line, and only blank text after it
@@ -180,10 +180,6 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if not columns[1].size:
         raise EmptyInputError(f"{path}: no data rows")
     return columns
-
-
-def _is_header(line: str) -> bool:
-    return line.strip().lower().replace(" ", "") == "prediction,label"
 
 
 def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:

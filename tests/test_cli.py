@@ -586,7 +586,7 @@ def test_path_reader_reads_every_boundary_file_the_reference_reads(tmp_path, tex
     assert_path_reader_reads_what_the_reference_reads(path)
 
 
-def write_through_pipe(path, data):
+def ingest_through_pipe(path, data):
     """Read ``path``, a named pipe, by ingest while a thread writes ``data`` into it."""
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
@@ -623,7 +623,7 @@ def test_named_pipe_names_the_bad_row_as_a_regular_file_does(tmp_path, row):
     regular.write_bytes(data)
     want = ingest_outcome(ingest, regular)
     assert isinstance(want[0], type) and want[1].startswith("row 3001: ")
-    assert write_through_pipe(tmp_path / "pipe.csv", data) == want
+    assert ingest_through_pipe(tmp_path / "pipe.csv", data) == want
 
 
 SPECIAL_PREDICTIONS = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, float(np.nextafter(1.0, 0.0))]
