@@ -507,7 +507,7 @@ def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
 
 
 # A file the path reader refuses, and whether it refuses before or after np.loadtxt reads the path.
-# Some rows are named for the byte scan that refused them before loadtxt's grammar was the one grammar.
+# The two scanned-byte rows hold a form feed inside a row and a record separator on a line of its own.
 PATH_READER_REFUSALS = {
     "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", True),
     "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\x1e", True),
