@@ -16,7 +16,6 @@ from .binning import BinStrategy
 from .core import Dataset
 from .metrics import ace, ece, mce, tce_variants
 from .stattest import TestConfig
-from .synthdata import GdaConfig, fit_logistic, perturb_logit_normal, predict_logistic, sample
 
 __all__ = [
     "BatteryConfig",
@@ -95,6 +94,8 @@ def scenario_dataset(
     noise_sigma: float = 0.0,
 ) -> Dataset:
     """Fit the logistic model on one simulated draw and score a fresh test draw."""
+    from .synthdata import GdaConfig, fit_logistic, perturb_logit_normal, predict_logistic, sample
+
     train_x, train_y = sample(GdaConfig(prevalence=train_prevalence, seed=2 * seed), n_train)
     test_x, test_y = sample(GdaConfig(prevalence=test_prevalence, seed=2 * seed + 1), n_test)
     b0, b1 = fit_logistic(train_x, train_y)

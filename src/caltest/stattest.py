@@ -7,7 +7,8 @@ happens in log space.
 
 Most tests are settled in numpy: per bin, from the bounds of two cheap
 certificates located on the sorted predictions by one bisection, and for
-the band of q between them by tail sums (``_tail_screen``). The exact kernel
+the band of q between them by a geometric bound on both tails from three
+masses, then by tail sums (``_tail_screen``). The exact kernel
 (``binom_pvalues_sweep``) takes the tests those leave. Both form log C(n, j)
 from one table of log j! (``_log_fact_table``), which serves every n up to
 its size, and find the block of outcomes more probable than the observed
@@ -204,6 +205,9 @@ _LEAST_ALPHA = 1e-300
 _SCREEN_GROUP = 1 << 10
 _TAIL_TERMS = 16
 _TAIL_STEPS = 128
+# Where the geometric certificate probes the far side: this fraction of the
+# way from the mode to k's mirror image.
+_FAR_PROBE = 3 / 5
 
 
 def _screen_bounds(n: int, k: int, alpha: float) -> tuple[float, float, float]:
@@ -228,10 +232,54 @@ def _screen_bounds(n: int, k: int, alpha: float) -> tuple[float, float, float]:
     return reject, (2.0 * c + kappa * (abs(c) + 1.0) - z * z) / (2.0 + kappa), log_n_fact
 
 
+def _geometric_rejects(n, k, q, err, log_alpha, log_fact) -> np.ndarray:
+    """Which q the two-tail geometric certificate rejects, each q in (0, 1) with its n, k and err.
+
+    Let s = sign(mode - k), the mode as ``_excluded_block`` takes it, and
+    thresh = logpmf(k) + slack. Three masses are probed: k, k + s and f =
+    mode + s floor(3/5 |k - mode|), clipped to [0, n]. When logpmf(k + s)
+    and logpmf(f) both clear thresh by err, the kernel's block runs from
+    k + s to past f, so its p-value is at most
+
+        pmf(k) / (1 - r) + pmf(k) (1 + slack) / (1 - rho),
+
+    r the outward ratio at k (pmf(k - s) / pmf(k)) and rho the one at f + s,
+    and q is rejected when that bound, each term scaled up by e^err and
+    each ratio by 1 + err, is below alpha * (1 - tol), tol = 1e-8 + err.
+    k = mode, or a ratio of 1 or more, rejects nothing. ``_tail_screen``
+    gives the proof.
+    """
+    logq, log1mq = np.log(q), np.log1p(-q)
+    slope, base, log_n_fact = logq - log1mq, n * log1mq, log_fact[n]
+
+    def logpmf(j):  # _excluded_block's expression
+        m = np.minimum(j, n - j)
+        return ((log_n_fact - log_fact[m]) - log_fact[n - m]) + (base + j * slope)
+
+    mode = np.minimum(np.floor((n + 1) * q).astype(np.int64), n)
+    s = np.sign(mode - k)
+    far = np.clip(mode + s * (np.abs(mode - k) * _FAR_PROBE).astype(np.int64), 0, n)
+    at_k, near, at_far = logpmf(np.stack([k, k + s, far]))
+    thresh = at_k + _LOG_SLACK
+    # pmf(j + w) / pmf(j) = m / (n + 1 - m) * (q / (1 - q))^w, m = n - j for
+    # w = 1 and j for w = -1; rounded up past its error. Past 0 or n, m < 0.
+    m = np.stack([np.where(s > 0, k, n - k), np.where(s > 0, n - far - 1, far - 1)])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # q near 0 or 1
+        odds = np.where(s > 0, q / (1.0 - q), (1.0 - q) / q)
+        ratio = m / (n + 1.0 - m) * np.stack([1.0 / odds, odds]) * (1.0 + err)
+        bound = np.exp(np.stack([at_k, thresh]) + (err - log_alpha)) / (1.0 - ratio)
+    bound[1, m[1] < 0] = 0.0  # f is 0 or n: the far tail is empty
+    clear = (near - thresh > err) & (at_far - thresh > err) & np.all(ratio < 1.0, axis=0)
+    return clear & (bound.sum(axis=0) < 1.0 - (_KERNEL_MARGIN + err))
+
+
 def _tail_screen(n, k, q, err, alpha, log_fact):
     """Step 3 of the binomial test, each q in (0, 1) with its n, k and err: (rejected, undecided).
 
-    The block of outcomes more probable than k is the exact kernel's: the
+    First, in groups of ``_SCREEN_GROUP`` q, the geometric certificate
+    (``_geometric_rejects``) rejects q from three masses, without the block
+    search. The q it leaves, gathered from all groups, are summed. The
+    block of outcomes more probable than k is the exact kernel's: the
     same search (``_excluded_block``) finds it from the same table of log
     j!. Each tail is summed outward from the block, ``_TAIL_TERMS`` terms a
     step, in groups of ``_SCREEN_GROUP`` q. q is accepted once the sum
@@ -260,14 +308,38 @@ def _tail_screen(n, k, q, err, alpha, log_fact):
     error: its incomplete beta values agree with 50-digit sums within 1e-9,
     and its lower tail may carry (n + 1) eps more from rounding 1 - q, which
     err exceeds.
+
+    The certificate's bound. Take k below the mode (above it is the mirror
+    image), f its far probe, and say mass(k + 1) and mass(f) clear thresh
+    by err, so their exact log-masses clear the exact threshold by err / 2.
+    The kernel's lower search reads only j below its mode and the upper
+    one only j above it, and the rounded mode is within one of the true
+    one; so its lower search reads a rising pmf and its upper one a falling
+    pmf. The log-pmf is concave, so mass(k - 1) lies below mass(k) by more
+    than err / 2 + slack, and every j < k is read below thresh; k itself
+    is never above it. Every j read from k + 1 to f is above. So the
+    kernel's block starts at k + 1, and its lower tail is P(X <= k) <=
+    pmf(k) / (1 - r), r = pmf(k - 1) / pmf(k) being the largest ratio below
+    k. Its block ends at some hi >= f, with hi = n or mass(hi + 1) read at
+    or below thresh, so pmf(hi + 1) <= pmf(k) (1 + slack) e^err; the upper
+    tail is at most that over 1 - rho(hi + 1) <= 1 - rho(f + 1), rho(j) =
+    pmf(j + 1) / pmf(j). Rounding the ratios up by 1 + err and each term
+    up by e^err, and holding the sum below alpha * (1 - tol), covers the
+    rest as it does for the sums. Nor does the kernel give p = 1, which
+    needs the rounded mode read at or below thresh: at or below the true
+    mode its mass is at least mass(k + 1), and above it at least mass(f).
     """
     rejected, undecided = np.zeros((2, q.size), dtype=bool)
     log_alpha = math.log(alpha)  # terms are summed in units of alpha
+    for start in range(0, q.size, _SCREEN_GROUP):
+        part = slice(start, start + _SCREEN_GROUP)
+        rejected[part] = _geometric_rejects(n[part], k[part], q[part], err[part], log_alpha, log_fact)
     # Column 0 is the lower tail, which steps down; column 1 the upper.
     ways = np.array([-1, 1])
     steps = ways[:, None] * np.arange(_TAIL_TERMS)
-    for start in range(0, q.size, _SCREEN_GROUP):
-        part = slice(start, start + _SCREEN_GROUP)
+    left = np.flatnonzero(~rejected)  # the q the certificate leaves, summed in full groups
+    for start in range(0, left.size, _SCREEN_GROUP):
+        part = left[start : start + _SCREEN_GROUP]
         qg, ng, eg = q[part], n[part], err[part]
         logpmf, thresh, mode, lo, hi = _excluded_block(ng, log_fact, k[part], qg)
         peak = logpmf(mode) - thresh
@@ -300,10 +372,10 @@ def _tail_screen(n, k, q, err, alpha, log_fact):
             rest[~(ratio < 1.0)] = np.inf
             accept = total > 1.0 + tol
             reject = total + rest.sum(axis=1) < 1.0 - tol
-            rejected[start + at[reject]] = True
+            rejected[part[at[reject]]] = True
             keep = ~(accept | reject)
             at, nxt, total, tol, odds = at[keep], nxt[keep], total[keep], tol[keep], odds[keep]
-        undecided[start + at] = True
+        undecided[part[at]] = True
     return rejected, undecided
 
 
@@ -361,8 +433,12 @@ def _binomial_test(preds, cuts, label_sums, alpha) -> Rejections:
        relative entropy (Zubkov & Serov 2013, Theory Probab. Appl. 57(3));
        k >= nq is the mirror image. q is accepted when that bound is at least
        alpha * (1 + 1e-8 + 4 (n + 1) eps), with 2nH taken up by its float error.
-    3. Tail sums (``_tail_screen``) for the q still open, the band; what
-       they leave goes to the exact kernel, one call per bin and chunk.
+    3. For the q still open, the band (``_tail_screen``): first a
+       geometric certificate rejects q whose block of outcomes more
+       probable than k starts next to k and reaches well past the mode,
+       bounding each tail by its edge mass over one minus its outward
+       ratio; tail sums then take the q it leaves. What they leave goes to
+       the exact kernel, one call per bin and chunk.
 
     Steps 1 and 2 compare float x = k log q + (n - k) log1p(-q) with the
     bounds R and A of ``_screen_bounds``: q is rejected when x < R, and

@@ -5,8 +5,9 @@ scipy.stats and scipy.optimize cost ~1 s per CLI call, and scipy.special
 only a q the screen leaves to the exact kernel, or ``--test t``, loads
 scipy.special. A default call does not load numpy.ma either (≈15 ms and
 ≈1.2 MiB). Nor do caltest's own modules load where a call has no use
-for them: scoring loads no diagram code, and diagram code no experiment or
-synthetic-data code.
+for them: scoring loads no diagram code, diagram code no experiment or
+synthetic-data code, and the CLI no synthetic-data code until a command
+simulates data.
 """
 import importlib
 import json
@@ -64,7 +65,7 @@ def test_import_leaves_out_scipy_stats_and_optimize(module):
 
 
 SCORING = ["caltest", "caltest.binning", "caltest.core", "caltest.metrics", "caltest.stattest"]
-CLI = sorted([*SCORING, "caltest.cli", "caltest.experiments", "caltest.synthdata"])
+CLI = sorted([*SCORING, "caltest.cli", "caltest.experiments"])
 MODULES = {
     "caltest": SCORING,
     "caltest.diagram": sorted([*SCORING, "caltest.diagram"]),

@@ -23,6 +23,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from caltest import stattest
+from caltest.experiments import scenario_dataset
+from caltest.metrics import tce_variants
 from caltest.stattest import (
     MASS_SLACK,
     _binom_tails,
@@ -488,6 +490,84 @@ def test_binom_screen_leaves_a_subnormal_alpha_to_the_kernel():
     rejected, undecided = binom_screen(n, k, qs, alpha)
     assert undecided.tolist() == [False, True, False]
     assert rejected.tolist() == [False, False, True]
+
+
+def geometric_rejects(n, k, qs, alpha):
+    """``_geometric_rejects`` for one (n, k) over qs in (0, 1), with the err the binomial test gives each q."""
+    logq, log1mq = np.log(qs), np.log1p(-qs)
+    err = 64 * stattest._EPS * (math.lgamma(n + 1.0) + n * np.maximum(-logq, -log1mq) + 1.0)
+    n_k = np.full((2, qs.size), [[n], [k]])
+    return stattest._geometric_rejects(*n_k, qs, err, math.log(alpha), stattest._log_fact_table(n))
+
+
+@st.composite
+def certificate_cases(draw):
+    """(n, k, alpha, qs): k at or around the mode of a drawn q, or anywhere; qs that q and
+    q spread around k/n."""
+    n = draw(st.floats(0.0, 6.0).map(lambda e: max(1, round(10.0**e))))
+    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    mode = min(math.floor((n + 1) * q), n)
+    k = draw(st.sampled_from([0, 1, mode - 1, mode, mode + 1, n - 1, n]) | st.integers(0, n))
+    k = min(max(k, 0), n)
+    alpha = draw(st.sampled_from([0.001, 0.05, 0.2, 0.5]))
+    spread = math.sqrt(max(k * (n - k), 1) / n**3)
+    zs = np.array(draw(st.lists(st.floats(-8.0, 8.0), max_size=16)))
+    qs = np.append(k / n + spread * zs, q)
+    return n, k, alpha, qs[(qs > 0.0) & (qs < 1.0)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(certificate_cases())
+@example((10**6, 400_001, 0.05, np.array([0.4, 0.3979, 0.4021])))  # certified on both sides of k
+def test_geometric_certificate_rejects_only_what_the_exact_kernel_rejects(case):
+    n, k, alpha, qs = case
+    rejected = geometric_rejects(n, k, qs, alpha)
+    event("some q certified" if rejected.any() else "no q certified")
+    assert not np.any(rejected & ~(binom_pvalues_sweep(n, k, qs) < alpha))
+
+
+def test_geometric_certificate_clips_its_far_probe_at_0_and_n():
+    # Mode n and 0, k 100 away: the far probe would sit 60 past the end, and
+    # the far tail is empty.
+    for n, k, q in [(1000, 900, 0.9999), (1000, 100, 1e-4)]:
+        assert geometric_rejects(n, k, np.array([q]), 0.05).tolist() == [True]
+        assert binom_pvalues_sweep(n, k, [q]) < 0.05
+
+
+def test_geometric_certificate_settles_most_of_the_band():
+    """On the benchmark's scenario at 50k records, the certificate leaves under a quarter of
+    the band's q to the block search and the tail sums, and each certified q of a seeded
+    sample is rejected by ``scipy.stats.binomtest`` too."""
+    band, searched, certified = [], [], []
+    real_screen, real_block = stattest._tail_screen, stattest._excluded_block
+    real_certificate = stattest._geometric_rejects
+
+    def screen(n, k, q, *args):
+        band.append(q.size)
+        return real_screen(n, k, q, *args)
+
+    def block(n, log_fact, k, q):
+        searched.append(q.size)
+        return real_block(n, log_fact, k, q)
+
+    def certificate(n, k, q, *args):
+        rejected = real_certificate(n, k, q, *args)
+        certified.extend(zip(n[rejected].tolist(), k[rejected].tolist(), q[rejected].tolist()))
+        return rejected
+
+    ds = scenario_dataset(0.5, 0.4, 14000, 50_000, 0)
+    sweep = mock.Mock(wraps=stattest.binom_pvalues_sweep)
+    with mock.patch.multiple(
+        stattest, _tail_screen=screen, _excluded_block=block, _geometric_rejects=certificate,
+        binom_pvalues_sweep=sweep,
+    ):
+        tce_variants(ds, TestConfig())
+    assert not sweep.called  # so every block search ran in the tail sums
+    assert sum(band) > 5000 and 4 * sum(searched) < sum(band)
+    assert len(certified) + sum(searched) == sum(band)
+    for i in np.random.default_rng(0).choice(len(certified), 200, replace=False):
+        n, k, q = certified[i]
+        assert stats.binomtest(k, n, q).pvalue < 0.05, (n, k, q)
 
 
 def shuffled_labels(n, k, seed):
