@@ -502,8 +502,8 @@ def geometric_rejects(n, k, qs, alpha):
 
 @st.composite
 def certificate_cases(draw):
-    """(n, k, alpha, qs): k at or around the mode of a drawn q, or anywhere; qs that q and
-    q spread around k/n."""
+    """(n, k, alpha, qs): k at or next to the mode of a drawn q, at an end, or anywhere; qs
+    are that q and q spread around k/n."""
     n = draw(st.floats(0.0, 6.0).map(lambda e: max(1, round(10.0**e))))
     q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     mode = min(math.floor((n + 1) * q), n)
