@@ -12,6 +12,7 @@ import codecs
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 import warnings
@@ -103,10 +104,11 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 def ingest(path: str | Path) -> Dataset:
     """Load and validate a prediction/label file, naming the offending row on error.
 
-    A CSV file is read by ``np.loadtxt``'s grammar: a regular file by one
-    call on its path, anything else, or a file that call refuses, in blocks
-    of lines; a block that loadtxt turns down is read line by line to name
-    the first bad row.
+    A CSV file is read by ``np.loadtxt``'s grammar: a regular file of plain
+    decimals by a vectorised reader, any other regular file by one loadtxt
+    call on its path, anything else, or a file either refuses, in blocks of
+    lines; a block that loadtxt turns down is read line by line to name the
+    first bad row.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
@@ -155,9 +157,10 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
     them, numbered from 1; ``np.loadtxt`` reads their fields. A byte that is
     not UTF-8 makes its row bad.
 
-    A regular file goes to one ``np.loadtxt`` call on its path, which reads it
-    in C chunks but names no bad row. A file that call refuses, a pipe, and a
-    name that numpy would decompress, such as ``.gz``, are read block by block.
+    A regular file goes to the plain-decimal reader, and if a row is in
+    neither of its forms, to one ``np.loadtxt`` call on its path, which reads
+    it in C chunks. Neither names a bad row. A file either refuses, a pipe, and
+    a name that numpy would decompress, such as ``.gz``, are read block by block.
     """
     with path.open("rb") as fh:
         blocks = _line_blocks(fh)
@@ -174,7 +177,9 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
             raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
         columns = None
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _DECOMPRESSED:
-            columns = _loadtxt_columns(str(path), skiprows=1, encoding="utf-8")
+            columns = _decimal_columns(path)
+            if columns is _OTHER_FORM:
+                columns = _loadtxt_columns(str(path), skiprows=1, encoding="utf-8")
         if columns is None:  # the blocks carry on after the header
             columns = _block_columns(blocks)
     if not columns[1].size:
@@ -202,6 +207,134 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     # One byte per label, as Dataset keeps them; loadtxt's 16 bytes per record go on return.
     return preds.copy(), labels.astype(np.int8)
+
+
+# The plain-decimal reader: bytes read at a time, and the bytes before a
+# block, so that the three words before its first comma lie in the buffer.
+_DECIMAL_BLOCK = 1 << 17
+_PAD = 24
+_FLOAT_ROWS = 256  # rows of a block left to float(), beyond which loadtxt costs less
+_OTHER_FORM = object()  # a file the plain-decimal reader leaves to the path call
+_EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant >= 63  # a 64-bit long double mantissa
+# 10**k for k fraction digits, as 5**k 2**k: exact in double to k = 22, and in long double.
+_POW5 = 5 ** np.arange(25, dtype=np.uint64)
+_FLOAT_POW10, _LONG_POW10 = (np.ldexp(_POW5.astype(t), np.arange(25)) for t in (np.float64, np.longdouble))
+# For j digits in the high bytes of a little-endian word: the mask that keeps
+# them, and ASCII "0" in the other bytes.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - j)) for j in range(9)], dtype=np.uint64)
+_ZEROS = ~_KEEP & np.uint64(0x3030303030303030)
+_EXPONENT_ROW = re.compile(rb"([0-9](?:\.[0-9]+)?e[-+][0-9]+),([0-9])")
+
+
+def _decimal_columns(path: Path):
+    """The columns of a file in the plain-decimal form, as ``np.loadtxt`` reads them.
+
+    None if a row fails the range or 0/1 check, and ``_OTHER_FORM`` for a file
+    outside the form. There a line feed alone ends the header and each row,
+    and a row is ``d.ddd,L``: a digit, a point, 1 to 24 digits, at most 19 of
+    them after the leading zeros, a comma and a one-digit label. So repr
+    writes every double from 1e-4 to 1 in it. Up to ``_FLOAT_ROWS`` rows of a
+    block may instead be in repr's exponent form, such as ``1.2e-05,0``,
+    which ``float()`` reads. loadtxt reads every such row alike, so the one
+    path call would refuse a file whose row fails a check here.
+
+    The file is read in blocks cut after a line feed. A row's k fraction
+    digits, eight to a word, make an integer M < 10**19, and its value is
+    M / 10**k, or 1 for the row 1.000. If M <= 2**53 and k <= 22, both are
+    doubles and one division rounds correctly (Clinger, 1990). Otherwise the
+    division runs in long double, where M and 10**k are exact, so the
+    quotient r is M / 10**k rounded to 64 bits. Every midpoint between
+    adjacent doubles fits in 64 bits, so r lies between the same two
+    midpoints as M / 10**k and rounds to the same double, unless r is one of
+    them. A row whose r lies half the spacing of its double d from d, or a
+    quarter below a power of two, is read by ``float()``. Without a 64-bit
+    long double mantissa every file is outside the form.
+    """
+    if not _EXACT_QUOTIENTS:
+        return _OTHER_FORM
+    data = bytearray(_PAD + _DECIMAL_BLOCK)
+    view = memoryview(data)
+    with path.open("rb") as fh:
+        header = fh.readline(_DECIMAL_BLOCK)
+        if not header.endswith(b"\n") or b"\r" in header:  # universal newlines cut the header elsewhere
+            return _OTHER_FORM
+        rows = 0  # line feeds after the header, so that the columns are sized exactly
+        while got := fh.readinto(view[_PAD:]):
+            rows += np.count_nonzero(np.frombuffer(data, np.uint8, got, _PAD) == 10)
+        fh.seek(len(header))
+        preds, labels = np.empty(rows), np.empty(rows, dtype=np.int8)
+        done = carry = 0
+        while got := fh.readinto(view[_PAD + carry:]):
+            end = _PAD + carry + got
+            cut = data.rfind(b"\n", _PAD, end) + 1
+            carry = end - max(cut, _PAD)  # a line as long as a read fills the buffer and ends the loop
+            if cut:
+                block = _decimal_rows(np.frombuffer(data, np.uint8, cut))
+                if block is None or block is _OTHER_FORM:
+                    return block
+                n = block[1].size
+                preds[done:done + n], labels[done:done + n] = block
+                done += n
+            data[_PAD:_PAD + carry] = data[end - carry:end]
+    return _OTHER_FORM if carry else (preds, labels)  # a last row with no line feed is of the other form
+
+
+def _decimal_rows(buf: np.ndarray):
+    """The predictions and labels of ``buf``, ``_PAD`` bytes and whole lines; or None or ``_OTHER_FORM``."""
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([_PAD], ends[:-1] + 1))
+    k = ends - starts - 4  # fraction digits, for a row d.ddd,L
+    if k.min() < 1:  # too short for either form
+        return _OTHER_FORM
+    lead, label = buf[starts] - 48, buf[ends - 1] - 48
+    plain = (buf[starts + 1] == 46) & (buf[ends - 2] == 44) & (lead <= 9) & (label <= 9) & (k <= 24)
+    del starts  # a row that float() reads starts after the line feed before it
+    np.minimum(k, 24, out=k)
+    width = -(-int(k.max()) // 8)  # words of eight digits, the last ending at the comma
+    fields = np.ndarray(buf.size - 8 * width + 1, f"V{8 * width}", buf, strides=(1,))
+    words = fields[ends - 2 - 8 * width].view("<u8").reshape(k.size, width)
+    fraction = np.zeros(k.size, dtype=np.uint64)
+    for j in range(width):
+        digits = np.clip(k - 8 * (width - 1 - j), 0, 8)
+        word = words[:, j] & _KEEP[digits]
+        word |= _ZEROS[digits]
+        # Every byte is an ASCII digit: its high nibble is 3, and stays 3 when 6 is added.
+        check = word + 0x0606060606060606
+        check &= 0xF0F0F0F0F0F0F0F0
+        check >>= 4
+        check |= word & 0xF0F0F0F0F0F0F0F0
+        plain &= check == 0x3333333333333333
+        # Lemire's SWAR step: the number eight digits spell, the first in the lowest byte.
+        word = (word & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+        word = (word & 0x00FF00FF00FF00FF) * 6553601 >> 16
+        word = (word & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+        if j == width - 3:  # digits 17 to 24 before the comma: at most 19 digits after the leading zeros
+            plain &= word < 1000
+        fraction *= 100_000_000
+        fraction += word
+    other = np.flatnonzero(~plain)
+    if other.size > _FLOAT_ROWS:
+        return _OTHER_FORM
+    if np.any(plain & ((label > 1) | (lead > 1) | (lead == 1) & (fraction > 0))):
+        return None
+    preds = fraction.astype(np.float64)
+    preds /= _FLOAT_POW10[k]  # exact over exact, where the fraction is at most 2**53 and k at most 22
+    preds += lead  # a row 1.000 is 1; every other row in the form has lead 0
+    longer = np.flatnonzero(plain & ((fraction > 1 << 53) | (k > 22) & (fraction > 0)))
+    if longer.size:
+        quotient = fraction[longer].astype(np.longdouble) / _LONG_POW10[k[longer]]
+        preds[longer] = nearest = quotient.astype(np.float64)
+        off, half = np.abs((quotient - nearest).astype(np.float64)), np.spacing(nearest) / 2  # both exact
+        for i in longer[(off == half) | (off == half / 2)].tolist():
+            preds[i] = float(buf[ends[i - 1] + 1 if i else _PAD:ends[i] - 2].tobytes())
+    for i in other.tolist():
+        row = _EXPONENT_ROW.fullmatch(buf[ends[i - 1] + 1 if i else _PAD:ends[i]].tobytes())
+        if row is None:
+            return _OTHER_FORM
+        preds[i], label[i] = float(row[1]), int(row[2])
+        if preds[i] > 1 or label[i] > 1:
+            return None
+    return preds, label
 
 
 def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:

@@ -1,3 +1,4 @@
+import decimal
 import gzip
 import json
 import lzma
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -402,6 +404,14 @@ GRAMMAR = {
     "nan,1": (PredictionRangeError, "row 1: prediction nan outside [0, 1]"),
     "1e400,1": (PredictionRangeError, "row 1: prediction inf outside [0, 1]"),
     "0.5,2": (LabelValueError, "row 1: label '2' must be 0 or 1"),
+    ".5,1": (0.5, 1),
+    "5.,1": (PredictionRangeError, "row 1: prediction 5.0 outside [0, 1]"),
+    "0.123456789012345678,1": (0.12345678901234568, 1),
+    "0.1234567890123456789,1": (0.12345678901234568, 1),
+    "1.0000000000000001,1": (1.0, 1),
+    "0.99999999999999999,1": (1.0, 1),
+    "1e-05,1": (1e-05, 1),
+    "4.9e-324,1": (5e-324, 1),
 }
 
 
@@ -455,6 +465,12 @@ def test_each_reader_matches_per_row_reference_on_odd_texts(tmp_path_factory, te
     assert_each_reader_matches_reference(path)
 
 
+def benchmark_shaped_rows(rng, n):
+    """Rows as the benchmark writes them: repr of distinct predictions, then of 2-decimal ones."""
+    preds = [0.0, 1.0, *rng.random(n).tolist(), *np.round(rng.random(n), 2).tolist()]
+    return [f"{p!r},{y}" for p, y in zip(preds, rng.integers(0, 2, len(preds)).tolist())]
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize(
     "header",
@@ -462,16 +478,17 @@ def test_each_reader_matches_per_row_reference_on_odd_texts(tmp_path_factory, te
     ids=["plain", "byte-order-mark", "capitals-and-spaces"],
 )
 def test_benchmark_shaped_csv_takes_the_path_reader(tmp_path, monkeypatch, newline, header):
-    rng = np.random.default_rng(3)
-    preds = [0.0, 1.0, *rng.random(5000).tolist(), *np.round(rng.random(5000), 2).tolist()]
-    labels = rng.integers(0, 2, len(preds)).tolist()
+    """A regular file is read by its path: with LF line ends by the plain-decimal
+    reader, with no loadtxt call, and with CRLF by the one loadtxt call."""
+    rows = benchmark_shaped_rows(np.random.default_rng(3), 5000)
     path = tmp_path / "scores.csv"
-    rows = [f"{p!r},{y}" for p, y in zip(preds, labels)]
     path.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
     want = ingest_outcome(reference_ingest_csv, path)
     monkeypatch.setattr(cli, "_block_columns", refuse)
+    path_reads = spy_on_path_reads(monkeypatch)
     assert ingest_outcome(ingest, path) == want
-    assert ingest(path).n == len(preds)
+    assert ingest(path).n == len(rows)
+    assert path_reads == ([] if newline == "\n" else [str(path)] * 2)
 
 
 def spy_on_path_reads(monkeypatch):
@@ -485,6 +502,118 @@ def spy_on_path_reads(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
     return path_reads
+
+
+def midpoint_text(value, digits, nudge):
+    """The midpoint between ``value`` and the next double up, rounded to ``digits``
+    fraction digits, plus ``nudge`` units in the last digit."""
+    exact = decimal.Context(prec=1200)  # every double and every midpoint is exact at this precision
+    mid = exact.divide(exact.add(Decimal(value), Decimal(float(np.nextafter(value, 2.0)))), 2)
+    step = Decimal(1).scaleb(-digits)
+    return format(mid.quantize(step, context=exact) + nudge * step, "f")
+
+
+# Texts whose quotient in long double is a midpoint between two doubles, and
+# which that quotient, rounded again to double, would read wrong.
+DOUBLE_ROUNDING_TEXTS = ["0.935810753711777632", "0.949839134817390629", "0.68405399970282460"]
+
+
+@st.composite
+def decimal_texts(draw):
+    """Prediction fields that the plain-decimal reader reads itself: repr, the
+    exponent form included, fixed point, and decimals at and beside midpoints."""
+    value = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["repr", "fixed", "midpoint", "bound"]))
+    if kind == "repr":
+        return repr(value)
+    if kind == "fixed":
+        return f"{value:.{draw(st.integers(1, 18))}f}"
+    if kind == "bound":
+        return draw(st.sampled_from(["0.0", "1.0"]))
+    value = draw(st.floats(1e-3, 1.0, exclude_max=True))
+    return midpoint_text(value, draw(st.integers(15, 18)), draw(st.sampled_from([-1, 0, 1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(decimal_texts(), st.sampled_from("01")).map(",".join), min_size=1, max_size=40))
+@example([f"{text},1" for text in DOUBLE_ROUNDING_TEXTS])
+@example(["0.0,0", "1.0,1", "1e-05,0", "5e-324,1", "0.00012345678901234567,0"])
+@example(["1." + "0" * 24 + ",1", "0." + "0" * 24 + ",0", "0.000001234567890123456789,1", "0." + "0" * 22 + "1,1"])
+def test_decimal_reader_reads_as_the_loadtxt_route_does(tmp_path_factory, rows):
+    """Bit for bit, at the full read size and at one that cuts rows between reads."""
+    path = tmp_path_factory.getbasetemp() / "decimal.csv"
+    path.write_text("prediction,label\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    assert cli._decimal_columns(path) is not cli._OTHER_FORM  # the reader decides itself
+    with mock.patch.object(cli, "_EXACT_QUOTIENTS", False):  # no 64-bit long double: the loadtxt route
+        want = ingest_outcome(ingest, path)
+    assert ingest_outcome(ingest, path) == want
+    with mock.patch.object(cli, "_DECIMAL_BLOCK", 40):
+        assert ingest_outcome(ingest, path) == want
+
+
+def test_decimal_reader_reads_midpoint_quotients_by_float(tmp_path):
+    for text in DOUBLE_ROUNDING_TEXTS:
+        twice_rounded = float(np.longdouble(int(text[2:])) / cli._LONG_POW10[len(text) - 2])
+        assert twice_rounded != float(text)
+    path = write(tmp_path, "midpoints.csv", "prediction,label\n" + "".join(f"{t},1\n" for t in DOUBLE_ROUNDING_TEXTS))
+    preds, labels = cli._decimal_columns(path)
+    assert preds.tolist() == [float(text) for text in DOUBLE_ROUNDING_TEXTS]
+
+
+def two_block_rows(row):
+    """Benchmark-shaped rows over more than one read of the plain-decimal reader, with ``row`` second to last."""
+    rows = benchmark_shaped_rows(np.random.default_rng(8), 6000)  # 12,002 rows
+    rows[-2] = row
+    assert sum(map(len, rows)) > cli._DECIMAL_BLOCK
+    return "prediction,label\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "row", ["0.5,1.0", "-0,1", "0.25,1\r", "0.5, 1", "0." + "1" * 25 + ",1", "0.0000" + "1" * 20 + ",1"]
+)
+def test_out_of_form_row_in_the_last_read_goes_to_the_path_call(tmp_path, monkeypatch, row):
+    path = write(tmp_path, "scores.csv", two_block_rows(row))
+    want = ingest_outcome(reference_ingest_csv, path)
+    path_reads = spy_on_path_reads(monkeypatch)
+    monkeypatch.setattr(cli, "_block_columns", refuse)
+    assert ingest_outcome(ingest, path) == want
+    assert path_reads == [str(path)]
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("0.5,2", "^row 12001: label '2' must be 0 or 1$"),
+        ("1.5,0", r"^row 12001: prediction 1\.5 outside \[0, 1\]$"),
+        ("1e+05,0", r"^row 12001: prediction 100000\.0 outside \[0, 1\]$"),
+    ],
+)
+def test_row_in_form_that_fails_a_check_goes_to_the_block_reader_alone(tmp_path, monkeypatch, row, error):
+    path = write(tmp_path, "scores.csv", two_block_rows(row))
+    want = ingest_outcome(reference_ingest_csv, path)
+    path_reads = spy_on_path_reads(monkeypatch)
+    assert ingest_outcome(ingest, path) == want
+    assert re.match(error, want[1])
+    assert path_reads == []
+
+
+@pytest.mark.parametrize("count, path_reads", [(cli._FLOAT_ROWS, 0), (cli._FLOAT_ROWS + 1, 1)])
+def test_a_read_with_many_exponent_rows_goes_to_the_path_call(tmp_path, monkeypatch, count, path_reads):
+    """float() reads a row in the exponent form; many of them cost less through loadtxt."""
+    path = write(tmp_path, "tiny.csv", "prediction,label\n" + "0.5,1\n" * 100 + "1.5e-05,0\n" * count)
+    reads = spy_on_path_reads(monkeypatch)
+    ds = ingest(path)
+    assert ds.predictions.tolist() == [0.5] * 100 + [1.5e-05] * count
+    assert len(reads) == path_reads
+
+
+def test_a_line_longer_than_a_read_goes_to_the_path_call(tmp_path, monkeypatch):
+    path = write(tmp_path, "long.csv", "prediction,label\n0.5,1\n0.25" + " " * 40 + ",0\n0.5,1\n")
+    reads = spy_on_path_reads(monkeypatch)
+    assert ingest(path).predictions.tolist() == [0.5, 0.25, 0.5]
+    assert reads == [str(path)]
+    with mock.patch.object(cli, "_DECIMAL_BLOCK", 32):
+        assert cli._decimal_columns(path) is cli._OTHER_FORM
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -506,8 +635,9 @@ def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
         ingest(path)
 
 
-# A file the path reader refuses, and whether it refuses before or after np.loadtxt reads the path.
+# A file the path readers refuse, and whether np.loadtxt reads the path before the block reader runs.
 # The two scanned-byte rows hold a form feed inside a row and a record separator on a line of its own.
+# A row in the plain-decimal form that fails a check goes to the block reader without the loadtxt call.
 PATH_READER_REFUSALS = {
     "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", True),
     "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\x1e", True),
@@ -521,8 +651,8 @@ PATH_READER_REFUSALS = {
     "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,one\n", True),
     "fractional-label": ("x.csv", b"prediction,label\n0.5,1\n0.5,0.5\n", True),
     "empty-table": ("x.csv", b"prediction,label\n\r\n", True),
-    "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", True),
-    "label-check": ("x.csv", b"prediction,label\n0.5,1\n0.5,2\n", True),
+    "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", False),
+    "label-check": ("x.csv", b"prediction,label\n0.5,1\n0.5,2\n", False),
 }
 
 

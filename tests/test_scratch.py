@@ -1,8 +1,8 @@
 """Ingest, scoring and diagrams run in the arrays a dataset holds plus scratch that does not grow with N.
 
 tracemalloc counts numpy's buffers, so the peaks below are the arrays alive
-at once. Ingest holds no more than the 26 bytes per record that the scored
-dataset will hold. After it, the scratch allowed to grow is the one table
+at once. Ingest, by each of its three readers, holds no more than the 26
+bytes per record that the scored dataset will hold. After it, the scratch allowed to grow is the one table
 of log j! that each binomial pass over a bin set builds, sized to its
 largest bin, and that the binomial screen and the exact kernel both read:
 8 bytes per record of that bin, built in place. Under the t-test it is a
@@ -27,7 +27,7 @@ from caltest.stattest import TestConfig
 SIZES = (100_000, 400_000)
 SORT_SLACK = 64 * 1024  # bytes above 26 per record while the sorted view is built
 SCORING_SLACK = 256 * 1024  # bytes of growth from the smaller size to the larger
-INGEST_SLACK = 512 * 1024  # bytes above 26 per record: the reads of the file and loadtxt's buffers
+INGEST_SLACK = 512 * 1024  # bytes above 26 per record: the reads of the file, loadtxt's buffers, a block's scratch
 
 
 def scenario(n: int, tied: bool) -> Dataset:
@@ -101,10 +101,16 @@ def test_ingest_holds_no_more_than_the_scored_dataset(tmp_path, monkeypatch, tie
         tracemalloc.start()
         try:
             with monkeypatch.context() as m:
-                m.setattr(cli, "_block_columns", None)  # the .csv is read by the path reader
+                m.setattr(cli, "_block_columns", None)
+                m.setattr(cli, "_loadtxt_columns", None)  # the .csv is read by the plain-decimal reader
+                decimal_peak = traced_peak(lambda: ingest(path))
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_block_columns", None)
+                m.setattr(cli, "_decimal_columns", lambda path: cli._OTHER_FORM)  # by the one path call
                 path_peak = traced_peak(lambda: ingest(path))
             block_peak = traced_peak(lambda: ingest(block_only))
         finally:
             tracemalloc.stop()
+        assert decimal_peak <= 26 * n + INGEST_SLACK
         assert path_peak <= 26 * n + INGEST_SLACK
         assert block_peak <= 26 * n + INGEST_SLACK
