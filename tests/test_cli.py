@@ -522,16 +522,14 @@ DOUBLE_ROUNDING_TEXTS = ["0.935810753711777632", "0.949839134817390629", "0.6840
 def decimal_texts(draw):
     """Prediction fields that the plain-decimal reader reads itself: repr, the
     exponent form included, fixed point, and decimals at and beside midpoints."""
-    value = draw(st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(["repr", "fixed", "midpoint", "bound"]))
-    if kind == "repr":
-        return repr(value)
-    if kind == "fixed":
-        return f"{value:.{draw(st.integers(1, 18))}f}"
     if kind == "bound":
         return draw(st.sampled_from(["0.0", "1.0"]))
-    value = draw(st.floats(1e-3, 1.0, exclude_max=True))
-    return midpoint_text(value, draw(st.integers(15, 18)), draw(st.sampled_from([-1, 0, 1])))
+    if kind == "midpoint":
+        value = draw(st.floats(1e-3, 1.0, exclude_max=True))
+        return midpoint_text(value, draw(st.integers(15, 18)), draw(st.sampled_from([-1, 0, 1])))
+    value = draw(st.floats(0.0, 1.0))
+    return repr(value) if kind == "repr" else f"{value:.{draw(st.integers(1, 18))}f}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -558,6 +556,7 @@ def test_decimal_reader_reads_midpoint_quotients_by_float(tmp_path):
     path = write(tmp_path, "midpoints.csv", "prediction,label\n" + "".join(f"{t},1\n" for t in DOUBLE_ROUNDING_TEXTS))
     preds, labels = cli._decimal_columns(path)
     assert preds.tolist() == [float(text) for text in DOUBLE_ROUNDING_TEXTS]
+    assert labels.tolist() == [1, 1, 1]
 
 
 def two_block_rows(row):
