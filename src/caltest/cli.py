@@ -11,12 +11,9 @@ import argparse
 import codecs
 import itertools
 import json
-import os
 import re
-import stat
 import sys
 import warnings
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -104,11 +101,10 @@ def _parse_record(raw_pred, raw_label, row: int) -> tuple[float, int]:
 def ingest(path: str | Path) -> Dataset:
     """Load and validate a prediction/label file, naming the offending row on error.
 
-    A CSV file is read by ``np.loadtxt``'s grammar: a regular file of plain
-    decimals by a vectorised reader, any other regular file by one loadtxt
-    call on its path, anything else, or a file either refuses, in blocks of
-    lines; a block that loadtxt turns down is read line by line to name the
-    first bad row.
+    A CSV file is read once, in blocks, by ``np.loadtxt``'s grammar: a block
+    of plain decimals by a vectorised reader, any other block by one loadtxt
+    call on its lines; in a block that loadtxt turns down, the first bad row
+    is found and named.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
@@ -144,10 +140,10 @@ def ingest(path: str | Path) -> Dataset:
     return Dataset._adopt(np.array(preds), np.array(labels, dtype=np.int8))
 
 
-# Bytes read at a time; a block runs on to the end of a line longer than this.
-_READ_BLOCK = 1 << 14
-# Name endings that numpy opens through a decompressor when given the path.
-_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# Bytes read at a time, after _PAD bytes that hold the three words before a
+# block's first comma; a block runs on to the end of a line longer than this.
+_READ_BLOCK = 1 << 17
+_PAD = 24
 
 
 def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -157,40 +153,77 @@ def _csv_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
     them, numbered from 1; ``np.loadtxt`` reads their fields. A byte that is
     not UTF-8 makes its row bad.
 
-    A regular file goes to the plain-decimal reader, and if a row is in
-    neither of its forms, to one ``np.loadtxt`` call on its path, which reads
-    it in C chunks. Neither names a bad row. A file either refuses, a pipe, and
-    a name that numpy would decompress, such as ``.gz``, are read block by block.
+    Any file, a pipe or a name such as ``.gz`` too, is read once in blocks
+    cut after a read's last line end. A block with no carriage return goes
+    to the plain-decimal reader; any other, or one it leaves, is cut into
+    lines for one ``np.loadtxt`` call, and searched if that call refuses it.
     """
+    # Grown in place: per-block arrays joined at the end left freed heap
+    # resident after ingest, which raised the peak of the whole call.
+    preds, labels = bytearray(), bytearray()  # float64 and int8 values
+    data = bytearray(_PAD + _READ_BLOCK)
+    start = end = _PAD  # data[start:end] holds the bytes read and not yet taken
+    taken, header = 0, None  # the bytes of the file before data[_PAD], and the header
     with path.open("rb") as fh:
-        blocks = _line_blocks(fh)
-        lines, bad = next(blocks)
-        if bad is not None and not lines:
-            raise MalformedRowError(f"{path}: header: byte {bad} is not UTF-8")
-        header = lines[0].removeprefix("\ufeff")  # a leading byte-order mark is not data
-        blocks = itertools.chain([(lines[1:], bad)], blocks)
-        if header.strip().lower().replace(" ", "") != "prediction,label":
-            if not header.strip() and all(
-                b is None and not any(map(str.strip, ls)) for ls, b in blocks
-            ):  # a blank first line, and only blank text after it
-                raise EmptyInputError(f"{path}: file is empty")
-            raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
-        columns = None
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _DECOMPRESSED:
-            columns = _decimal_columns(path)
-            if columns is _OTHER_FORM:
-                columns = _loadtxt_columns(str(path), skiprows=1, encoding="utf-8")
-        if columns is None:  # the blocks carry on after the header
-            columns = _block_columns(blocks)
-    if not columns[1].size:
+        while True:
+            if end == len(data):  # a line fills the buffer
+                data += bytes(_READ_BLOCK)
+            got = fh.readinto(memoryview(data)[end:])
+            if not got and end == _PAD and header is not None:
+                break
+            if not got:  # a line feed ends the last line, or an empty file
+                data[end], got = 10, 1
+            end += got
+            cr = data.rfind(b"\r", _PAD, end)
+            cut = max(data.rfind(b"\n", _PAD, end), cr) + 1
+            if not cut:
+                continue
+            if header is None:
+                line_end = re.compile(rb"\r\n?|\n").search(data, _PAD, cut)  # universal newlines
+                try:  # a leading byte-order mark is not data
+                    header = data[_PAD:line_end.start()].decode().removeprefix("\ufeff")
+                except UnicodeDecodeError as exc:
+                    raise MalformedRowError(f"{path}: header: byte {exc.start} is not UTF-8") from None
+                start = line_end.end()
+                if header.strip().lower().replace(" ", "") != "prediction,label":
+                    rest = itertools.chain([data[start:end]], iter(lambda: fh.read(_READ_BLOCK), b""))
+                    if not header.strip() and not any(map(str.strip, codecs.iterdecode(rest, "utf-8", "replace"))):
+                        raise EmptyInputError(f"{path}: file is empty")  # a blank first line, and only blank text after it
+                    raise MalformedRowError(f"{path}: expected header 'prediction,label', got {header!r}")
+            if start < cut:
+                columns = bad = lines = None  # the last block's lines go before this block's are made
+                if _EXACT_QUOTIENTS and cr < start:  # every line of the block ends in a line feed alone
+                    columns = _decimal_rows(np.frombuffer(data, np.uint8, cut - start + _PAD, start - _PAD))
+                if columns is None:
+                    raw = data[start:cut]
+                    try:
+                        text = raw.decode()
+                    except UnicodeDecodeError as exc:  # "x" stands in for the bad byte's line, which is dropped
+                        text, bad = raw[: exc.start].decode() + "x", taken + start - _PAD + exc.start
+                    if "\r" in text:  # CRLF and a lone CR end a line as LF does; the search costs less than replace
+                        text = text.replace("\r\n", "\n").replace("\r", "\n")
+                    # The cut ends the text in a line end or "x", so the last piece is never a line.
+                    lines = text.split("\n")[:-1]
+                    columns = _loadtxt_columns(lines)
+                    if columns is None:
+                        _raise_first_bad_row(lines, len(labels))
+                preds += columns[0].data  # both are contiguous
+                labels += columns[1].data
+                if bad is not None:
+                    raise MalformedRowError(f"row {len(labels) + 1}: byte {bad} is not UTF-8")
+            taken += cut - _PAD
+            end -= cut - _PAD
+            data[_PAD:end] = data[cut:cut + end - _PAD]
+            start = _PAD
+    if not labels:
         raise EmptyInputError(f"{path}: no data rows")
-    return columns
+    return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
 
 
-def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
-    """Contiguous float64 predictions and int8 labels as ``np.loadtxt`` reads them, or None.
+def _loadtxt_columns(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Contiguous float64 predictions and int8 labels as ``np.loadtxt`` reads ``lines``, or None.
 
-    None if loadtxt turns ``source`` down, a prediction is NaN or outside
+    None if loadtxt turns the lines down, a prediction is NaN or outside
     [0, 1], or a label is not 0 or 1. loadtxt skips empty lines, turns down
     a line that is not two fields, and reads a field as ``float()`` reads it,
     save that it turns down underscores and non-ASCII characters.
@@ -198,8 +231,8 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(source, dtype="f8,f8", delimiter=",", comments=None, ndmin=1, **options)
-    except ValueError:  # UnicodeDecodeError included
+            table = np.loadtxt(lines, dtype="f8,f8", delimiter=",", comments=None, ndmin=1)
+    except ValueError:
         return None
     preds, labels = table["f0"], table["f1"]
     # NaN fails both comparisons, so it is caught along with out-of-range values.
@@ -209,12 +242,7 @@ def _loadtxt_columns(source, **options) -> tuple[np.ndarray, np.ndarray] | None:
     return preds.copy(), labels.astype(np.int8)
 
 
-# The plain-decimal reader: bytes read at a time, and the bytes before a
-# block, so that the three words before its first comma lie in the buffer.
-_DECIMAL_BLOCK = 1 << 17
-_PAD = 24
 _FLOAT_ROWS = 256  # rows of a block left to float(), beyond which loadtxt costs less
-_OTHER_FORM = object()  # a file the plain-decimal reader leaves to the path call
 _EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant >= 63  # a 64-bit long double mantissa
 # 10**k for k fraction digits, as 5**k 2**k: exact in double to k = 22, and in long double.
 _POW5 = 5 ** np.arange(25, dtype=np.uint64)
@@ -226,68 +254,38 @@ _ZEROS = ~_KEEP & np.uint64(0x3030303030303030)
 _EXPONENT_ROW = re.compile(rb"([0-9](?:\.[0-9]+)?e[-+][0-9]+),([0-9])")
 
 
-def _decimal_columns(path: Path):
-    """The columns of a file in the plain-decimal form, as ``np.loadtxt`` reads them.
+def _decimal_rows(buf: np.ndarray):
+    """The columns of a block in the plain-decimal form, as ``np.loadtxt`` reads them, or None.
 
-    None if a row fails the range or 0/1 check, and ``_OTHER_FORM`` for a file
-    outside the form. There a line feed alone ends the header and each row,
-    and a row is ``d.ddd,L``: a digit, a point, 1 to 24 digits, at most 19 of
-    them after the leading zeros, a comma and a one-digit label. So repr
-    writes every double from 1e-4 to 1 in it. Up to ``_FLOAT_ROWS`` rows of a
-    block may instead be in repr's exponent form, such as ``1.2e-05,0``,
-    which ``float()`` reads. loadtxt reads every such row alike, so the one
-    path call would refuse a file whose row fails a check here.
+    ``buf`` is ``_PAD`` bytes, then whole lines that each end in a line
+    feed. A row in the form is ``d.ddd,L``: a digit, a point, 1 to 24
+    digits, at most 19 of them after the leading zeros, a comma and a
+    one-digit label. So repr writes every double from 1e-4 to 1 in it. Up
+    to ``_FLOAT_ROWS`` rows may instead be in repr's exponent form, such as
+    ``1.2e-05,0``, which ``float()`` reads. None if a row is in neither
+    form, or fails the range or 0/1 check; loadtxt reads such a block, and
+    reads every row in the form alike.
 
-    The file is read in blocks cut after a line feed. A row's k fraction
-    digits, eight to a word, make an integer M < 10**19, and its value is
-    M / 10**k, or 1 for the row 1.000. If M <= 2**53 and k <= 22, both are
-    doubles and one division rounds correctly (Clinger, 1990). Otherwise the
-    division runs in long double, where M and 10**k are exact, so the
-    quotient r is M / 10**k rounded to 64 bits. Every midpoint between
-    adjacent doubles fits in 64 bits, so r lies between the same two
+    A row's k fraction digits, eight to a word, make an integer M < 10**19,
+    and its value is M / 10**k, or 1 for the row 1.000. If M <= 2**53 and
+    k <= 22, both are doubles and one division rounds correctly (Clinger,
+    1990). Otherwise the division runs in long double, where M and 10**k are
+    exact, so the quotient r is M / 10**k rounded to 64 bits. Every midpoint
+    between adjacent doubles fits in 64 bits, so r lies between the same two
     midpoints as M / 10**k and rounds to the same double, unless r is one of
     them. A row whose r lies half the spacing of its double d from d, or a
     quarter below a power of two, is read by ``float()``. Without a 64-bit
-    long double mantissa every file is outside the form.
+    long double mantissa no block is read here.
     """
-    if not _EXACT_QUOTIENTS:
-        return _OTHER_FORM
-    data = bytearray(_PAD + _DECIMAL_BLOCK)
-    view = memoryview(data)
-    with path.open("rb") as fh:
-        header = fh.readline(_DECIMAL_BLOCK)
-        if not header.endswith(b"\n") or b"\r" in header:  # universal newlines cut the header elsewhere
-            return _OTHER_FORM
-        rows = 0  # line feeds after the header, so that the columns are sized exactly
-        while got := fh.readinto(view[_PAD:]):
-            rows += np.count_nonzero(np.frombuffer(data, np.uint8, got, _PAD) == 10)
-        fh.seek(len(header))
-        preds, labels = np.empty(rows), np.empty(rows, dtype=np.int8)
-        done = carry = 0
-        while got := fh.readinto(view[_PAD + carry:]):
-            end = _PAD + carry + got
-            cut = data.rfind(b"\n", _PAD, end) + 1
-            carry = end - max(cut, _PAD)  # a line as long as a read fills the buffer and ends the loop
-            if cut:
-                block = _decimal_rows(np.frombuffer(data, np.uint8, cut))
-                if block is None or block is _OTHER_FORM:
-                    return block
-                n = block[1].size
-                preds[done:done + n], labels[done:done + n] = block
-                done += n
-            data[_PAD:_PAD + carry] = data[end - carry:end]
-    return _OTHER_FORM if carry else (preds, labels)  # a last row with no line feed is of the other form
-
-
-def _decimal_rows(buf: np.ndarray):
-    """The predictions and labels of ``buf``, ``_PAD`` bytes and whole lines; or None or ``_OTHER_FORM``."""
-    ends = np.flatnonzero(buf == 10)
+    ends = np.flatnonzero(buf[_PAD:] == 10) + _PAD  # the pad may hold the header's line feed
     starts = np.concatenate(([_PAD], ends[:-1] + 1))
     k = ends - starts - 4  # fraction digits, for a row d.ddd,L
     if k.min() < 1:  # too short for either form
-        return _OTHER_FORM
+        return None
     lead, label = buf[starts] - 48, buf[ends - 1] - 48
     plain = (buf[starts + 1] == 46) & (buf[ends - 2] == 44) & (lead <= 9) & (label <= 9) & (k <= 24)
+    if plain.size - np.count_nonzero(plain) > _FLOAT_ROWS:  # the digit checks below only add to them
+        return None
     del starts  # a row that float() reads starts after the line feed before it
     np.minimum(k, 24, out=k)
     width = -(-int(k.max()) // 8)  # words of eight digits, the last ending at the comma
@@ -313,9 +311,7 @@ def _decimal_rows(buf: np.ndarray):
         fraction *= 100_000_000
         fraction += word
     other = np.flatnonzero(~plain)
-    if other.size > _FLOAT_ROWS:
-        return _OTHER_FORM
-    if np.any(plain & ((label > 1) | (lead > 1) | (lead == 1) & (fraction > 0))):
+    if other.size > _FLOAT_ROWS or np.any(plain & ((label > 1) | (lead > 1) | (lead == 1) & (fraction > 0))):
         return None
     preds = fraction.astype(np.float64)
     preds /= _FLOAT_POW10[k]  # exact over exact, where the fraction is at most 2**53 and k at most 22
@@ -329,55 +325,10 @@ def _decimal_rows(buf: np.ndarray):
             preds[i] = float(buf[ends[i - 1] + 1 if i else _PAD:ends[i] - 2].tobytes())
     for i in other.tolist():
         row = _EXPONENT_ROW.fullmatch(buf[ends[i - 1] + 1 if i else _PAD:ends[i]].tobytes())
-        if row is None:
-            return _OTHER_FORM
-        preds[i], label[i] = float(row[1]), int(row[2])
-        if preds[i] > 1 or label[i] > 1:
+        if row is None or float(row[1]) > 1 or row[2] > b"1":
             return None
+        preds[i], label[i] = float(row[1]), int(row[2])
     return preds, label
-
-
-def _line_blocks(fh) -> Iterator[tuple[list[str], int | None]]:
-    """A binary file's lines as universal newlines cut them, in blocks cut after a
-    read's last line feed or carriage return.
-
-    A CRLF cut in two, and the line feed added to end the last line, leave only
-    empty lines. Each block comes with the offset of its first non-UTF-8 byte,
-    or None; then it holds only the lines before that byte's line.
-    """
-    start, pending = 0, []
-    for chunk in itertools.chain(iter(lambda: fh.read(_READ_BLOCK), b""), [b"\n"]):
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
-        if not cut:
-            pending.append(chunk)
-            continue
-        raw = b"".join([*pending, chunk[:cut]])
-        try:
-            text, bad = raw.decode(), None
-        except UnicodeDecodeError as exc:  # "x" stands in for the bad byte's line, which is dropped
-            text, bad = raw[: exc.start].decode() + "x", start + exc.start
-        if "\r" in text:  # CRLF and a lone CR end a line as LF does; the search costs less than replace
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        # The cut ends the text in a line end or "x", so the last piece is never a line.
-        yield text.split("\n")[:-1], bad
-        start += len(raw)
-        pending = [chunk[cut:]]
-
-
-def _block_columns(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of the blocks' lines, each block read by ``np.loadtxt``; the first bad row raises."""
-    # Grown in place: per-block arrays joined at the end left freed heap
-    # resident after ingest, which raised the peak of the whole call.
-    preds, labels = bytearray(), bytearray()  # float64 and int8 values
-    for lines, bad in blocks:
-        columns = _loadtxt_columns(lines)
-        if columns is None:
-            _raise_first_bad_row(lines, len(labels))
-        preds += columns[0].data  # both are contiguous
-        labels += columns[1].data
-        if bad is not None:
-            raise MalformedRowError(f"row {len(labels) + 1}: byte {bad} is not UTF-8")
-    return np.frombuffer(preds, dtype=np.float64), np.frombuffer(labels, dtype=np.int8)
 
 
 def _raise_first_bad_row(lines: list[str], rows: int) -> None:
@@ -385,7 +336,16 @@ def _raise_first_bad_row(lines: list[str], rows: int) -> None:
 
     A row is bad where ``np.loadtxt``, reading its line alone, turns a field
     down, or where a check refuses its values: where the block's call did.
+    loadtxt turns a run of lines down if and only if it holds a bad line, so
+    halving finds the first one in calls that read each line at most once,
+    and only that line is read field by field.
     """
+    while len(lines) > 1:  # loadtxt turns the lines down: keep the half that holds the first bad one
+        mid = len(lines) // 2
+        if (head := _loadtxt_columns(lines[:mid])) is None:
+            lines = lines[:mid]
+        else:
+            lines, rows = lines[mid:], rows + head[1].size
     for row, line in enumerate(filter(None, lines), start=rows + 1):
         fields = [field.strip() for field in line.split(",")]
         if len(fields) != 2:

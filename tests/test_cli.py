@@ -428,17 +428,16 @@ def test_csv_grammar_is_pinned(tmp_path, name, row):
         assert (ds.predictions.tobytes(), ds.labels.tolist()) == (np.float64(want[0]).tobytes(), [want[1]])
 
 
-# The regular file takes the one path call; the same bytes under a name that
-# numpy would decompress take the block reader. The tests below hold each
-# route to the reference.
+# ingest reads a block by the plain-decimal reader, or by loadtxt where that
+# reader leaves it or where no 64-bit long double exists. The tests below hold
+# both to the reference: as ingest runs, and with loadtxt reading every block.
 
 
 def assert_each_reader_matches_reference(path):
-    """Both routes give the reference's outcome, at either read size."""
+    """Both block readers give the reference's outcome, at either read size."""
     assert_ingest_matches_reference(path)
-    block_only = path.with_name(path.name + ".gz")  # plain text under a name numpy would decompress
-    block_only.write_bytes(path.read_bytes())
-    assert_ingest_matches_reference(block_only)
+    with mock.patch.object(cli, "_EXACT_QUOTIENTS", False):  # loadtxt reads every block
+        assert_ingest_matches_reference(path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,30 +477,61 @@ def benchmark_shaped_rows(rng, n):
     ids=["plain", "byte-order-mark", "capitals-and-spaces"],
 )
 def test_benchmark_shaped_csv_takes_the_path_reader(tmp_path, monkeypatch, newline, header):
-    """A regular file is read by its path: with LF line ends by the plain-decimal
-    reader, with no loadtxt call, and with CRLF by the one loadtxt call."""
+    """A regular file is read in one pass: with LF line ends by the plain-decimal
+    reader, with no loadtxt call, and with CRLF by loadtxt, each row once."""
     rows = benchmark_shaped_rows(np.random.default_rng(3), 5000)
     path = tmp_path / "scores.csv"
     path.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
     want = ingest_outcome(reference_ingest_csv, path)
-    monkeypatch.setattr(cli, "_block_columns", refuse)
-    path_reads = spy_on_path_reads(monkeypatch)
+    loadtxt_rows = spy_on_loadtxt_rows(monkeypatch)
     assert ingest_outcome(ingest, path) == want
+    assert sum(loadtxt_rows) == (0 if newline == "\n" else len(rows))
     assert ingest(path).n == len(rows)
-    assert path_reads == ([] if newline == "\n" else [str(path)] * 2)
 
 
-def spy_on_path_reads(monkeypatch):
-    """The list of paths that np.loadtxt is given from now on."""
-    path_reads, loadtxt = [], np.loadtxt
+def spy_on_loadtxt_rows(monkeypatch):
+    """The rows, non-empty lines, of each list that ingest gives loadtxt from now on."""
+    loadtxt_rows, loadtxt_columns = [], cli._loadtxt_columns
 
-    def spy_loadtxt(fname, *args, **kwargs):
-        if isinstance(fname, str):
-            path_reads.append(fname)
-        return loadtxt(fname, *args, **kwargs)
+    def spy_loadtxt_columns(lines):
+        loadtxt_rows.append(sum(map(bool, lines)))
+        return loadtxt_columns(lines)
 
-    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
-    return path_reads
+    monkeypatch.setattr(cli, "_loadtxt_columns", spy_loadtxt_columns)
+    return loadtxt_rows
+
+
+class ReadSpy:
+    """A binary file handle that reads only by readinto, counting the bytes, and cannot seek."""
+
+    def __init__(self, fh):
+        self.fh, self.bytes_read = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def readinto(self, buffer):
+        got = self.fh.readinto(buffer)
+        self.bytes_read += got
+        return got
+
+
+def spy_on_binary_reads(monkeypatch):
+    """The handles that ``Path.open(..., "rb")`` returns from now on, each a ReadSpy."""
+    handles, path_open = [], Path.open
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        fh = path_open(path, mode, *args, **kwargs)
+        if mode == "rb":
+            handles.append(ReadSpy(fh))
+            return handles[-1]
+        return fh
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    return handles
 
 
 def midpoint_text(value, digits, nudge):
@@ -538,15 +568,19 @@ def decimal_texts(draw):
 @example(["0.0,0", "1.0,1", "1e-05,0", "5e-324,1", "0.00012345678901234567,0"])
 @example(["1." + "0" * 24 + ",1", "0." + "0" * 24 + ",0", "0.000001234567890123456789,1", "0." + "0" * 22 + "1,1"])
 def test_decimal_reader_reads_as_the_loadtxt_route_does(tmp_path_factory, rows):
-    """Bit for bit, at the full read size and at one that cuts rows between reads."""
+    """Bit for bit, at the full read size and at one that cuts rows between reads.
+
+    A file that ingest accepts is read with no loadtxt call. A row that fails a
+    check, such as ``1.000000000000001,0``, is rightly handed on to loadtxt.
+    """
     path = tmp_path_factory.getbasetemp() / "decimal.csv"
     path.write_text("prediction,label\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
-    assert cli._decimal_columns(path) is not cli._OTHER_FORM  # the reader decides itself
-    with mock.patch.object(cli, "_EXACT_QUOTIENTS", False):  # no 64-bit long double: the loadtxt route
+    with mock.patch.object(cli, "_EXACT_QUOTIENTS", False):  # no 64-bit long double: loadtxt reads every block
         want = ingest_outcome(ingest, path)
-    assert ingest_outcome(ingest, path) == want
-    with mock.patch.object(cli, "_DECIMAL_BLOCK", 40):
-        assert ingest_outcome(ingest, path) == want
+    loadtxt = refuse if isinstance(want[0], np.dtype) else cli._loadtxt_columns
+    for block in (cli._READ_BLOCK, 40):
+        with mock.patch.object(cli, "_READ_BLOCK", block), mock.patch.object(cli, "_loadtxt_columns", loadtxt):
+            assert ingest_outcome(ingest, path) == want
 
 
 def test_decimal_reader_reads_midpoint_quotients_by_float(tmp_path):
@@ -554,16 +588,17 @@ def test_decimal_reader_reads_midpoint_quotients_by_float(tmp_path):
         twice_rounded = float(np.longdouble(int(text[2:])) / cli._LONG_POW10[len(text) - 2])
         assert twice_rounded != float(text)
     path = write(tmp_path, "midpoints.csv", "prediction,label\n" + "".join(f"{t},1\n" for t in DOUBLE_ROUNDING_TEXTS))
-    preds, labels = cli._decimal_columns(path)
-    assert preds.tolist() == [float(text) for text in DOUBLE_ROUNDING_TEXTS]
-    assert labels.tolist() == [1, 1, 1]
+    with mock.patch.object(cli, "_loadtxt_columns", refuse):  # the plain-decimal reader reads every row
+        ds = ingest(path)
+    assert ds.predictions.tolist() == [float(text) for text in DOUBLE_ROUNDING_TEXTS]
+    assert ds.labels.tolist() == [1, 1, 1]
 
 
 def two_block_rows(row):
-    """Benchmark-shaped rows over more than one read of the plain-decimal reader, with ``row`` second to last."""
+    """Benchmark-shaped rows over more than one read, with ``row`` second to last."""
     rows = benchmark_shaped_rows(np.random.default_rng(8), 6000)  # 12,002 rows
     rows[-2] = row
-    assert sum(map(len, rows)) > cli._DECIMAL_BLOCK
+    assert sum(map(len, rows)) > cli._READ_BLOCK
     return "prediction,label\n" + "\n".join(rows) + "\n"
 
 
@@ -571,12 +606,13 @@ def two_block_rows(row):
     "row", ["0.5,1.0", "-0,1", "0.25,1\r", "0.5, 1", "0." + "1" * 25 + ",1", "0.0000" + "1" * 20 + ",1"]
 )
 def test_out_of_form_row_in_the_last_read_goes_to_the_path_call(tmp_path, monkeypatch, row):
+    """Only the block that holds the row goes to loadtxt, in one call."""
     path = write(tmp_path, "scores.csv", two_block_rows(row))
     want = ingest_outcome(reference_ingest_csv, path)
-    path_reads = spy_on_path_reads(monkeypatch)
-    monkeypatch.setattr(cli, "_block_columns", refuse)
+    loadtxt_rows = spy_on_loadtxt_rows(monkeypatch)
+    monkeypatch.setattr(cli, "_raise_first_bad_row", refuse)
     assert ingest_outcome(ingest, path) == want
-    assert path_reads == [str(path)]
+    assert len(loadtxt_rows) == 1 and loadtxt_rows[0] < 12_002 // 2
 
 
 @pytest.mark.parametrize(
@@ -588,43 +624,53 @@ def test_out_of_form_row_in_the_last_read_goes_to_the_path_call(tmp_path, monkey
     ],
 )
 def test_row_in_form_that_fails_a_check_goes_to_the_block_reader_alone(tmp_path, monkeypatch, row, error):
+    """loadtxt reads only the block that holds the row, and halves of it."""
     path = write(tmp_path, "scores.csv", two_block_rows(row))
     want = ingest_outcome(reference_ingest_csv, path)
-    path_reads = spy_on_path_reads(monkeypatch)
+    loadtxt_rows = spy_on_loadtxt_rows(monkeypatch)
     assert ingest_outcome(ingest, path) == want
     assert re.match(error, want[1])
-    assert path_reads == []
+    assert 0 < sum(loadtxt_rows) <= 2 * loadtxt_rows[0] < 12_002
 
 
-@pytest.mark.parametrize("count, path_reads", [(cli._FLOAT_ROWS, 0), (cli._FLOAT_ROWS + 1, 1)])
-def test_a_read_with_many_exponent_rows_goes_to_the_path_call(tmp_path, monkeypatch, count, path_reads):
-    """float() reads a row in the exponent form; many of them cost less through loadtxt."""
+@pytest.mark.parametrize("count, loadtxt_calls", [(cli._FLOAT_ROWS, 0), (cli._FLOAT_ROWS + 1, 1)])
+def test_a_read_with_many_exponent_rows_goes_to_the_path_call(tmp_path, monkeypatch, count, loadtxt_calls):
+    """float() reads a row in the exponent form; a block of many of them costs less through loadtxt."""
     path = write(tmp_path, "tiny.csv", "prediction,label\n" + "0.5,1\n" * 100 + "1.5e-05,0\n" * count)
-    reads = spy_on_path_reads(monkeypatch)
+    loadtxt_rows = spy_on_loadtxt_rows(monkeypatch)
     ds = ingest(path)
     assert ds.predictions.tolist() == [0.5] * 100 + [1.5e-05] * count
-    assert len(reads) == path_reads
+    assert len(loadtxt_rows) == loadtxt_calls
+
+
+def test_a_block_of_float_labels_leaves_the_decimal_reader_before_its_digit_loop(tmp_path, monkeypatch):
+    """Its commas, points and labels already show more than ``_FLOAT_ROWS`` rows outside the form."""
+    rows = [f"0.{i:04d},{i % 2}.0" for i in range(cli._FLOAT_ROWS + 1)]
+    path = write(tmp_path, "labels.csv", "prediction,label\n" + "\n".join(rows) + "\n")
+    want = ingest_outcome(reference_ingest_csv, path)
+    monkeypatch.setattr(cli, "_KEEP", None)  # the digit loop fails on it
+    assert ingest_outcome(ingest, path) == want
 
 
 def test_a_line_longer_than_a_read_goes_to_the_path_call(tmp_path, monkeypatch):
+    """A row outside the form goes to loadtxt, and one longer than a read grows the buffer."""
     path = write(tmp_path, "long.csv", "prediction,label\n0.5,1\n0.25" + " " * 40 + ",0\n0.5,1\n")
-    reads = spy_on_path_reads(monkeypatch)
+    loadtxt_rows = spy_on_loadtxt_rows(monkeypatch)
     assert ingest(path).predictions.tolist() == [0.5, 0.25, 0.5]
-    assert reads == [str(path)]
-    with mock.patch.object(cli, "_DECIMAL_BLOCK", 32):
-        assert cli._decimal_columns(path) is cli._OTHER_FORM
+    assert loadtxt_rows == [3]
+    with mock.patch.object(cli, "_READ_BLOCK", 32):
+        assert ingest(path).predictions.tolist() == [0.5, 0.25, 0.5]
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 def test_plain_text_named_csv_gz_reads_through_the_block_reader(tmp_path, monkeypatch, suffix):
-    """numpy would open a path with this ending through a decompressor, so that name never takes the path reader."""
+    """numpy would open a path with this ending through a decompressor; ingest reads its bytes as they are."""
     path = write(tmp_path, "x.csv" + suffix, FOUR_POINT_CSV)
     with pytest.raises((OSError, lzma.LZMAError)):  # not a compressed file
         np.loadtxt(str(path), delimiter=",", skiprows=1)
     want = ingest_outcome(ingest, write(tmp_path, "x.csv", FOUR_POINT_CSV))
-    path_reads = spy_on_path_reads(monkeypatch)
+    monkeypatch.setattr(cli, "_loadtxt_columns", refuse)  # plain decimals
     assert ingest_outcome(ingest, path) == want
-    assert path_reads == []
 
 
 def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
@@ -634,9 +680,8 @@ def test_gzip_file_named_csv_gz_is_not_decompressed(tmp_path):
         ingest(path)
 
 
-# A file the path readers refuse, and whether np.loadtxt reads the path before the block reader runs.
+# A file that the one loadtxt call on a path used to refuse, and whether loadtxt reads a block of it.
 # The two scanned-byte rows hold a form feed inside a row and a record separator on a line of its own.
-# A row in the plain-decimal form that fails a check goes to the block reader without the loadtxt call.
 PATH_READER_REFUSALS = {
     "scanned-byte": ("x.csv", b"prediction,label\n0.5,1\x0c0.25,0\n", True),
     "scanned-byte-past-first-read": ("x.csv", b"prediction,label\n" + b"0.5,1\n" * 20_000 + b"\x1e", True),
@@ -646,58 +691,53 @@ PATH_READER_REFUSALS = {
     "space-line-at-end": ("x.csv", b"prediction,label\n0.5,1\n  ", True),
     "header": ("x.csv", b"pred,y\n0.5,1\n", False),
     "header-not-utf8": ("x.csv", b"pr\xe9diction,label\n0.5,1\n", False),
-    "no-line-end-in-first-read": ("x.csv", b"prediction,label", True),
+    "no-line-end-in-first-read": ("x.csv", b"prediction,label", False),
     "value-error": ("x.csv", b"prediction,label\n0.5,1\n0.5,one\n", True),
     "fractional-label": ("x.csv", b"prediction,label\n0.5,1\n0.5,0.5\n", True),
     "empty-table": ("x.csv", b"prediction,label\n\r\n", True),
-    "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", False),
-    "label-check": ("x.csv", b"prediction,label\n0.5,1\n0.5,2\n", False),
+    "range-check": ("x.csv", b"prediction,label\n0.5,1\n1.5,0\n", True),
+    "label-check": ("x.csv", b"prediction,label\n0.5,1\n0.5,2\n", True),
 }
 
 
 @pytest.mark.parametrize(
-    "name, data, reads_path", PATH_READER_REFUSALS.values(), ids=PATH_READER_REFUSALS.keys()
+    "name, data, reads_block", PATH_READER_REFUSALS.values(), ids=PATH_READER_REFUSALS.keys()
 )
-def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name, data, reads_path):
+def test_path_reader_refusals_go_to_the_block_reader(tmp_path, monkeypatch, name, data, reads_block):
+    """One open and one pass, with the outcome of loadtxt reading every block."""
     path = tmp_path / name
     path.write_bytes(data)
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_DECOMPRESSED", (path.suffix,))  # the block reader alone
+    with mock.patch.object(cli, "_EXACT_QUOTIENTS", False):
         want = ingest_outcome(ingest, path)
-    path_reads, block_reads = spy_on_path_reads(monkeypatch), []
-    line_blocks = cli._line_blocks
-
-    def spy_line_blocks(fh):
-        block_reads.append(fh)
-        return line_blocks(fh)
-
-    monkeypatch.setattr(cli, "_line_blocks", spy_line_blocks)
+    handles, loadtxt_rows = spy_on_binary_reads(monkeypatch), spy_on_loadtxt_rows(monkeypatch)
     assert ingest_outcome(ingest, path) == want
-    assert len(path_reads) == reads_path
-    assert len(block_reads) == 1
+    (handle,) = handles
+    assert handle.bytes_read <= len(data)
+    assert bool(loadtxt_rows) == reads_block
 
 
 @pytest.mark.parametrize("label", ["1.0", "1e0", "0.0", "-0"])
 def test_path_reader_reads_labels_written_as_floats(tmp_path, monkeypatch, label):
-    """pandas writes a float label column as 1.0: the path reader reads it, in one pass."""
+    """pandas writes a float label column as 1.0: loadtxt reads its block, in one pass."""
     path = write(tmp_path, "x.csv", f"prediction,label\n0.5,1\n0.25,{label}\n0.75,0\n")
-    block_only = write(tmp_path, "x.csv.gz", path.read_text())  # a name the path reader leaves
-    want = ingest_outcome(ingest, block_only)
-    path_reads = spy_on_path_reads(monkeypatch)
-    monkeypatch.setattr(cli, "_block_columns", refuse)
+    want = ingest_outcome(reference_ingest_csv, path)
+    loadtxt_rows = spy_on_loadtxt_rows(monkeypatch)
+    monkeypatch.setattr(cli, "_raise_first_bad_row", refuse)
     assert ingest_outcome(ingest, path) == want
-    assert path_reads == [str(path)]
+    assert loadtxt_rows == [3]
     assert ingest(path).labels.tolist() == [1, int(float(label)), 0]
 
 
 def assert_path_reader_reads_what_the_reference_reads(path):
-    """The one path call reads every file the reference reads to its bytes, and refuses every bad row."""
+    """One loadtxt call on all of a file's lines, as the path reader made, reads every
+    file the reference reads to its bytes, and refuses every file with a bad row: the
+    search for the first bad row halves a refused block on this premise."""
     want = ingest_outcome(reference_ingest_csv, path)
+    columns = cli._loadtxt_columns(path.read_text(encoding="utf-8-sig").split("\n")[1:])
     if isinstance(want[0], np.dtype):
-        with mock.patch.object(cli, "_block_columns", refuse):
-            assert ingest_outcome(ingest, path) == want
+        assert (columns[0].dtype, columns[0].tobytes(), columns[1].dtype, columns[1].tobytes()) == want
     elif want[1].startswith("row "):
-        assert cli._loadtxt_columns(str(path), skiprows=1) is None
+        assert columns is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -729,7 +769,7 @@ def ingest_through_pipe(path, data):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_named_pipe_csv_is_read_once_by_the_block_reader(tmp_path):
-    """A pipe cannot be read twice, so only a regular file takes the path reader."""
+    """A pipe cannot be read twice; ingest reads every file once."""
     path = tmp_path / "pipe.csv"
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_text, args=(FOUR_POINT_CSV,), daemon=True)
@@ -752,6 +792,33 @@ def test_named_pipe_names_the_bad_row_as_a_regular_file_does(tmp_path, row):
     regular.write_bytes(data)
     want = ingest_outcome(ingest, regular)
     assert isinstance(want[0], type) and want[1].startswith("row 3001: ")
+    assert ingest_through_pipe(tmp_path / "pipe.csv", data) == want
+
+
+def test_a_late_bad_row_outside_the_form_is_read_once(tmp_path, monkeypatch):
+    """One open, each byte read once, and loadtxt given only the block that holds the row."""
+    rows = benchmark_shaped_rows(np.random.default_rng(9), 10_000)
+    rows[-1] = "0.5,x"
+    path = write(tmp_path, "late.csv", "prediction,label\n" + "\n".join(rows) + "\n")
+    want = ingest_outcome(reference_ingest_csv, path)
+    assert want == (MalformedRowError, f"row {len(rows)}: label 'x' is not a number")
+    handles, loadtxt_rows = spy_on_binary_reads(monkeypatch), spy_on_loadtxt_rows(monkeypatch)
+    assert ingest_outcome(ingest, path) == want
+    (handle,) = handles
+    assert handle.bytes_read == path.stat().st_size
+    assert sum(loadtxt_rows) <= 2 * loadtxt_rows[0] < len(rows) // 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_pipe_and_gz_name_of_plain_decimals_take_no_loadtxt_call(tmp_path, monkeypatch):
+    """Each block's bytes decide how it is read, never the file's name or kind."""
+    rows = benchmark_shaped_rows(np.random.default_rng(4), 10_000)
+    data = ("prediction,label\n" + "\n".join(rows) + "\n").encode()
+    want = ingest_outcome(ingest, write(tmp_path, "scores.csv", data.decode()))
+    gz_name = tmp_path / "scores.csv.gz"
+    gz_name.write_bytes(data)
+    monkeypatch.setattr(cli, "_loadtxt_columns", refuse)
+    assert ingest_outcome(ingest, gz_name) == want
     assert ingest_through_pipe(tmp_path / "pipe.csv", data) == want
 
 

@@ -1,8 +1,9 @@
 """Ingest, scoring and diagrams run in the arrays a dataset holds plus scratch that does not grow with N.
 
 tracemalloc counts numpy's buffers, so the peaks below are the arrays alive
-at once. Ingest, by each of its three readers, holds no more than the 26
-bytes per record that the scored dataset will hold. After it, the scratch allowed to grow is the one table
+at once. Ingest, whether it reads a block by the plain-decimal reader or
+by loadtxt, holds no more than the 26 bytes per record that the scored
+dataset will hold. After it, the scratch allowed to grow is the one table
 of log j! that each binomial pass over a bin set builds, sized to its
 largest bin, and that the binomial screen and the exact kernel both read:
 8 bytes per record of that bin, built in place. Under the t-test it is a
@@ -16,7 +17,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from caltest import cli
 from caltest.binning import BinStrategy, build_bins
 from caltest.cli import ingest, write_dataset_csv
 from caltest.core import Dataset
@@ -92,25 +92,18 @@ def test_t_test_scratch_grows_only_with_one_bin_of_labels(tied):
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
-def test_ingest_holds_no_more_than_the_scored_dataset(tmp_path, monkeypatch, tied):
+def test_ingest_holds_no_more_than_the_scored_dataset(tmp_path, tied):
+    """The plain-decimal file, its CRLF copy (loadtxt reads every block) and its ``.gz``-named copy."""
     for n in SIZES:
         path = tmp_path / "scores.csv"
         write_dataset_csv(scenario(n, tied), path)
-        block_only = tmp_path / "scores.csv.gz"  # plain text under a name numpy would decompress
-        block_only.write_bytes(path.read_bytes())
+        crlf = tmp_path / "scores_crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        gz_name = tmp_path / "scores.csv.gz"  # plain text under a name numpy would decompress
+        gz_name.write_bytes(path.read_bytes())
         tracemalloc.start()
         try:
-            with monkeypatch.context() as m:
-                m.setattr(cli, "_block_columns", None)
-                m.setattr(cli, "_loadtxt_columns", None)  # the .csv is read by the plain-decimal reader
-                decimal_peak = traced_peak(lambda: ingest(path))
-            with monkeypatch.context() as m:
-                m.setattr(cli, "_block_columns", None)
-                m.setattr(cli, "_decimal_columns", lambda path: cli._OTHER_FORM)  # by the one path call
-                path_peak = traced_peak(lambda: ingest(path))
-            block_peak = traced_peak(lambda: ingest(block_only))
+            peaks = [traced_peak(lambda: ingest(p)) for p in (path, crlf, gz_name)]
         finally:
             tracemalloc.stop()
-        assert decimal_peak <= 26 * n + INGEST_SLACK
-        assert path_peak <= 26 * n + INGEST_SLACK
-        assert block_peak <= 26 * n + INGEST_SLACK
+        assert max(peaks) <= 26 * n + INGEST_SLACK, peaks
